@@ -31,7 +31,6 @@ from .correlation import (
     pigeonhole_bound,
     pigeonhole_count,
     random_indicator,
-    spectral_correlation,
     split_integrals,
 )
 from .distances import (

@@ -20,23 +20,23 @@ from itertools import product
 import numpy as np
 
 from .errors import BadInputError, BudgetExceededError
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, ft_many
 
 _PAD = 2  # zero-padding factor for the frequency grid (kills torus wrap-around)
+SPECTRUM_BUDGET_BYTES = 1 << 28  # cap on one padded complex spectrum, 16 (_PAD m)^d bytes
+_GEMM_BLOCK = 1 << 20  # cap on the elements of one phase block in _sigma_hat_on_grid
 
 
 class GridIndicator:
     """Indicator of a subset of the unit ball sampled on a uniform cell grid.
 
     Cells of size h = 2/m tile [-1,1]^d; marked cells must have centers in
-    the closed unit ball.  The measure of the set is count * h^d.
+    the closed unit ball.  The measure of the set is count * h^d.  The padded
+    spectrum and the cell autocorrelation are computed on first use.
     """
 
     def __init__(self, dim: int, m: int, cells):
-        if dim not in (1, 2, 3):
-            raise BadInputError("grids support dimensions 1..3")
-        if m < 2:
-            raise BadInputError("grid needs at least 2 cells per axis")
+        _check_grid(dim, m)
         cells = np.array(cells, dtype=bool)
         if cells.shape != (m,) * dim:
             raise BadInputError("cell array shape must be (m,)*dim")
@@ -48,9 +48,7 @@ class GridIndicator:
         centers = self.marked_centers()
         if centers.shape[0] and np.max(np.linalg.norm(centers, axis=1)) > 1.0 + 1e-12:
             raise BadInputError("marked cells must have centers inside the unit ball")
-        self._dense = cells.astype(float)
-        self._dense.setflags(write=False)
-        self._spectrum_cache = {}
+        self._cache = {}
 
     @property
     def count(self):
@@ -60,72 +58,59 @@ class GridIndicator:
     def measure(self):
         return self.count * self.h ** self.dim
 
-    def axis_centers(self):
-        return -1.0 + (np.arange(self.m) + 0.5) * self.h
-
     def marked_centers(self):
         idx = np.argwhere(self.cells)
         return -1.0 + (idx + 0.5) * self.h
 
     def grid_transform(self, Xi):
         """ft(f) at arbitrary frequencies by the direct cell sum."""
-        Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-        centers = self.marked_centers()
-        out = np.empty(Xi.shape[0], dtype=complex)
-        step = max(1, (1 << 18) // max(1, centers.shape[0]))
-        for s in range(0, Xi.shape[0], step):
-            phase = Xi[s:s + step] @ centers.T
-            out[s:s + step] = np.exp(-2j * np.pi * phase).sum(axis=1)
-        return out * self.h ** self.dim
+        cells = AtomicMeasure(self.marked_centers(), np.full(self.count, self.h ** self.dim))
+        return ft_many(cells, Xi)
 
-    def _power_spectrum(self, pad=_PAD):
+    def _abs_fft_squared(self):
+        """|F|^2 of the cell array zero-padded to (_PAD m)^d."""
+        if "abs2" not in self._cache:
+            arr = np.zeros((_PAD * self.m,) * self.dim)
+            arr[(slice(0, self.m),) * self.dim] = self.cells
+            self._cache["abs2"] = np.abs(np.fft.fftn(arr)) ** 2
+        return self._cache["abs2"]
+
+    def _power_spectrum(self):
         """(|ft(f)|^2 * dxi, |xi| radii) on the padded frequency grid."""
-        key = pad
-        if key not in self._spectrum_cache:
-            mp = pad * self.m
-            arr = np.zeros((mp,) * self.dim)
-            sl = tuple(slice(0, self.m) for _ in range(self.dim))
-            arr[sl] = self.cells
-            F = np.fft.fftn(arr)
+        if "power" not in self._cache:
+            mp = _PAD * self.m
             dxi = (1.0 / (mp * self.h)) ** self.dim
-            power = (np.abs(F) ** 2) * self.h ** (2 * self.dim) * dxi
-            freqs = np.fft.fftfreq(mp, d=self.h)
-            r2 = np.zeros((mp,) * self.dim)
-            for ax in range(self.dim):
-                shape = [1] * self.dim
-                shape[ax] = mp
-                r2 = r2 + (freqs.reshape(shape)) ** 2
-            self._spectrum_cache[key] = (power, np.sqrt(r2))
-        return self._spectrum_cache[key]
+            power = self._abs_fft_squared() * self.h ** (2 * self.dim) * dxi
+            axes = np.meshgrid(*[np.fft.fftfreq(mp, d=self.h)] * self.dim,
+                               indexing="ij", sparse=True)
+            self._cache["power"] = (power, np.sqrt(sum(g ** 2 for g in axes)))
+        return self._cache["power"]
 
-    def interpolate(self, Q):
-        """Multilinear interpolation of the cell values at query points (0 outside)."""
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        u = (Q + 1.0) / self.h - 0.5
-        i0 = np.floor(u).astype(np.int64)
-        frac = u - i0
-        vals = np.zeros(Q.shape[0])
-        dense = self._dense
-        for corner in product((0, 1), repeat=self.dim):
-            idx = i0 + np.asarray(corner, dtype=np.int64)[None, :]
-            ok = np.all((idx >= 0) & (idx < self.m), axis=1)
-            if not np.any(ok):
-                continue
-            w = np.ones(Q.shape[0])
-            for ax, c in enumerate(corner):
-                w = w * (frac[:, ax] if c else 1.0 - frac[:, ax])
-            cell_vals = np.zeros(Q.shape[0])
-            sel = tuple(idx[ok, ax] for ax in range(self.dim))
-            cell_vals[ok] = dense[sel]
-            vals += w * cell_vals
-        return vals
+    def _autocorrelation(self):
+        """A(k) = sum_i c_i c_{i+k} at lag k mod _PAD m, |k| <= m - 1 (exact integers)."""
+        if "autocorr" not in self._cache:
+            acf = np.fft.ifftn(self._abs_fft_squared()).real
+            self._cache["autocorr"] = np.rint(acf).astype(np.int64)
+        return self._cache["autocorr"]
 
     def to_dict(self):
         return {"type": "indicator", "dim": self.dim, "grid": self.m,
                 "kind": "cells", "cells": np.argwhere(self.cells).tolist()}
 
 
+def _check_grid(dim, m):
+    """Refuse, before allocating, a bad grid or one whose padded spectrum is over budget."""
+    if dim not in (1, 2, 3):
+        raise BadInputError("grids support dimensions 1..3")
+    if m < 2:
+        raise BadInputError("grid needs at least 2 cells per axis")
+    if 16 * (_PAD * int(m)) ** int(dim) > SPECTRUM_BUDGET_BYTES:
+        raise BudgetExceededError(f"the padded spectrum of a {dim}-d grid with m={m} "
+                                  f"exceeds {SPECTRUM_BUDGET_BYTES >> 20} MiB")
+
+
 def indicator_from_cells(dim, m, cell_list) -> GridIndicator:
+    _check_grid(dim, m)
     cells = np.zeros((m,) * dim, dtype=bool)
     idx = np.asarray(cell_list, dtype=np.int64)
     if idx.size:
@@ -135,6 +120,7 @@ def indicator_from_cells(dim, m, cell_list) -> GridIndicator:
 
 def indicator_from_balls(dim, m, centers, radii) -> GridIndicator:
     """Union of Euclidean balls clipped to the unit ball, sampled at cell centers."""
+    _check_grid(dim, m)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     radii = np.asarray(radii, dtype=float).ravel()
     ax = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
@@ -292,47 +278,61 @@ def pigeonhole_bound(delta: float) -> int:
 # -- correlations -------------------------------------------------------------------
 
 
-def direct_correlation(f: GridIndicator, sigma: AtomicMeasure, t: float,
-                       chunk: int = 256) -> float:
+def direct_correlation(f: GridIndicator, sigma: AtomicMeasure, t: float) -> float:
     """Real-space correlation sum over atoms y and marked cells x of
     f(x) f(x + t y) w(y) h^d, with multilinear interpolation off-grid.
 
     Strictly positive only when the gauge distance t is realized between
-    points of the set (up to grid tolerance).
+    points of the set (up to grid tolerance).  The offset s = t y / h of
+    x_i + t y from cell i is the same for every i, so the cell sum is the
+    cell autocorrelation A(k) = sum_i c_i c_{i+k} (0 for |k| > m - 1) read
+    at the corners of floor(s): direct = h^d sum_y w_y sum_corners W A, with
+    W the multilinear weights of s - floor(s).  An s within a few ulps of
+    m + |s| of a grid line is put on it, so rounding noise never gives a
+    corner weight (and a spurious positive).
     """
     if t <= 0:
         raise BadInputError("t must be positive")
     if sigma.dim != f.dim:
         raise BadInputError("dimension mismatch between set and measure")
-    centers = f.marked_centers()
-    if centers.shape[0] == 0:
-        return 0.0
-    total = 0.0
-    hd = f.h ** f.dim
-    for s in range(0, len(sigma), chunk):
-        ys = sigma.positions[s:s + chunk]
-        ws = sigma.weights[s:s + chunk]
-        queries = (centers[None, :, :] + t * ys[:, None, :]).reshape(-1, f.dim)
-        vals = f.interpolate(queries).reshape(len(ys), -1)
-        total += float(np.sum(ws * vals.sum(axis=1))) * hd
-    return total
+    acf = f._autocorrelation()
+    mp = _PAD * f.m
+    s = np.clip(t * sigma.positions / f.h, -mp, mp)
+    near = np.rint(s)
+    s = np.where(np.abs(s - near) <= 8 * np.finfo(float).eps * (f.m + np.abs(s)), near, s)
+    k = np.floor(s).astype(np.int64)
+    frac = s - k
+    vals = np.zeros(len(sigma))
+    for corner in product((0, 1), repeat=f.dim):
+        # lag +-m sits at index m of the padded array, where A is 0
+        lag = np.clip(k + np.asarray(corner), -f.m, f.m) % mp
+        w = np.prod(np.where(np.asarray(corner, dtype=bool), frac, 1.0 - frac), axis=1)
+        vals += w * acf[tuple(lag.T)]
+    return float(sigma.weights @ vals) * f.h ** f.dim
 
 
-def _sigma_hat_on_grid(sigma: AtomicMeasure, t: float, mp: int, h: float, dim: int,
-                       chunk: int = 256):
-    """ft(sigma)(t xi) over the padded frequency grid, via separable phases."""
+def _sigma_hat_on_grid(sigma: AtomicMeasure, t: float, mp: int, h: float, dim: int):
+    """ft(sigma)(t xi) over the padded frequency grid, via separable phases.
+
+    With E_a[j, k] = exp(-2 pi i t x_{j,a} freq_k) the transform is
+    sum_j w_j E_0[j, k] E_1[j, l] (E_2[j, n]): in 2-d the matrix product
+    (w E_0)^T E_1, in 3-d the Khatri-Rao rows w_j E_0[j, k] E_1[j, l] times
+    E_2, each over blocks of atoms.
+    """
     freqs = np.fft.fftfreq(mp, d=h)
     out = np.zeros((mp,) * dim, dtype=complex)
-    for s in range(0, len(sigma), chunk):
-        X = sigma.positions[s:s + chunk]
-        w = sigma.weights[s:s + chunk]
+    step = max(1, _GEMM_BLOCK // mp ** (dim - 1))
+    for s in range(0, len(sigma), step):
+        X = sigma.positions[s:s + step]
+        w = sigma.weights[s:s + step]
         E = [np.exp(-2j * np.pi * t * X[:, ax, None] * freqs[None, :]) for ax in range(dim)]
         if dim == 1:
             out += w @ E[0]
         elif dim == 2:
-            out += np.einsum("j,jk,jl->kl", w, E[0], E[1])
+            out += (w[:, None] * E[0]).T @ E[1]
         else:
-            out += np.einsum("j,jk,jl,jm->klm", w, E[0], E[1], E[2])
+            kr = (w[:, None, None] * E[0][:, :, None] * E[1][:, None, :]).reshape(len(w), -1)
+            out += (kr.T @ E[2]).reshape(mp, mp, mp)
     return out
 
 
@@ -395,11 +395,6 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float, delta: flo
     tail = float(np.sum(power[radii > 0.9 * nyq])) * sigma.abs_mass
     return SplitResult(float(t), float(delta), i1, i2, i3, i1 + i2 + i3,
                        sym_err + tail)
-
-
-def spectral_correlation(f: GridIndicator, sigma: AtomicMeasure, t: float) -> float:
-    """Frequency-side correlation int |ft(f)|^2 ft(sigma)(t xi) dxi (symmetric sigma)."""
-    return split_integrals(f, sigma, t, 0.5).total
 
 
 # -- the lacunary search --------------------------------------------------------------

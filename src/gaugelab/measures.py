@@ -49,6 +49,7 @@ class AtomicMeasure:
             self.normals.setflags(write=False)
         self.positions.setflags(write=False)
         self.weights.setflags(write=False)
+        self._symmetric = {}    # tol -> is_symmetric(tol); the atoms are read-only
 
     # -- basic quantities ----------------------------------------------------
 
@@ -83,8 +84,11 @@ class AtomicMeasure:
 
     def is_symmetric(self, tol=1e-9):
         """True when atoms pair up as (x, w) <-> (-x, w) within tolerance."""
-        if len(self) == 0:
-            return True
+        if tol not in self._symmetric:
+            self._symmetric[tol] = self._pairs_up(tol)
+        return self._symmetric[tol]
+
+    def _pairs_up(self, tol):
         scale = max(self.support_radius, 1.0)
         key = np.round(self.positions / (tol * scale)).astype(np.int64)
         table = {}

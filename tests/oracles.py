@@ -5,6 +5,8 @@ re-derived from the raw body data, transforms come from dense quadrature of
 the defining integrals, and correlations come from exhaustive pair searches.
 """
 
+from itertools import product
+
 import numpy as np
 
 from gaugelab.bodies import Ellipsoid, HPolytope, RadialBody
@@ -99,3 +101,41 @@ def disk_profile_quadrature(r, nodes=1 << 14):
     e = np.exp(-1j * cb)
     vals[~small] = 1j / cb * e + (e - 1.0) / cb ** 2
     return float(np.real(np.sum(vals)) * (2 * np.pi / nodes))
+
+
+def interpolate_cells(f, Q):
+    """Multilinear interpolation of f's 0/1 cell values at query points (0 outside)."""
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    u = (Q + 1.0) / f.h - 0.5
+    i0 = np.floor(u).astype(np.int64)
+    frac = u - i0
+    dense = f.cells.astype(float)
+    vals = np.zeros(Q.shape[0])
+    for corner in product((0, 1), repeat=f.dim):
+        idx = i0 + np.asarray(corner, dtype=np.int64)[None, :]
+        ok = np.all((idx >= 0) & (idx < f.m), axis=1)
+        w = np.ones(Q.shape[0])
+        for ax, c in enumerate(corner):
+            w = w * (frac[:, ax] if c else 1.0 - frac[:, ax])
+        cell_vals = np.zeros(Q.shape[0])
+        cell_vals[ok] = dense[tuple(idx[ok, ax] for ax in range(f.dim))]
+        vals += w * cell_vals
+    return vals
+
+
+def dense_direct_correlation(f, sigma, t):
+    """sum_y w_y sum_x f(x) f(x + t y) h^d over marked cell centers x, one query per pair."""
+    centers = f.marked_centers()
+    total = 0.0
+    for y, w in zip(sigma.positions, sigma.weights):
+        total += w * float(np.sum(interpolate_cells(f, centers + t * y[None, :])))
+    return total * f.h ** f.dim
+
+
+def separable_sigma_hat(sigma, t, mp, h, dim):
+    """ft(sigma)(t xi) on the fftfreq grid by one einsum over per-axis phases."""
+    freqs = np.fft.fftfreq(mp, d=h)
+    E = [np.exp(-2j * np.pi * t * sigma.positions[:, ax, None] * freqs[None, :])
+         for ax in range(dim)]
+    spec = {1: "j,jk->k", 2: "j,jk,jl->kl", 3: "j,jk,jl,jm->klm"}[dim]
+    return np.einsum(spec, sigma.weights, *E)

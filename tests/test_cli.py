@@ -220,5 +220,19 @@ class TestExitCodes:
                           "--eps", 0.3, "--delta", 0.05, "--grid", 64,
                           "--out", workdir / "x4")) == 4
 
+    def test_oversized_grid_refused_before_allocation(self, workdir):
+        import tracemalloc
+        gl.save_body(gl.ball_body(3), workdir / "ball3.json")
+        tracemalloc.start()
+        try:
+            code = main(_args("bourgain", "--body", workdir / "ball3.json",
+                              "--eps", 0.3, "--delta", 0.05, "--grid", 100_000,
+                              "--out", workdir / "x5"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 1 << 20
+
     def test_unknown_command_usage(self):
         assert main([]) == 2

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaugelab as gl
-from gaugelab.errors import BadInputError
+from gaugelab.correlation import _PAD, SPECTRUM_BUDGET_BYTES, _sigma_hat_on_grid
+from gaugelab.errors import BadInputError, BudgetExceededError
 
 import oracles
 
@@ -123,14 +126,14 @@ class TestSpectralCorrelation:
     def test_point_mass_gives_parseval(self):
         f = gl.random_indicator(2, 256, 0.9, seed=3)
         sigma = gl.point_mass([0.0, 0.0])
-        assert gl.spectral_correlation(f, sigma, 0.7) == pytest.approx(
+        assert gl.split_integrals(f, sigma, 0.7, 0.5).total == pytest.approx(
             f.measure, rel=1e-12)
         assert gl.direct_correlation(f, sigma, 0.7) == pytest.approx(
             f.measure, rel=1e-12)
 
     def test_matches_direct_on_blobs(self, blob_set, circle_sigma):
         for t in (0.1, 0.7, 0.9):
-            s = gl.spectral_correlation(blob_set, circle_sigma, t)
+            s = gl.split_integrals(blob_set, circle_sigma, t, 0.5).total
             d = gl.direct_correlation(blob_set, circle_sigma, t)
             assert s == pytest.approx(d, rel=0.02, abs=1e-5)
 
@@ -139,7 +142,7 @@ class TestSpectralCorrelation:
         cells[100, 100] = True
         f = gl.GridIndicator(2, 256, cells)
         assert gl.direct_correlation(f, circle_sigma, 0.5) == 0.0
-        assert abs(gl.spectral_correlation(f, circle_sigma, 0.5)) <= f.measure
+        assert abs(gl.split_integrals(f, circle_sigma, 0.5, 0.5).total) <= f.measure
 
     def test_square_against_analytic_tent_oracle(self):
         # grid-aligned square vs a two-point measure: the continuum value is
@@ -155,13 +158,13 @@ class TestSpectralCorrelation:
             analytic = max(2 * a - abs(s[0]), 0.0) * max(2 * a - abs(s[1]), 0.0)
             assert gl.direct_correlation(f, sigma, t) == pytest.approx(
                 analytic, abs=1e-14)
-            assert gl.spectral_correlation(f, sigma, t) == pytest.approx(
+            assert gl.split_integrals(f, sigma, t, 0.5).total == pytest.approx(
                 analytic, abs=1e-3)
 
     def test_asymmetric_measure_rejected(self, blob_set):
         lop = gl.AtomicMeasure([[0.3, 0.1], [0.2, -0.6]], [0.5, 0.5])
         with pytest.raises(BadInputError):
-            gl.spectral_correlation(blob_set, lop, 0.5)
+            gl.split_integrals(blob_set, lop, 0.5, 0.5).total
 
     def test_transform_gradient_bounds_near_origin(self, circle_sigma):
         # |ft(f)| >= |A|/2 and Re ft(sigma) >= 1/2 inside radius 1/(4 pi)
@@ -279,6 +282,104 @@ class TestGridIndicator:
         f = gl.random_indicator(3, 32, 0.3, seed=5)
         sigma = gl.from_mesh(gl.triangulate_boundary(gl.ball_body(3), 500),
                              normalize=True)
-        s = gl.spectral_correlation(f, sigma, 0.4)
+        s = gl.split_integrals(f, sigma, 0.4, 0.5).total
         d = gl.direct_correlation(f, sigma, 0.4)
         assert s == pytest.approx(d, rel=0.05, abs=1e-4)
+
+
+@st.composite
+def grid_sets(draw):
+    """A random indicator on a grid of dims 1..3 and m <= 48 (possibly empty)."""
+    dim = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ax = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
+    r2 = sum(g ** 2 for g in np.meshgrid(*([ax] * dim), indexing="ij"))
+    cells = (rng.random((m,) * dim) < draw(st.floats(0.0, 1.0))) & (r2 <= 1.0)
+    return gl.GridIndicator(dim, m, cells)
+
+
+def atom_clouds(dim, weights, symmetric):
+    """n <= 6 atoms in [-1,1]^dim, mirrored into a symmetric measure when asked."""
+    def build(atoms):
+        sigma = gl.AtomicMeasure([p for p, _ in atoms], [w for _, w in atoms])
+        return sigma.symmetrized() if symmetric else sigma
+    # tenths put offsets t y / h within rounding of grid lines (0.3 / 0.1 < 3)
+    coord = st.one_of(st.floats(-1.0, 1.0), st.integers(-10, 10).map(lambda k: k / 10))
+    point = st.lists(coord, min_size=dim, max_size=dim)
+    return st.lists(st.tuples(point, weights), min_size=1, max_size=6).map(build)
+
+
+# t up to 8 moves atoms up to 4 grid widths, so many lags fall outside the grid
+scales = st.floats(1e-3, 8.0)
+
+
+class TestFastPathsAgainstOracles:
+    @given(data=st.data(), t=scales, symmetric=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_direct_matches_dense_interpolation(self, data, t, symmetric):
+        f = data.draw(grid_sets())
+        sigma = data.draw(atom_clouds(f.dim, st.floats(0.01, 1.0), symmetric))
+        fast = gl.direct_correlation(f, sigma, t)
+        ref = oracles.dense_direct_correlation(f, sigma, t)
+        if ref == 0.0:
+            assert fast == 0.0
+        # the oracle rounds every query on its own; where its value is that
+        # rounding noise, compare against the correlation's scale |sigma| |A|
+        assert abs(fast - ref) <= 1e-12 * max(abs(ref), sigma.abs_mass * f.measure)
+
+    @given(data=st.data(), t=scales, symmetric=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_sigma_hat_matches_separable_einsum(self, data, t, symmetric):
+        f = data.draw(grid_sets())
+        sigma = data.draw(atom_clouds(f.dim, st.floats(-1.0, 1.0), symmetric))
+        mp = _PAD * f.m
+        fast = _sigma_hat_on_grid(sigma, t, mp, f.h, f.dim)
+        ref = oracles.separable_sigma_hat(sigma, t, mp, f.h, f.dim)
+        assert fast.shape == ref.shape
+        assert np.max(np.abs(fast - ref)) <= 1e-13 * sigma.abs_mass
+
+    @given(data=st.data(), t=scales, delta=st.floats(0.01, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_split_partition_exact(self, data, t, delta):
+        f = data.draw(grid_sets())
+        sigma = data.draw(atom_clouds(f.dim, st.floats(0.01, 1.0), True))
+        sr = gl.split_integrals(f, sigma, t, delta)
+        assert sr.i1 + sr.i2 + sr.i3 == sr.total
+
+    def test_offset_within_rounding_of_a_grid_line_adds_nothing(self):
+        # h = 0.1 and 0.3 / h rounds to 3 - 4e-16: lag 2 is marked, lag 3 is not
+        cells = np.zeros(20, dtype=bool)
+        cells[[5, 7]] = True
+        f = gl.GridIndicator(1, 20, cells)
+        sigma = gl.AtomicMeasure([[0.3], [-0.3]], [0.5, 0.5])
+        assert 0.3 / f.h < 3.0
+        assert oracles.dense_direct_correlation(f, sigma, 1.0) == 0.0
+        assert gl.direct_correlation(f, sigma, 1.0) == 0.0
+        assert gl.direct_correlation(f, sigma, 2.0 / 3.0) == pytest.approx(0.1, rel=1e-12)
+
+    def test_lags_beyond_the_grid_vanish(self, blob_set):
+        sigma = gl.AtomicMeasure([[0.9, 0.0], [-0.9, 0.0]], [0.5, 0.5])
+        assert gl.direct_correlation(blob_set, sigma, 2.3) == 0.0
+        assert gl.direct_correlation(blob_set, sigma, 1e300) == 0.0
+        assert oracles.dense_direct_correlation(blob_set, sigma, 2.3) == 0.0
+
+
+class TestSpectrumBudget:
+    def test_oversized_grids_refused_before_allocation(self):
+        huge = 1 << 20
+        with pytest.raises(BudgetExceededError):
+            gl.GridIndicator(3, huge, np.zeros((2,) * 3, dtype=bool))
+        with pytest.raises(BudgetExceededError):
+            gl.indicator_from_cells(3, huge, [[0, 0, 0]])
+        with pytest.raises(BudgetExceededError):
+            gl.indicator_from_balls(2, huge, [[0.0, 0.0]], [0.5])
+        with pytest.raises(BadInputError):    # a bad shape is bad input, whatever its size
+            gl.indicator_from_cells(4, huge, [])
+
+    def test_largest_grid_within_budget(self):
+        m = round((SPECTRUM_BUDGET_BYTES / 16) ** (1 / 3)) // _PAD
+        assert 16 * (_PAD * m) ** 3 <= SPECTRUM_BUDGET_BYTES
+        assert gl.indicator_from_cells(3, m, []).m == m    # builds no spectrum yet
+        with pytest.raises(BudgetExceededError):
+            gl.indicator_from_cells(3, m + 1, [])
