@@ -129,12 +129,24 @@ class ConvexBody:
         """Membership x in t*K through the variant's defining inequalities."""
         raise NotImplementedError
 
-    def radial(self, u) -> float:
-        """Radial function: the boundary is {radial(u) * u}."""
-        g = self.gauge(u)
-        if g == 0:
-            raise BadInputError("radial function needs a nonzero direction")
-        return float(np.linalg.norm(u) / g)
+    def polar_nodes(self, resolution: int):
+        """Unit directions u (midpoint angles, or icosphere patch centers in 3d), radii
+        1/gauge(u) and angle steps or patch areas; cached per resolution on the body."""
+        cache = self.__dict__.setdefault("_polar_nodes", {})
+        if resolution not in cache:
+            if self.dim == 2:
+                phi = (np.arange(resolution) + 0.5) * 2 * np.pi / resolution
+                u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+                wts = np.full(resolution, 2 * np.pi / resolution)
+            elif self.dim == 3:
+                u, wts = _icosphere_patches(resolution)
+            else:
+                raise BadInputError("polar quadrature supports dimensions 2 and 3")
+            nodes = (u, 1.0 / self.gauge_many(u), wts)
+            for a in nodes:
+                a.setflags(write=False)
+            cache[resolution] = nodes
+        return cache[resolution]
 
     # -- certificates --------------------------------------------------------
 
@@ -630,6 +642,19 @@ def _spherical_triangle_areas(a, b, c):
     return 2.0 * np.arctan2(num, den)
 
 
+def _icosphere_patches(resolution):
+    """Unit patch centers and solid angles of the finest icosphere with at most
+    `resolution` faces (the level-0 icosahedron when resolution < 80)."""
+    level = 0
+    while 20 * 4 ** (level + 1) <= resolution:
+        level += 1
+    verts, faces = _icosphere(level)
+    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    u = a + b + c
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return u, _spherical_triangle_areas(a, b, c)
+
+
 def _mesh_smooth_3d(radial_many, normal_at, resolution):
     """Icosphere directions projected radially onto the boundary.
 
@@ -637,19 +662,13 @@ def _mesh_smooth_3d(radial_many, normal_at, resolution):
     area element r^2 / <n, u>, a midpoint rule for the surface integral;
     exact for the unit sphere.
     """
-    level = 0
-    while 20 * 4 ** (level + 1) <= resolution:
-        level += 1
-    verts, faces = _icosphere(level)
-    u = verts[faces[:, 0]] + verts[faces[:, 1]] + verts[faces[:, 2]]
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    patch = _spherical_triangle_areas(verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]])
+    u, patch = _icosphere_patches(resolution)
     r = radial_many(u)
     pos = r[:, None] * u
     nrm = normal_at(pos)
     cosang = np.einsum("ij,ij->i", nrm, u)
     wts = r ** 2 / cosang * patch
-    h = math.sqrt(4 * np.pi / len(faces))
+    h = math.sqrt(4 * np.pi / len(u))
     return BoundaryMesh(pos, nrm, wts, 1e-9, 10.0 * float(np.sum(wts)) * h * h)
 
 

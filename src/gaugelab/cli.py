@@ -281,7 +281,8 @@ def _cmd_decay(manifest, outdir, log):
     rows = []
     for i, t in enumerate(result.t_grid):
         for k in range(result.etas.shape[0]):
-            rows.append([t, k, result.table[i, k], 0.0, result.table[i, k]])
+            v = result.table[i, k]
+            rows.append([t, k, v.real, v.imag, abs(v)])
     _write_csv(outdir / "decay.csv", ["t", "eta_index", "re", "im", "abs"], rows)
     _write_csv(outdir / "envelope.csv", ["t", "sup_abs", "cert_err"],
                list(zip(result.t_grid, result.envelope, result.cert_errors)))
@@ -459,7 +460,6 @@ def _build_parser():
         description="Gauge-norm and boundary-measure numerics, batch mode")
     parser.add_argument("--manifest", help="run a saved manifest JSON instead of flags")
     sub = parser.add_subparsers(dest="command")
-    common = {"--out": ".", "--seed": 0}
 
     def add(name, *flags):
         p = sub.add_parser(name)

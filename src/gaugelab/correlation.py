@@ -118,14 +118,19 @@ def indicator_from_cells(dim, m, cell_list) -> GridIndicator:
     return GridIndicator(dim, m, cells)
 
 
-def indicator_from_balls(dim, m, centers, radii) -> GridIndicator:
-    """Union of Euclidean balls clipped to the unit ball, sampled at cell centers."""
+def _cell_centers(dim, m):
+    """Centers of the m^d grid cells, one row per cell in C order."""
     _check_grid(dim, m)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    radii = np.asarray(radii, dtype=float).ravel()
     ax = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
     grids = np.meshgrid(*([ax] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def indicator_from_balls(dim, m, centers, radii) -> GridIndicator:
+    """Union of Euclidean balls clipped to the unit ball, sampled at cell centers."""
+    pts = _cell_centers(dim, m)
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    radii = np.asarray(radii, dtype=float).ravel()
     mask = np.zeros(pts.shape[0], dtype=bool)
     for c, r in zip(centers, radii):
         mask |= np.sum((pts - c[None, :]) ** 2, axis=1) <= r * r
@@ -134,15 +139,20 @@ def indicator_from_balls(dim, m, centers, radii) -> GridIndicator:
 
 
 def random_indicator(dim, m, target_measure, seed, max_balls=64) -> GridIndicator:
-    """Seeded union of random balls grown until the set reaches target_measure."""
+    """Seeded union of random balls grown until the set reaches target_measure.
+
+    One running mask grows by a ball per step, so each step costs one ball.
+    """
     rng = np.random.default_rng(seed)
-    centers, radii = [], []
+    pts = _cell_centers(dim, m)
+    inside = np.sum(pts ** 2, axis=1) <= 1.0
+    mask = np.zeros(pts.shape[0], dtype=bool)
     for _ in range(max_balls):
-        centers.append(rng.uniform(-0.62, 0.62, size=dim))
-        radii.append(rng.uniform(0.14, 0.30))
-        ind = indicator_from_balls(dim, m, np.array(centers), np.array(radii))
-        if ind.measure >= target_measure:
-            return ind
+        c = rng.uniform(-0.62, 0.62, size=dim)
+        r = rng.uniform(0.14, 0.30)
+        mask |= inside & (np.sum((pts - c[None, :]) ** 2, axis=1) <= r * r)
+        if np.count_nonzero(mask) * (2.0 / m) ** dim >= target_measure:
+            return GridIndicator(dim, m, mask.reshape((m,) * dim))
     raise BudgetExceededError(
         f"could not reach measure {target_measure} with {max_balls} balls")
 

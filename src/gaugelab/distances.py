@@ -115,10 +115,8 @@ def _pairwise_gauge(points, body: ConvexBody, dual: bool, chunk: int = 512):
             other = points[j0:j0 + chunk]
             diffs = block[:, None, :] - other[None, :, :]
             vals = fn(diffs.reshape(-1, points.shape[1])).reshape(len(block), len(other))
-            ii, jj = np.meshgrid(np.arange(i, i + len(block)),
-                                 np.arange(j0, j0 + len(other)), indexing="ij")
-            keep = ii < jj
-            out.append(vals[keep])
+            # only a diagonal block holds pairs with i >= j
+            out.append(vals[np.triu_indices(len(block), 1)] if j0 == i else vals.ravel())
     if out:
         return np.concatenate(out)
     return np.empty(0)
@@ -136,9 +134,10 @@ def distance_set(points: PointSet, body: ConvexBody, t_max: float,
     vals = _pairwise_gauge(points.points, body, dual)
     if len(points) >= 1:
         vals = np.concatenate([[0.0], vals])
-    vals = np.sort(vals[vals <= t_max + merge_tol])
+    # An exact repeat never opens a new value, so the sequential merge runs on
+    # the distinct values only.
     merged = []
-    for v in vals:
+    for v in np.unique(vals[vals <= t_max + merge_tol]):
         if not merged or v - merged[-1] > merge_tol:
             merged.append(float(v))
     dists = np.asarray(merged)

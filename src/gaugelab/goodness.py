@@ -17,7 +17,7 @@ import numpy as np
 
 from .bodies import BoundaryMesh, CapFamily, ConvexBody, HPolytope, geodesic_distance
 from .errors import BadInputError, HypothesisViolationError
-from .measures import AtomicMeasure, ft_many, wiener_atom_mass
+from .measures import AtomicMeasure, ft_many, _sphere_directions, wiener_atom_mass
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,8 @@ class GoodnessReport:
 def _shell_directions(dim, resolution):
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        ang = np.arange(resolution) * 2 * np.pi / resolution
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    if dim == 3:
-        k = np.arange(resolution) + 0.5
-        golden = np.pi * (3 - 5 ** 0.5)
-        z = 1 - 2 * k / resolution
-        rho = np.sqrt(np.maximum(0.0, 1 - z * z))
-        return np.stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z], axis=1)
+    if dim in (2, 3):
+        return _sphere_directions(dim, resolution)
     raise BadInputError("shell scans support dimensions 1..3")
 
 
@@ -94,18 +87,6 @@ def goodness_profile(mu: AtomicMeasure, R: float, shells,
         sups[i] = float(np.max(vals))
         certs[i] = mu.lipschitz_bound * rho * spacing
     return GoodnessReport(float(R), shells, sups, certs)
-
-
-def angular_resolution_for(mu: AtomicMeasure, shell_radius: float, target_err: float) -> int:
-    """Directions needed so the certified shell error stays below target_err."""
-    if target_err <= 0:
-        raise BadInputError("target error must be positive")
-    L = mu.lipschitz_bound * shell_radius
-    if mu.dim == 2:
-        return max(16, int(math.ceil(2 * np.pi * L / target_err)))
-    if mu.dim == 3:
-        return max(64, int(math.ceil((3.5 * L / target_err) ** 2)))
-    return 2
 
 
 def construct_good_measure(body: ConvexBody, mesh: BoundaryMesh,

@@ -193,37 +193,54 @@ def save_measure(mu: AtomicMeasure, path) -> None:
 # -- Fourier transforms -------------------------------------------------------
 
 
+def _expsum(positions, weights, freqs) -> np.ndarray:
+    """sum_j w_j exp(-2 pi i <x_j, xi_k>) per row xi_k: cos and sin of the real
+    phase times the weights, in blocks of at most _FT_CHUNK atom-frequency pairs."""
+    out = np.empty(freqs.shape[0], dtype=complex)
+    step = max(1, _FT_CHUNK // max(1, len(weights)))
+    for s in range(0, freqs.shape[0], step):
+        phase = (2 * np.pi) * (freqs[s:s + step] @ positions.T)
+        out.real[s:s + step] = np.cos(phase) @ weights
+        out.imag[s:s + step] = -(np.sin(phase) @ weights)
+    return out
+
+
+def _ray_transform(mu: AtomicMeasure, eta, t0: float, dt: float, n: int) -> np.ndarray:
+    """ft(mu)(t_k eta) on the progression t_k = t0 + k dt, k < n.
+
+    With B = ceil(sqrt(n)) and k = a B + b, exp(-2 pi i t_k s) factors into
+    exp(-2 pi i (t0 + a B dt) s) exp(-2 pi i b dt s), so the ray is one matrix
+    product of an A x atoms and a B x atoms table: ~2 sqrt(n) exponentials per atom.
+    """
+    s = mu.positions @ np.asarray(eta, dtype=float)
+    B = math.isqrt(n - 1) + 1
+    a_t = t0 + np.arange(-(-n // B)) * (B * dt)
+    b_t = np.arange(B) * dt
+    out = np.zeros((len(a_t), B), dtype=complex)
+    step = max(1, _FT_CHUNK // B)
+    for j in range(0, len(s), step):
+        sj = s[j:j + step]
+        coarse = np.exp(-2j * np.pi * np.outer(a_t, sj)) * mu.weights[j:j + step]
+        out += coarse @ np.exp(-2j * np.pi * np.outer(b_t, sj)).T
+    return out.ravel()[:n]
+
+
 def ft_measure(mu: AtomicMeasure, xi) -> complex:
     """Transform value sum_j w_j exp(-2 pi i <x_j, xi>) at a single frequency."""
-    xi = np.asarray(xi, dtype=float)
-    phase = mu.positions @ xi
-    return complex(np.sum(mu.weights * np.exp(-2j * np.pi * phase)))
+    xi = np.asarray(xi, dtype=float).reshape(1, -1)
+    return complex(_expsum(mu.positions, mu.weights, xi)[0])
 
 
 def ft_many(mu: AtomicMeasure, Xi) -> np.ndarray:
     """Vectorized transform over rows of Xi, chunked to bound memory."""
-    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-    out = np.empty(Xi.shape[0], dtype=complex)
-    n = max(1, len(mu))
-    step = max(1, _FT_CHUNK // n)
-    for s in range(0, Xi.shape[0], step):
-        block = Xi[s:s + step]
-        phase = block @ mu.positions.T
-        out[s:s + step] = np.exp(-2j * np.pi * phase) @ mu.weights
-    return out
+    return _expsum(mu.positions, mu.weights, np.atleast_2d(np.asarray(Xi, dtype=float)))
 
 
 def ft_profile(mu: AtomicMeasure, eta, t_grid) -> np.ndarray:
-    """Transform along the ray t -> ft(mu)(t * eta)."""
-    eta = np.asarray(eta, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float).ravel()
-    proj = mu.positions @ eta
-    out = np.empty(t_grid.shape[0], dtype=complex)
-    step = max(1, _FT_CHUNK // max(1, len(mu)))
-    for s in range(0, t_grid.shape[0], step):
-        block = t_grid[s:s + step]
-        out[s:s + step] = np.exp(-2j * np.pi * block[:, None] * proj[None, :]) @ mu.weights
-    return out
+    """Transform along the ray t -> ft(mu)(t * eta) at arbitrary t."""
+    proj = mu.positions @ np.asarray(eta, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float).reshape(-1, 1)
+    return _expsum(proj[:, None], mu.weights, t_grid)
 
 
 @dataclass(frozen=True)
@@ -294,13 +311,10 @@ class LineMeasure:
     def ft(self, t):
         """Transform of the line measure; bins contribute at their midpoints."""
         t = np.asarray(t, dtype=float)
-        val = np.tensordot(self.atom_masses,
-                           np.exp(-2j * np.pi * np.multiply.outer(self.atom_positions, t)), axes=1)
-        if self.bin_masses.size:
-            mids = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-            val = val + np.tensordot(self.bin_masses,
-                                     np.exp(-2j * np.pi * np.multiply.outer(mids, t)), axes=1)
-        return val
+        mids = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
+        pos = np.concatenate([self.atom_positions, mids])
+        w = np.concatenate([self.atom_masses, self.bin_masses])
+        return _expsum(pos[:, None], w, t.reshape(-1, 1)).reshape(t.shape)
 
 
 def project_measure(mu: AtomicMeasure, eta, bins: int = DEFAULT_BINS,
@@ -373,6 +387,7 @@ def wiener_atom_mass(mu: AtomicMeasure, eta, T: float, samples: int | None = Non
     projection of mu onto eta, since the transform of the projection at t
     equals the transform of mu at t*eta.  The default sample count resolves
     the fastest oscillation exp(2 pi i t r) at 40 samples per unit of T*r.
+    The samples are an arithmetic progression, evaluated by _ray_transform.
     """
     if T <= 0:
         raise BadInputError("T must be positive")
@@ -380,8 +395,9 @@ def wiener_atom_mass(mu: AtomicMeasure, eta, T: float, samples: int | None = Non
         samples = int(math.ceil(40 * T * max(mu.support_radius, 0.025))) + 1
     if samples <= 0:
         raise BadInputError("samples must be positive")
-    ts = np.linspace(-T, T, int(samples))
-    vals = np.abs(ft_profile(mu, eta, ts)) ** 2
+    n = int(samples)
+    ts = np.linspace(-T, T, n)
+    vals = np.abs(_ray_transform(mu, eta, -T, 2 * T / max(n - 1, 1), n)) ** 2
     return float(np.trapezoid(vals, ts) / (2 * T))
 
 
@@ -390,7 +406,8 @@ def wiener_atom_mass(mu: AtomicMeasure, eta, T: float, samples: int | None = Non
 
 @dataclass(frozen=True)
 class DecayScanResult:
-    """Per-t envelope sup_eta |ft(sigma)(t eta)| over the admissible directions."""
+    """Per-t envelope sup_eta |ft(sigma)(t eta)| over the admissible directions;
+    table, when requested, holds the complex values ft(sigma)(t_i eta_k)."""
 
     t_grid: np.ndarray
     envelope: np.ndarray
@@ -399,23 +416,26 @@ class DecayScanResult:
     table: np.ndarray | None = None
 
 
+def _sphere_directions(dim, n):
+    """n equally spaced angles on the circle (dim 2) or the n-point Fibonacci spiral on S^2."""
+    if dim == 2:
+        ang = np.arange(n) * 2 * np.pi / n
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    k = np.arange(n) + 0.5
+    golden = np.pi * (3 - 5 ** 0.5)
+    z = 1 - 2 * k / n
+    rho = np.sqrt(np.maximum(0.0, 1 - z * z))
+    return np.stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z], axis=1)
+
+
 def _admissible_directions(thetas, delta, spacing, dim):
     """Uniform direction grid at the given geodesic spacing, at distance >= delta
     from the symmetrized excluded set thetas U -thetas."""
     sym = np.vstack([thetas, -thetas])
-    if dim == 2:
-        n = max(8, int(math.ceil(2 * np.pi / spacing)))
-        ang = np.arange(n) * 2 * np.pi / n
-        etas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    elif dim == 3:
-        n = max(64, int(math.ceil(16 * np.pi / spacing ** 2)))
-        k = np.arange(n) + 0.5
-        golden = np.pi * (3 - 5 ** 0.5)
-        z = 1 - 2 * k / n
-        rho = np.sqrt(np.maximum(0.0, 1 - z * z))
-        etas = np.stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z], axis=1)
-    else:
+    if dim not in (2, 3):
         raise BadInputError("direction scans support dimensions 2 and 3")
+    n = math.ceil(2 * np.pi / spacing) if dim == 2 else math.ceil(16 * np.pi / spacing ** 2)
+    etas = _sphere_directions(dim, max(8 if dim == 2 else 64, int(n)))
     dots = np.clip(etas @ sym.T, -1.0, 1.0)
     dist = np.min(np.arccos(dots), axis=1)
     return etas[dist >= delta]
@@ -441,10 +461,10 @@ def decay_scan(mu: AtomicMeasure, thetas, delta: float, t_grid,
         raise BadInputError("no admissible directions: delta too large for the sphere grid")
     t_grid = np.asarray(t_grid, dtype=float).ravel()
     env = np.empty(t_grid.shape[0])
-    table = np.empty((t_grid.shape[0], etas.shape[0])) if return_table else None
+    table = np.empty((t_grid.shape[0], etas.shape[0]), dtype=complex) if return_table else None
     for i, t in enumerate(t_grid):
-        vals = np.abs(ft_many(mu, t * etas))
-        env[i] = float(np.max(vals))
+        vals = ft_many(mu, t * etas)
+        env[i] = float(np.max(np.abs(vals)))
         if return_table:
             table[i] = vals
     certs = mu.lipschitz_bound * np.abs(t_grid) * spacing

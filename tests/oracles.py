@@ -139,3 +139,68 @@ def separable_sigma_hat(sigma, t, mp, h, dim):
          for ax in range(dim)]
     spec = {1: "j,jk->k", 2: "j,jk,jl->kl", 3: "j,jk,jl,jm->klm"}[dim]
     return np.einsum(spec, sigma.weights, *E)
+
+
+def dense_expsum(positions, weights, freqs):
+    """sum_j w_j exp(-2 pi i <x_j, xi_k>) per row xi_k, one complex exponential per term."""
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    freqs = np.atleast_2d(np.asarray(freqs, dtype=float))
+    return np.exp(-2j * np.pi * (freqs @ positions.T)) @ np.asarray(weights, dtype=float)
+
+
+def sequential_merge_distance_set(points, body, t_max, merge_tol=1e-9):
+    """Distance set as first written: the sequential merge walks every sorted value."""
+    from gaugelab.distances import GapReport, _pairwise_gauge
+    vals = _pairwise_gauge(points.points, body, False)
+    if len(points) >= 1:
+        vals = np.concatenate([[0.0], vals])
+    vals = np.sort(vals[vals <= t_max + merge_tol])
+    merged = []
+    for v in vals:
+        if not merged or v - merged[-1] > merge_tol:
+            merged.append(float(v))
+    dists = np.asarray(merged)
+    gaps = []
+    for a, b in zip(dists[:-1], dists[1:]):
+        if b - a > merge_tol:
+            gaps.append((float(a), float(b - a)))
+    if dists.size and t_max - dists[-1] > merge_tol:
+        gaps.append((float(dists[-1]), float(t_max - dists[-1])))
+    return GapReport(dists, gaps, 0.0, float(t_max), merge_tol)
+
+
+def rebuilt_random_indicator(dim, m, target_measure, seed, max_balls=64):
+    """random_indicator as first written: the whole union is rebuilt after every ball."""
+    from gaugelab.correlation import indicator_from_balls
+    rng = np.random.default_rng(seed)
+    centers, radii = [], []
+    for _ in range(max_balls):
+        centers.append(rng.uniform(-0.62, 0.62, size=dim))
+        radii.append(rng.uniform(0.14, 0.30))
+        ind = indicator_from_balls(dim, m, np.array(centers), np.array(radii))
+        if ind.measure >= target_measure:
+            return ind
+    return None
+
+
+def fresh_polar_chi_hat(body, xi, resolution=4096):
+    """chi_hat by polar slices as first written: the nodes and radii are rebuilt for this xi."""
+    from gaugelab.bodies import _icosphere, _spherical_triangle_areas
+    from gaugelab.spectra import _radial_slice_1, _radial_slice_2
+    xi = np.asarray(xi, dtype=float)
+    if body.dim == 2:
+        phi = (np.arange(resolution) + 0.5) * 2 * np.pi / resolution
+        u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        r = 1.0 / body.gauge_many(u)
+        vals = _radial_slice_1(r, 2 * np.pi * (u @ xi))
+        return float(np.real(np.sum(vals)) * (2 * np.pi / resolution))
+    level = 0
+    while 20 * 4 ** (level + 1) <= resolution:
+        level += 1
+    verts, faces = _icosphere(level)
+    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    u = a + b + c
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    r = 1.0 / body.gauge_many(u)
+    vals = _radial_slice_2(r, 2 * np.pi * (u @ xi))
+    return float(np.real(np.sum(vals * _spherical_triangle_areas(a, b, c))))

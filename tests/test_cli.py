@@ -101,6 +101,19 @@ class TestCommands:
         env = np.loadtxt(out / "envelope.csv", delimiter=",", skiprows=1)
         assert env[1, 1] < env[0, 1]
 
+    def test_decay_columns_are_complex_parts(self, workdir):
+        out = workdir / "decay"
+        assert main(_args("decay", "--body", workdir / "circle.json",
+                          "--thetas", "1,0", "--rcap", "0.4", "--delta", "0.3",
+                          "--tgrid", "10,40,2", "--resolution", 2048,
+                          "--out", out)) == 0
+        rows = np.loadtxt(out / "decay.csv", delimiter=",", skiprows=1)
+        re, im, ab = rows[:, 2], rows[:, 3], rows[:, 4]
+        np.testing.assert_allclose(re ** 2 + im ** 2, ab ** 2, rtol=1e-12, atol=1e-300)
+        assert np.any(np.abs(im) > 1e-6 * np.max(ab))
+        env = np.loadtxt(out / "envelope.csv", delimiter=",", skiprows=1)
+        assert np.max(ab[rows[:, 0] == env[0, 0]]) == env[0, 1]
+
     def test_goodness(self, workdir):
         out = workdir / "good"
         assert main(_args("goodness", "--body", workdir / "circle.json", "--N", 5,

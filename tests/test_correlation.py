@@ -278,6 +278,19 @@ class TestGridIndicator:
         with pytest.raises(BadInputError):
             gl.GridIndicator(4, 8, np.zeros((8,) * 4, dtype=bool))
 
+    @pytest.mark.parametrize("dim, m, target", [(1, 64, 0.8), (2, 128, 0.3 * math.pi),
+                                                (2, 256, 1.0), (3, 32, 0.3)])
+    def test_running_mask_matches_rebuilt_union(self, dim, m, target):
+        for seed in range(6):
+            f = gl.random_indicator(dim, m, target, seed=seed)
+            ref = oracles.rebuilt_random_indicator(dim, m, target, seed)
+            assert np.array_equal(f.cells, ref.cells)
+
+    def test_unreachable_measure_refused_like_rebuilt_union(self):
+        assert oracles.rebuilt_random_indicator(2, 32, 10.0, 4, max_balls=5) is None
+        with pytest.raises(BudgetExceededError):
+            gl.random_indicator(2, 32, 10.0, seed=4, max_balls=5)
+
     def test_three_dimensional_smoke(self):
         f = gl.random_indicator(3, 32, 0.3, seed=5)
         sigma = gl.from_mesh(gl.triangulate_boundary(gl.ball_body(3), 500),

@@ -63,6 +63,37 @@ class TestDistanceSet:
         np.testing.assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-9)
 
 
+def assert_same_report(got, want):
+    np.testing.assert_array_equal(got.distances, want.distances)
+    assert got.gaps == want.gaps
+    assert (got.t0, got.t_max, got.merge_tol) == (want.t0, want.t_max, want.merge_tol)
+
+
+class TestMergeAgainstSequentialOracle:
+    @pytest.mark.parametrize("body", [gl.cube_body(2, 0.5), gl.regular_polygon_body(6),
+                                      gl.random_symmetric_polytope(2, 6, seed=11),
+                                      gl.ball_body(2)])
+    def test_lattices(self, body):
+        lat = gl.lattice_points(2, -8, 8)
+        for t_max in (5.0, 12.5, 40.0):
+            assert_same_report(gl.distance_set(lat, body, t_max),
+                               oracles.sequential_merge_distance_set(lat, body, t_max))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 120),
+           merge_tol=st.sampled_from((1e-9, 1e-3)))
+    @settings(max_examples=40, deadline=None)
+    def test_planted_near_duplicates(self, seed, n, merge_tol):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-5, 5, size=(n, 2))
+        # copies shifted by up to twice merge_tol give chains of near-equal distances
+        shift = rng.uniform(-2 * merge_tol, 2 * merge_tol, size=(n, 2))
+        pts = np.vstack([base, base + np.where(np.abs(shift) < 1e-11, 1e-11, shift)])
+        pts = gl.PointSet(pts[np.unique(pts, axis=0, return_index=True)[1]])
+        body = gl.random_symmetric_polytope(2, 6, seed=seed % 97)
+        assert_same_report(gl.distance_set(pts, body, 6.0, merge_tol),
+                           oracles.sequential_merge_distance_set(pts, body, 6.0, merge_tol))
+
+
 class TestGapScan:
     def test_lattice_unit_gaps(self, half_cube):
         rep = gl.distance_set(gl.lattice_points(2, -5, 5), half_cube, 20.0)

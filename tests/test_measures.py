@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import gaugelab as gl
 from gaugelab.errors import BadInputError
+from gaugelab.measures import _ray_transform
 
 import oracles
 
@@ -68,6 +69,87 @@ class TestTransform:
         scan = gl.ft_scan(mu, np.eye(2))
         assert scan.lipschitz == pytest.approx(2 * math.pi * mu.abs_mass * mu.support_radius)
         assert np.all(np.abs(scan.values) <= mu.abs_mass + 1e-12)
+
+
+EPS = np.finfo(float).eps
+SAMPLE_COUNTS = (1, 2, 997, 1024)   # one, two, a prime and a square
+
+
+def signed_cloud(seed, dim, atoms, radius):
+    rng = np.random.default_rng(seed)
+    eta = rng.normal(size=dim)
+    return (gl.AtomicMeasure(rng.uniform(-radius, radius, size=(atoms, dim)),
+                             rng.uniform(-1.0, 1.0, size=atoms)),
+            eta / np.linalg.norm(eta), rng)
+
+
+def kernel_bound(mu, T):
+    """Rounding budget of an exponential sum over |xi| <= T: phases carry 2 pi T r_max."""
+    return 16 * EPS * (1 + 2 * math.pi * T * mu.support_radius) * mu.abs_mass
+
+
+def oracle_wiener(mu, eta, T, samples):
+    ts = np.linspace(-T, T, samples)
+    vals = np.abs(oracles.dense_expsum((mu.positions @ eta)[:, None], mu.weights,
+                                       ts[:, None])) ** 2
+    return float(np.trapezoid(vals, ts) / (2 * T))
+
+
+cloud_args = dict(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3),
+                  atoms=st.integers(1, 300), radius=st.floats(0.01, 3.0),
+                  T=st.floats(0.0, 500.0), n=st.sampled_from(SAMPLE_COUNTS))
+
+
+class TestKernelsAgainstOracle:
+    @given(**cloud_args)
+    @settings(max_examples=80, deadline=None)
+    def test_ray_transform_matches_dense_sum(self, seed, dim, atoms, radius, T, n):
+        mu, eta, rng = signed_cloud(seed, dim, atoms, radius)
+        t0 = float(rng.uniform(-T, T))
+        dt = (T - t0) / max(n - 1, 1)
+        ts = t0 + np.arange(n) * dt
+        fast = _ray_transform(mu, eta, t0, dt, n)
+        assert fast.shape == (n,)
+        ref = oracles.dense_expsum(mu.positions, mu.weights, ts[:, None] * eta[None, :])
+        assert np.max(np.abs(fast - ref)) <= kernel_bound(mu, T)
+
+    @given(**cloud_args)
+    @settings(max_examples=80, deadline=None)
+    def test_dense_kernel_matches_dense_sum(self, seed, dim, atoms, radius, T, n):
+        mu, eta, rng = signed_cloud(seed, dim, atoms, radius)
+        Xi = rng.normal(size=(n, dim))
+        Xi *= (rng.uniform(0.0, T, size=n) / np.linalg.norm(Xi, axis=1))[:, None]
+        bound = kernel_bound(mu, T)
+        ref = oracles.dense_expsum(mu.positions, mu.weights, Xi)
+        assert np.max(np.abs(gl.ft_many(mu, Xi) - ref)) <= bound
+        assert abs(gl.ft_measure(mu, Xi[-1]) - ref[-1]) <= bound
+        ts = rng.uniform(-T, T, size=n)
+        ref = oracles.dense_expsum(mu.positions, mu.weights, ts[:, None] * eta[None, :])
+        assert np.max(np.abs(gl.ft_profile(mu, eta, ts) - ref)) <= bound
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3),
+           atoms=st.integers(1, 300), T=st.floats(0.1, 500.0),
+           samples=st.sampled_from(SAMPLE_COUNTS[1:] + (None,)))
+    @settings(max_examples=30, deadline=None)
+    def test_wiener_matches_oracle_trapezoid(self, seed, dim, atoms, T, samples):
+        mu, eta, _ = signed_cloud(seed, dim, atoms, 1.0)
+        got = gl.wiener_atom_mass(mu, eta, T, samples)
+        if samples is None:
+            samples = int(math.ceil(40 * T * max(mu.support_radius, 0.025))) + 1
+        assert got == pytest.approx(oracle_wiener(mu, eta, T, samples), rel=1e-12)
+
+    def test_wiener_square_matches_oracle_trapezoid(self, square_measure):
+        eta = np.array([1.0, 0.0])
+        samples = int(math.ceil(40 * 200.0 * square_measure.support_radius)) + 1
+        assert gl.wiener_atom_mass(square_measure, eta, 200.0) == pytest.approx(
+            oracle_wiener(square_measure, eta, 200.0, samples), rel=1e-12)
+
+    def test_single_sample_ray_is_its_start(self):
+        mu = random_measure(3)
+        eta = np.array([0.6, 0.8])
+        got = _ray_transform(mu, eta, 2.5, 0.1, 1)
+        assert got.shape == (1,)
+        assert abs(got[0] - gl.ft_measure(mu, 2.5 * eta)) <= kernel_bound(mu, 2.5)
 
 
 class TestProjection:

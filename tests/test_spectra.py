@@ -76,10 +76,52 @@ class TestChiHat:
             assert gl.chi_hat(roundish, [r, 0.0, 0.0], 40_000) == pytest.approx(
                 gl.chi_hat(ball, [r, 0.0, 0.0]), abs=tol)
         cube = gl.cube_body(3, 0.7)
-        from gaugelab.spectra import _chi_hat_polar_3d
+        from gaugelab.spectra import _chi_hat_polar
         xi = np.array([0.3, 0.2, -0.1])
-        assert _chi_hat_polar_3d(cube, xi, 81_920) == pytest.approx(
+        assert _chi_hat_polar(cube, xi[None, :], 81_920)[0] == pytest.approx(
             gl.chi_hat(cube, xi), abs=1e-4)
+
+
+class TestPolarNodesOncePerBody:
+    BODIES = (gl.regular_polygon_body(6), gl.random_symmetric_polytope(2, 6, seed=3),
+              gl.RadialBody(p=3, axes=[1.0, 0.7, 0.5]))
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_many_equals_rows_and_fresh_nodes(self, body):
+        rng = np.random.default_rng(body.dim)
+        Xi = rng.normal(scale=3.0, size=(150, body.dim))
+        many = gl.chi_hat_many(body, Xi, 4096)
+        rows = np.array([gl.chi_hat(body, xi, 4096) for xi in Xi])
+        np.testing.assert_allclose(many, rows, rtol=0, atol=1e-14)
+        # Off the axes the per-frequency oracle forms its phases by a BLAS product;
+        # a one-ulp phase change moves the closed-form radial slice by ~1e-11.
+        fresh = np.array([oracles.fresh_polar_chi_hat(body, xi, 4096) for xi in Xi])
+        np.testing.assert_allclose(many, fresh, rtol=0, atol=1e-10)
+        axis = np.zeros((40, body.dim))
+        axis[:, 0] = np.linspace(0.5, 6.0, 40)
+        fresh = np.array([oracles.fresh_polar_chi_hat(body, xi, 4096) for xi in axis])
+        np.testing.assert_allclose(gl.chi_hat_many(body, axis, 4096), fresh, rtol=0, atol=1e-14)
+
+    def test_nodes_built_once_per_resolution(self):
+        body = gl.regular_polygon_body(6)
+        calls = []
+        gauge = body.gauge_many
+        body.gauge_many = lambda X: calls.append(len(X)) or gauge(X)
+        gl.chi_hat_many(body, np.ones((300, 2)), 4096)
+        gl.chi_hat(body, [0.5, 0.5], 4096)
+        gl.chi_hat(body, [0.5, 0.5], 1024)
+        assert calls == [4096, 1024]
+        assert body.polar_nodes(4096)[0] is body.polar_nodes(4096)[0]
+
+    @pytest.mark.parametrize("body", BODIES[:2])
+    def test_zero_scan_unchanged(self, body, monkeypatch):
+        ledger = gl.radial_zero_scan(body, (0.5, 6.0), 400)
+        import gaugelab.spectra as spectra
+        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi, res: np.array(
+            [oracles.fresh_polar_chi_hat(b, xi, res) for xi in Xi]))
+        before = gl.radial_zero_scan(body, (0.5, 6.0), 400)
+        assert len(ledger.zeros) == len(before.zeros) > 0
+        np.testing.assert_allclose(ledger.zeros, before.zeros, rtol=0, atol=1e-12)
 
 
 class TestZeroScan:
