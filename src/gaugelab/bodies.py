@@ -244,18 +244,25 @@ class HPolytope(ConvexBody):
             reps.append((self.normals[i], self.offsets[i]))
         return reps
 
+    @staticmethod
+    def _by_facet(X, rows, scale=1.0):
+        """<x, row_k> / scale_k, one row per facet (or vertex) and one column per point.
+
+        The product is the point-major X @ rows.T, bit for bit; the division writes it
+        facet-major, so reductions over the few facets run as passes over point rows."""
+        vals = np.atleast_2d(np.asarray(X, dtype=float)) @ rows.T
+        out = np.empty(vals.shape[::-1])
+        return np.divide(vals.T, np.reshape(scale, (-1, 1)), out=out)
+
     def gauge_many(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        vals = (X @ self.normals.T) / self.offsets[None, :]
-        return np.maximum(np.max(vals, axis=1), 0.0)
+        return np.maximum(np.max(self._by_facet(X, self.normals, self.offsets), axis=0), 0.0)
 
     def dual_gauge_many(self, Xi):
-        Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-        return np.max(Xi @ self.vertices.T, axis=1)
+        return np.max(self._by_facet(Xi, self.vertices), axis=0)
 
     def contains_many(self, X, t=1.0):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.all(X @ self.normals.T <= t * self.offsets[None, :] + 1e-15, axis=1)
+        bounds = (t * self.offsets + 1e-15)[:, None]
+        return np.all(self._by_facet(X, self.normals) <= bounds, axis=0)
 
     @property
     def vertices(self):

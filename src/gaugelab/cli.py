@@ -209,9 +209,7 @@ def _cmd_gaps(manifest, outdir, log):
     eps = float(_need(manifest, "eps")[0])
     t0 = float(manifest.params.get("t0", 0.0))
     t_max = float(manifest.params.get("tmax", vals.max() if vals.size else 0.0))
-    report = distances.GapReport(
-        np.sort(vals), [(a, b - a) for a, b in zip(np.sort(vals)[:-1], np.sort(vals)[1:])
-                        if b - a > 1e-9], t0, t_max, 1e-9)
+    report = distances.GapReport.from_values(vals, t_max, t0=t0)
     count, found = distances.gap_scan(report, eps, t0)
     _write_csv(outdir / "gapscan.csv", ["start", "length"], found)
     log.add("gap count", count)
@@ -360,8 +358,7 @@ def _cmd_bourgain(manifest, outdir, log):
         consts_vol = correlation.BourgainConstants(body.dim).omega_d
         f = correlation.random_indicator(body.dim, grid, eps_frac * consts_vol,
                                          manifest.seed)
-    body_unit, factor = body.normalized()
-    mesh = bodies.triangulate_boundary(body_unit, int(manifest.params.get("resolution", 512)))
+    mesh = bodies.triangulate_boundary(body, int(manifest.params.get("resolution", 512)))
     sigma = measures.from_mesh(mesh, normalize=True)
     if not sigma.is_symmetric():
         raise BadInputError("boundary measure is not symmetric; "
@@ -387,7 +384,7 @@ def _cmd_bourgain(manifest, outdir, log):
     log.add("positivity constant", consts.positivity_constant)
     log.add("J bound", plan.j_bound)
     log.add("j0 index", plan.j0_index + 1)
-    log.add("body scale factor", factor)
+    log.add("body scale factor", body.scale)
     for line in result.diagnostics:
         log.add("diagnostic", line)
     log.add("verdict", result.verdict)

@@ -76,14 +76,17 @@ class GridIndicator:
         return self._cache["abs2"]
 
     def _power_spectrum(self):
-        """(|ft(f)|^2 * dxi, |xi| radii) on the padded frequency grid."""
+        """(|ft(f)|^2 * dxi, |xi| radii) on the padded frequency grid, with the total
+        spectral mass and its part beyond 0.9 of the Nyquist radius 1/(2h)."""
         if "power" not in self._cache:
             mp = _PAD * self.m
             dxi = (1.0 / (mp * self.h)) ** self.dim
             power = self._abs_fft_squared() * self.h ** (2 * self.dim) * dxi
             axes = np.meshgrid(*[np.fft.fftfreq(mp, d=self.h)] * self.dim,
                                indexing="ij", sparse=True)
-            self._cache["power"] = (power, np.sqrt(sum(g ** 2 for g in axes)))
+            radii = np.sqrt(sum(g ** 2 for g in axes))
+            tail = float(np.sum(power[radii > 0.9 * (0.5 / self.h)]))
+            self._cache["power"] = (power, radii, float(np.sum(power)), tail)
         return self._cache["power"]
 
     def _autocorrelation(self):
@@ -388,10 +391,10 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float, delta: flo
     if require_symmetric and not sigma.is_symmetric():
         raise BadInputError("measure must be symmetric (real transform) "
                             "for the frequency-side correlation")
-    power, radii = f._power_spectrum()
+    power, radii, total_power, tail_power = f._power_spectrum()
     mp = _PAD * f.m
     shat = _sigma_hat_on_grid(sigma, t, mp, f.h, f.dim)
-    sym_err = float(np.max(np.abs(shat.imag))) * float(np.sum(power))
+    sym_err = float(np.max(np.abs(shat.imag))) * total_power
     vals = power * shat.real
     lo_cut = delta / t
     hi_cut = 1.0 / (delta * t)
@@ -401,10 +404,8 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float, delta: flo
     i1 = float(np.sum(vals[band1]))
     i2 = float(np.sum(vals[band2]))
     i3 = float(np.sum(vals[band3]))
-    nyq = 0.5 / f.h
-    tail = float(np.sum(power[radii > 0.9 * nyq])) * sigma.abs_mass
     return SplitResult(float(t), float(delta), i1, i2, i3, i1 + i2 + i3,
-                       sym_err + tail)
+                       sym_err + tail_power * sigma.abs_mass)
 
 
 # -- the lacunary search --------------------------------------------------------------

@@ -93,6 +93,25 @@ class GapReport:
         object.__setattr__(self, "distances", d)
         object.__setattr__(self, "gaps", list(self.gaps))
 
+    @classmethod
+    def from_values(cls, values, t_max: float, merge_tol: float = MERGE_TOL,
+                    t0: float = 0.0) -> "GapReport":
+        """Merge values up to t_max sequentially at merge_tol; the gaps are the empty
+        intervals between consecutive merged values and from the last one to t_max."""
+        values = np.asarray(values, dtype=float)
+        # An exact repeat never opens a new value, so the sequential merge runs on
+        # the distinct values only.
+        merged = []
+        for v in np.unique(values[values <= t_max + merge_tol]):
+            if not merged or v - merged[-1] > merge_tol:
+                merged.append(float(v))
+        dists = np.asarray(merged)
+        gaps = [(float(a), float(b - a)) for a, b in zip(dists[:-1], dists[1:])
+                if b - a > merge_tol]
+        if dists.size and t_max - dists[-1] > merge_tol:
+            gaps.append((float(dists[-1]), float(t_max - dists[-1])))
+        return cls(dists, gaps, float(t0), float(t_max), merge_tol)
+
     @property
     def separation_witness(self):
         """Smallest gap between consecutive distinct distances (inf if < 2 values)."""
@@ -134,20 +153,7 @@ def distance_set(points: PointSet, body: ConvexBody, t_max: float,
     vals = _pairwise_gauge(points.points, body, dual)
     if len(points) >= 1:
         vals = np.concatenate([[0.0], vals])
-    # An exact repeat never opens a new value, so the sequential merge runs on
-    # the distinct values only.
-    merged = []
-    for v in np.unique(vals[vals <= t_max + merge_tol]):
-        if not merged or v - merged[-1] > merge_tol:
-            merged.append(float(v))
-    dists = np.asarray(merged)
-    gaps = []
-    for a, b in zip(dists[:-1], dists[1:]):
-        if b - a > merge_tol:
-            gaps.append((float(a), float(b - a)))
-    if dists.size and t_max - dists[-1] > merge_tol:
-        gaps.append((float(dists[-1]), float(t_max - dists[-1])))
-    return GapReport(dists, gaps, 0.0, float(t_max), merge_tol)
+    return GapReport.from_values(vals, t_max, merge_tol)
 
 
 def gap_scan(report: GapReport, eps: float, t0: float = 0.0):

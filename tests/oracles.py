@@ -183,24 +183,67 @@ def rebuilt_random_indicator(dim, m, target_measure, seed, max_balls=64):
     return None
 
 
+def longdouble_radial_slice(dim, a, c):
+    """Re int_0^a rho^(dim-1) exp(-i c rho) drho in long double, elementwise.
+
+    Taylor series in x = c a below |x| = 1/2 (16 terms), the plain closed form above.
+    """
+    a, c = np.broadcast_arrays(np.asarray(a, dtype=np.longdouble),
+                               np.asarray(c, dtype=np.longdouble))
+    x = c * a
+    out = np.empty(x.shape, dtype=np.longdouble)
+    small = np.abs(x) < 0.5
+    xs = x[small]
+    acc, term = np.zeros_like(xs), np.ones_like(xs)
+    for n in range(16):  # term = (-1)^n x^(2n) / (2n)!
+        acc += term / (2 * n + dim)
+        term *= -xs * xs / ((2 * n + 1) * (2 * n + 2))
+    out[small] = acc * a[small] ** dim
+    ab, cb = a[~small], c[~small]
+    sn, cs = np.sin(cb * ab), np.cos(cb * ab)
+    if dim == 2:
+        out[~small] = ab * sn / cb + (cs - 1) / cb ** 2
+    else:
+        out[~small] = ab ** 2 * sn / cb + 2 * ab * cs / cb ** 2 - 2 * sn / cb ** 3
+    return out
+
+
 def fresh_polar_chi_hat(body, xi, resolution=4096):
-    """chi_hat by polar slices as first written: the nodes and radii are rebuilt for this xi."""
+    """chi_hat by polar slices as first written, nodes and radii rebuilt for this xi,
+    with the phases, the radial slices and the sum in long double."""
     from gaugelab.bodies import _icosphere, _spherical_triangle_areas
-    from gaugelab.spectra import _radial_slice_1, _radial_slice_2
     xi = np.asarray(xi, dtype=float)
     if body.dim == 2:
         phi = (np.arange(resolution) + 0.5) * 2 * np.pi / resolution
         u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        r = 1.0 / body.gauge_many(u)
-        vals = _radial_slice_1(r, 2 * np.pi * (u @ xi))
-        return float(np.real(np.sum(vals)) * (2 * np.pi / resolution))
-    level = 0
-    while 20 * 4 ** (level + 1) <= resolution:
-        level += 1
-    verts, faces = _icosphere(level)
-    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    u = a + b + c
-    u /= np.linalg.norm(u, axis=1)[:, None]
+        wts = np.full(resolution, 2 * np.pi / resolution)
+    else:
+        level = 0
+        while 20 * 4 ** (level + 1) <= resolution:
+            level += 1
+        verts, faces = _icosphere(level)
+        a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+        u = a + b + c
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        wts = _spherical_triangle_areas(a, b, c)
     r = 1.0 / body.gauge_many(u)
-    vals = _radial_slice_2(r, 2 * np.pi * (u @ xi))
-    return float(np.real(np.sum(vals * _spherical_triangle_areas(a, b, c))))
+    phase = 2 * np.pi * np.sum(u.astype(np.longdouble) * xi.astype(np.longdouble), axis=1)
+    return float(np.sum(longdouble_radial_slice(body.dim, r, phase) * wts))
+
+
+def old_hpolytope_gauge(body, X):
+    """HPolytope.gauge_many as first written: point-major, reduced over the facet axis."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.maximum(np.max((X @ body.normals.T) / body.offsets[None, :], axis=1), 0.0)
+
+
+def old_hpolytope_dual_gauge(body, Xi):
+    """HPolytope.dual_gauge_many as first written: point-major over the vertices."""
+    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+    return np.max(Xi @ body.vertices.T, axis=1)
+
+
+def old_hpolytope_contains(body, X, t=1.0):
+    """HPolytope.contains_many as first written: point-major over the facets."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.all(X @ body.normals.T <= t * body.offsets[None, :] + 1e-15, axis=1)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaugelab as gl
@@ -109,6 +109,58 @@ class TestDualGauge:
             for x in rng.normal(size=(5, 2)):
                 dual_form = float(np.max((mesh.normals @ x) / support_at_normal))
                 assert body.gauge(x) == pytest.approx(dual_form, rel=1e-4, abs=1e-8)
+
+
+def facet_body(seed, dim, pairs):
+    """A seeded H-polytope: the axis facet pairs (so it is bounded) and, above 1d, up to
+    13 - dim random pairs (redundant facets allowed), 2 to 26 facets in all."""
+    rng = np.random.default_rng(seed)
+    n = np.vstack([np.eye(dim), rng.normal(size=(min(pairs, 13 - dim) if dim > 1 else 0, dim))])
+    h = rng.uniform(0.1, 3.0, size=n.shape[0])
+    return gl.HPolytope(np.vstack([n, -n]), np.concatenate([h, h]))
+
+
+def probe_points(body, seed, n):
+    """Random, lattice, vertex and scaled-vertex points: ties and boundary hits included."""
+    rng = np.random.default_rng(seed)
+    verts = body.vertices
+    pts = [rng.normal(scale=rng.uniform(0.01, 50.0), size=(n, body.dim)),
+           rng.integers(-20, 21, size=(n, body.dim)).astype(float),
+           verts, 2.5 * verts, np.zeros((1, body.dim))]
+    return np.vstack(pts)
+
+
+class TestFacetMajorReduction:
+    """The facet-major reductions equal the old point-major expressions bit for bit."""
+
+    # BLAS rounds X @ N.T and (N @ X.T).T apart only at some shapes (e.g. 14+ facets
+    # and ~1000 points), so point counts are drawn densely
+    body_args = dict(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3),
+                     pairs=st.integers(0, 12),
+                     n=st.one_of(st.integers(0, 2500), st.just(20_000)))
+
+    @given(**body_args)
+    @example(seed=2, dim=2, pairs=5, n=511)
+    @settings(max_examples=60, deadline=None)
+    def test_gauge_and_dual_gauge_bitwise(self, seed, dim, pairs, n):
+        body = facet_body(seed, dim, pairs)
+        X = probe_points(body, seed, n)
+        assert np.array_equal(body.gauge_many(X), oracles.old_hpolytope_gauge(body, X))
+        assert np.array_equal(body.dual_gauge_many(X), oracles.old_hpolytope_dual_gauge(body, X))
+
+    @given(t=st.floats(0.0, 3.0), **body_args)
+    @settings(max_examples=60, deadline=None)
+    def test_contains_bitwise(self, seed, dim, pairs, n, t):
+        body = facet_body(seed, dim, pairs)
+        X = probe_points(body, seed, n)
+        got = body.contains_many(X, t)
+        assert got.dtype == bool
+        assert np.array_equal(got, oracles.old_hpolytope_contains(body, X, t))
+
+    def test_single_point_and_empty_shapes(self, half_cube):
+        assert half_cube.gauge_many([1.0, 0.0]).shape == (1,)
+        assert half_cube.dual_gauge_many(np.empty((0, 2))).shape == (0,)
+        assert half_cube.contains_many(np.empty((0, 2))).shape == (0,)
 
 
 class TestMeshes:

@@ -72,6 +72,22 @@ class TestCommands:
                           "--eps", 1, "--tmax", 20, "--out", out)) == 0
         assert "gap count: 10" in (out / "run.log").read_text()
 
+    def test_gaps_reports_the_tail_gap_up_to_tmax(self, workdir):
+        src = workdir / "distset3"
+        main(_args("distset", "--body", workdir / "cube.json", "--lattice", "Z2",
+                   "--tmax", 20, "--out", src))
+        out = workdir / "gapstail"
+        assert main(_args("gaps", "--distances", src / "distances.csv",
+                          "--eps", 3, "--tmax", 25, "--out", out)) == 0
+        rows = (out / "gapscan.csv").read_text().splitlines()[1:]
+        assert [[float(v) for v in r.split(",")] for r in rows] == [[20.0, 5.0]]
+        assert "gap count: 1" in (out / "run.log").read_text()
+        # the one GapReport builder, on the library's distances up to 20, then to 25
+        report = gl.distance_set(gl.lattice_points(2, -10, 10), gl.cube_body(2, 0.5), 20.0)
+        assert gl.gap_scan(report, 3.0)[0] == 0
+        wider = gl.GapReport.from_values(report.distances, 25.0)
+        assert gl.gap_scan(wider, 3.0)[1] == [(20.0, 5.0)]
+
     def test_ftscan_and_project(self, workdir):
         out = workdir / "ft"
         assert main(_args("ftscan", "--body", workdir / "circle.json",

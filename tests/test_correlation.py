@@ -218,6 +218,20 @@ class TestSplitIntegrals:
         bound = 2 / math.log(2) * math.log(1 / delta) * f.measure
         assert total <= bound
 
+    def test_quad_error_from_uncached_power_sums(self, blob_set, circle_sigma):
+        f = blob_set
+        mp = _PAD * f.m
+        arr = np.zeros((mp,) * f.dim)
+        arr[(slice(0, f.m),) * f.dim] = f.cells
+        power = np.abs(np.fft.fftn(arr)) ** 2 * f.h ** (2 * f.dim) * (1.0 / (mp * f.h)) ** f.dim
+        axes = np.meshgrid(*[np.fft.fftfreq(mp, d=f.h)] * f.dim, indexing="ij", sparse=True)
+        radii = np.sqrt(sum(g ** 2 for g in axes))
+        for t in (0.3, 0.45, 0.3):  # the repeat reads the cached sums
+            shat = _sigma_hat_on_grid(circle_sigma, t, mp, f.h, f.dim)
+            want = (float(np.max(np.abs(shat.imag))) * float(np.sum(power))
+                    + float(np.sum(power[radii > 0.9 * (0.5 / f.h)])) * circle_sigma.abs_mass)
+            assert gl.split_integrals(f, circle_sigma, t, 0.05).quad_error == want
+
 
 class TestLacunarySearch:
     def test_disk_end_to_end(self, circle_sigma):

@@ -93,10 +93,10 @@ class TestPolarNodesOncePerBody:
         many = gl.chi_hat_many(body, Xi, 4096)
         rows = np.array([gl.chi_hat(body, xi, 4096) for xi in Xi])
         np.testing.assert_allclose(many, rows, rtol=0, atol=1e-14)
-        # Off the axes the per-frequency oracle forms its phases by a BLAS product;
-        # a one-ulp phase change moves the closed-form radial slice by ~1e-11.
+        # The oracle rebuilds the nodes and sums in long double; the real slices lose
+        # at most a bit or two, so every body meets ~5 ulp of its volume on and off axes.
         fresh = np.array([oracles.fresh_polar_chi_hat(body, xi, 4096) for xi in Xi])
-        np.testing.assert_allclose(many, fresh, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(many, fresh, rtol=0, atol=2e-15)
         axis = np.zeros((40, body.dim))
         axis[:, 0] = np.linspace(0.5, 6.0, 40)
         fresh = np.array([oracles.fresh_polar_chi_hat(body, xi, 4096) for xi in axis])
@@ -122,6 +122,64 @@ class TestPolarNodesOncePerBody:
         before = gl.radial_zero_scan(body, (0.5, 6.0), 400)
         assert len(ledger.zeros) == len(before.zeros) > 0
         np.testing.assert_allclose(ledger.zeros, before.zeros, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(ledger.brackets, before.brackets)
+
+    @pytest.mark.parametrize("body", BODIES[:2] + (gl.ball_body(2), gl.cube_body(1, 1.0)))
+    def test_lockstep_bisection_equals_one_bracket_at_a_time(self, body, monkeypatch):
+        ledger = gl.radial_zero_scan(body, (0.5, 6.0), 400)
+        import gaugelab.spectra as spectra
+        many = spectra.chi_hat_many
+        # one row per call: every bracket then bisects on its own
+        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi, res: np.concatenate(
+            [many(b, xi[None, :], res) for xi in Xi]))
+        fn = spectra._radial_profile_fn
+        monkeypatch.setattr(spectra, "_radial_profile_fn", lambda b: None if fn(b) is None
+                            else (lambda r: np.concatenate([fn(b)(np.atleast_1d(v)) for v in r])))
+        alone = gl.radial_zero_scan(body, (0.5, 6.0), 400)
+        assert len(ledger.zeros) > 0
+        np.testing.assert_array_equal(ledger.zeros, alone.zeros)
+        np.testing.assert_array_equal(ledger.brackets, alone.brackets)
+
+    def test_profile_calls_per_scan(self, monkeypatch):
+        import gaugelab.spectra as spectra
+        calls = []
+        many = spectra.chi_hat_many
+        monkeypatch.setattr(spectra, "chi_hat_many",
+                            lambda b, Xi, res: calls.append(len(Xi)) or many(b, Xi, res))
+        ledger = gl.radial_zero_scan(gl.regular_polygon_body(6), (0.5, 6.0), 400)
+        # the grid, then one call per bisection step for all live brackets together:
+        # 28 halvings take a grid step of 5.5/399 below xtol = 1e-10
+        assert calls[0] == 400 and max(calls[1:]) == len(ledger.zeros)
+        assert len(calls) == 1 + 28
+
+
+class TestRadialSlices:
+    """The real radial slices against the long-double oracle, |c| a from 0 to 1e3."""
+
+    X = np.concatenate([[0.0], 10.0 ** np.arange(-8.0, 3.5, 0.5),
+                        np.linspace(0.0, 3.0, 3001)[1:]])
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_slices_match_long_double(self, dim):
+        from gaugelab.spectra import _radial_slice_1, _radial_slice_2
+        rng = np.random.default_rng(dim)
+        q = np.concatenate([self.X, -self.X, 10.0 ** rng.uniform(-8, 3, 20_000)]) / (2 * np.pi)
+        a = rng.uniform(0.2, 1.5, q.size)
+        got = (_radial_slice_1 if dim == 2 else _radial_slice_2)(q)
+        # the oracle's phase c a equals 2 pi q to long-double precision
+        c = np.longdouble(2 * np.pi) * q.astype(np.longdouble) / a
+        want = oracles.longdouble_radial_slice(dim, a, c) / a.astype(np.longdouble) ** dim
+        assert got[0] == 1 / dim  # c = 0: chi_hat at the origin is the volume
+        ulps = np.abs(got - want.astype(float)) / np.spacing(1 / dim)
+        assert np.max(ulps) <= (1.5 if dim == 2 else 3.5)
+
+    @pytest.mark.parametrize("body", TestPolarNodesOncePerBody.BODIES)
+    def test_origin_is_the_volume(self, body):
+        u, r, wts = body.polar_nodes(4096)
+        at_zero = gl.chi_hat(body, np.zeros(body.dim), 4096)
+        assert at_zero == pytest.approx(float(np.sum(wts * r ** body.dim)) / body.dim, rel=1e-15)
+        assert at_zero == pytest.approx(
+            oracles.fresh_polar_chi_hat(body, np.zeros(body.dim), 4096), abs=1e-15)
 
 
 class TestZeroScan:
@@ -160,6 +218,17 @@ class TestZeroScan:
         # brackets carry a true sign change
         for (lo, hi) in led.brackets:
             assert gl.chi_hat(unit_disk, [lo, 0.0]) * gl.chi_hat(unit_disk, [hi, 0.0]) < 0
+
+    def test_exact_hit_ends_its_bracket(self, unit_disk, monkeypatch):
+        import gaugelab.spectra as spectra
+        calls = []
+        monkeypatch.setattr(spectra, "_radial_profile_fn", lambda b: lambda r: calls.append(
+            len(np.atleast_1d(r))) or (np.asarray(r) - 1.25) * (np.asarray(r) - 2.3))
+        led = gl.radial_zero_scan(unit_disk, (0.5, 2.5), 5, xtol=1e-10)
+        # 1.25 is the first midpoint of [1, 1.5]; 2.3 takes the full bisection of [2, 2.5]
+        assert led.zeros[0] == 1.25 and led.zeros[1] == pytest.approx(2.3, abs=1e-10)
+        np.testing.assert_array_equal(led.brackets, [[1.0, 1.5], [2.0, 2.5]])
+        assert calls[:3] == [5, 2, 1] and len(calls) == 1 + 33
 
     def test_window_without_zeros(self, unit_disk):
         led = gl.radial_zero_scan(unit_disk, (0.01, 0.5), 500)
