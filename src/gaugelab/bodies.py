@@ -777,9 +777,12 @@ def random_symmetric_polytope(dim: int, pairs: int, seed: int) -> HPolytope:
     """Seeded random H-polytope with `pairs` facet pairs, all facets active.
 
     Normals are jittered around an even angular spread and offsets stay near
-    1, which keeps every facet supporting; degenerate draws are retried.
+    1, which keeps every facet supporting; degenerate draws are retried.  A planar
+    facet between neighbours at angles a and b away has ~ab/2 of offset room, so
+    beyond 9 pairs the +/-8% offset jitter shrinks as the cube of the spacing.
     """
     rng = np.random.default_rng(seed)
+    jitter = (9 / pairs) ** 3 if dim == 2 and pairs > 9 else 1.0
     for _ in range(64):
         if dim == 2:
             ang = (np.arange(pairs) + rng.uniform(0.15, 0.85, size=pairs)) * np.pi / pairs
@@ -792,7 +795,7 @@ def random_symmetric_polytope(dim: int, pairs: int, seed: int) -> HPolytope:
             v = np.stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z], axis=1)
             v = v + rng.normal(scale=0.08, size=v.shape)
             v /= np.linalg.norm(v, axis=1)[:, None]
-        h = rng.uniform(0.92, 1.08, size=pairs)
+        h = 1 + (rng.uniform(0.92, 1.08, size=pairs) - 1) * jitter  # u exactly at jitter 1
         body = HPolytope(np.vstack([v, -v]), np.concatenate([h, h]))
         try:
             for i in range(body.n_facets):

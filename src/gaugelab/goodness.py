@@ -49,37 +49,22 @@ class GoodnessReport:
         return list(zip(self.shell_radii, self.shell_sups, self.cert_errors))
 
 
-def _shell_directions(dim, resolution):
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim in (2, 3):
-        return _sphere_directions(dim, resolution)
-    raise BadInputError("shell scans support dimensions 1..3")
-
-
-def _grid_spacing(dim, resolution):
-    if dim == 1:
-        return 0.0
-    if dim == 2:
-        return 2 * np.pi / resolution
-    return 3.5 / math.sqrt(resolution)  # covering radius heuristic for the spiral grid
-
-
 def goodness_profile(mu: AtomicMeasure, R: float, shells,
                      angular_resolution: int = 4096) -> GoodnessReport:
     """Sampled sup of |ft(mu)| on each frequency shell of radius >= R.
 
     The certified error per shell is the transform's gradient bound times
     the direction-grid spacing at that radius; eps_hat is the max of the
-    sampled sups and never exceeds the total mass.
+    sampled sups and never exceeds the total mass.  Where the grid's second
+    half negates its first (1d, or an even resolution in 2d), the transform
+    kernel evaluates the first half and conjugates it, exactly.
     """
     shells = np.asarray(shells, dtype=float).ravel()
     if shells.size == 0:
         raise BadInputError("need at least one shell radius")
     if R <= 0 or np.any(shells < R - 1e-12):
         raise BadInputError("shell radii must be >= R > 0")
-    etas = _shell_directions(mu.dim, angular_resolution)
-    spacing = _grid_spacing(mu.dim, angular_resolution)
+    etas, spacing = _sphere_directions(mu.dim, angular_resolution)
     sups = np.empty(shells.size)
     certs = np.empty(shells.size)
     for i, rho in enumerate(shells):

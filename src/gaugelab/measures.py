@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,47 @@ CLUSTER_TOL = 1e-9       # projected positions merged within this
 DEFAULT_BINS = 512
 
 _FT_CHUNK = 1 << 18      # cap on atoms*points per vectorized block
+# Threads for independent row blocks, one per CPU this process may run on; their pool
+# is created on first use.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = None
+
+
+def _forget_pool():
+    global _POOL
+    _POOL = None  # a forked child has none of the parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_blocks(block, rows, step, buffers, width):
+    """block(s, work) for s in range(0, rows, step): inline for a single block or worker,
+    else on the shared pool.  work is a list of `buffers` scratch arrays of step x width,
+    allocated here, one set per block in flight: memory a pool thread allocates stays in
+    its own malloc arena, where the calling thread cannot reuse it.  A block writes only
+    its own rows and calls no public gaugelab function, so span tracers see every call
+    on the calling thread."""
+    global _POOL
+    starts = range(0, rows, step)
+    workers = min(_WORKERS, len(starts))
+    sets = queue.SimpleQueue()
+    for _ in range(workers):
+        sets.put([np.empty((min(step, rows), width)) for _ in range(buffers)])
+
+    def run(s):
+        work = sets.get()
+        try:
+            block(s, work)
+        finally:
+            sets.put(work)
+
+    if workers > 1 and _POOL is None:
+        _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="gaugelab-blocks")
+    for _ in (_POOL.map if workers > 1 else map)(run, starts):
+        pass
 
 
 class AtomicMeasure:
@@ -194,14 +238,39 @@ def save_measure(mu: AtomicMeasure, path) -> None:
 
 
 def _expsum(positions, weights, freqs) -> np.ndarray:
-    """sum_j w_j exp(-2 pi i <x_j, xi_k>) per row xi_k: cos and sin of the real
-    phase times the weights, in blocks of at most _FT_CHUNK atom-frequency pairs."""
+    """sum_j w_j exp(-2 pi i <x_j, xi_k>) per row xi_k: cos and sin of the real phase
+    times the weights, summed per row.
+
+    Row blocks of at most _FT_CHUNK atom-frequency pairs over all workers run on the block
+    pool.  Phases are summed elementwise and rows by numpy, not by BLAS, whose rounding
+    depends on the block's shape, so a row's value does not depend on the block size or
+    the worker count, and the row of -xi is exactly the conjugate of the row of xi.  An
+    even set of rows whose second half negates its first, such as a full ring of
+    directions, is therefore evaluated on its first half only."""
     out = np.empty(freqs.shape[0], dtype=complex)
-    step = max(1, _FT_CHUNK // max(1, len(weights)))
-    for s in range(0, freqs.shape[0], step):
-        phase = (2 * np.pi) * (freqs[s:s + step] @ positions.T)
-        out.real[s:s + step] = np.cos(phase) @ weights
-        out.imag[s:s + step] = -(np.sin(phase) @ weights)
+    rows = freqs.shape[0]
+    mirrored = rows % 2 == 0 and np.array_equal(freqs[rows // 2:], -freqs[:rows // 2])
+    if mirrored:
+        rows //= 2
+    scaled = (2 * np.pi) * positions
+    step = max(1, _FT_CHUNK // (_WORKERS * max(1, len(weights))))
+
+    def block(s, work):
+        f = freqs[s:min(s + step, rows)]
+        phase, part = (w[:len(f)] for w in work)
+        np.multiply.outer(f[:, 0], scaled[:, 0], out=phase)
+        for k in range(1, f.shape[1]):
+            phase += np.multiply.outer(f[:, k], scaled[:, k], out=part)
+        np.cos(phase, out=part)
+        part *= weights
+        out.real[s:s + len(f)] = part.sum(axis=1)
+        np.sin(phase, out=part)
+        part *= weights
+        out.imag[s:s + len(f)] = -part.sum(axis=1)
+
+    _run_blocks(block, rows, step, 2, len(weights))
+    if mirrored:
+        out[rows:] = out[:rows].conj()
     return out
 
 
@@ -417,15 +486,26 @@ class DecayScanResult:
 
 
 def _sphere_directions(dim, n):
-    """n equally spaced angles on the circle (dim 2) or the n-point Fibonacci spiral on S^2."""
+    """Direction grid on the unit sphere with its spacing: +/-1 in dim 1, n equally spaced
+    angles on the circle (dim 2), or the n-point Fibonacci spiral on S^2 with a
+    covering-radius heuristic.  On the circle with n even the second half of the grid is
+    the exact negation of the first."""
+    if dim == 1:
+        return np.array([[1.0], [-1.0]]), 0.0
     if dim == 2:
         ang = np.arange(n) * 2 * np.pi / n
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        etas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        if n % 2 == 0:
+            etas[n // 2:] = -etas[:n // 2]
+        return etas, 2 * np.pi / n
+    if dim != 3:
+        raise BadInputError("direction grids support dimensions 1..3")
     k = np.arange(n) + 0.5
     golden = np.pi * (3 - 5 ** 0.5)
     z = 1 - 2 * k / n
     rho = np.sqrt(np.maximum(0.0, 1 - z * z))
-    return np.stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z], axis=1)
+    etas = np.stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z], axis=1)
+    return etas, 3.5 / math.sqrt(n)
 
 
 def _admissible_directions(thetas, delta, spacing, dim):
@@ -435,7 +515,7 @@ def _admissible_directions(thetas, delta, spacing, dim):
     if dim not in (2, 3):
         raise BadInputError("direction scans support dimensions 2 and 3")
     n = math.ceil(2 * np.pi / spacing) if dim == 2 else math.ceil(16 * np.pi / spacing ** 2)
-    etas = _sphere_directions(dim, max(8 if dim == 2 else 64, int(n)))
+    etas, _ = _sphere_directions(dim, max(8 if dim == 2 else 64, int(n)))
     dots = np.clip(etas @ sym.T, -1.0, 1.0)
     dist = np.min(np.arccos(dots), axis=1)
     return etas[dist >= delta]

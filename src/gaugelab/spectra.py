@@ -20,6 +20,7 @@ from scipy import special
 from .bodies import ConvexBody, Ellipsoid, HPolytope
 from .distances import GapReport, PointSet, distance_set, sparsify
 from .errors import BadInputError, HypothesisViolationError
+from .measures import _run_blocks
 
 _POLAR_BLOCK = 1 << 18  # cap on rows * nodes per block in _chi_hat_polar
 
@@ -80,29 +81,42 @@ def chi_hat(body: ConvexBody, xi, resolution: int = 4096) -> float:
     return float(chi_hat_many(body, xi[None, :], resolution)[0])
 
 
-def _radial_slice_1(q):
+def _radial_slice_1(q, work=None):
     """int_0^1 t cos(2 pi q t) dt = S (cos(pi q) - S / 2), S = sinc(q) = sin(pi q) / (pi q).
 
     a^2 times this at q = s a is Re int_0^a rho exp(-2 pi i s rho) drho.  This half-angle
-    form needs no series branch: it stays within ~1 ulp of 1/2 for every q."""
-    S = np.sinc(q)
-    return S * (np.cos(np.pi * q) - 0.5 * S)
+    form needs no series branch: it stays within ~1 ulp of 1/2 for every q.  S takes
+    np.sinc's steps, in place in the three arrays of `work` (fresh ones by default)."""
+    y, S, out = work or [np.empty_like(q) for _ in range(3)]
+    np.multiply(np.pi, q, out=y)
+    np.cos(y, out=out)
+    y[y == 0] = np.finfo(float).eps
+    np.divide(np.sin(y, out=S), y, out=S)
+    out -= np.multiply(0.5, S, out=y)
+    out *= S
+    return out
 
 
 # Taylor coefficients of int_0^1 t^2 cos(x t) dt in powers of x^2, highest first.
 _SLICE_2_SERIES = [(-1) ** n / (math.factorial(2 * n) * (2 * n + 3)) for n in range(9, -1, -1)]
 
 
-def _radial_slice_2(q):
+def _radial_slice_2(q, work=None):
     """int_0^1 t^2 cos(2 pi q t) dt = sinc x + 2 (cos x - sinc x) / x^2 at x = 2 pi q.
 
     The closed form cancels ~2/x^2 ulp, so |x| < 1.5 takes the ten-term series: against
-    a long-double reference this cut gives the least worst error, ~3 ulp of 1/3."""
-    x = 2 * np.pi * q
-    small = np.abs(x) < 1.5
-    xb = np.where(small, 1.0, x)
-    sx = np.sin(xb) / xb
-    out = sx + 2 * (np.cos(xb) - sx) / xb ** 2
+    a long-double reference this cut gives the least worst error, ~3 ulp of 1/3.  Works
+    in place in the four arrays of `work` (fresh ones by default)."""
+    x, xb, sx, out = work or [np.empty_like(q) for _ in range(4)]
+    np.multiply(2 * np.pi, q, out=x)
+    small = np.abs(x, out=xb) < 1.5
+    np.copyto(xb, x)
+    xb[small] = 1.0
+    np.divide(np.sin(xb, out=sx), xb, out=sx)
+    np.subtract(np.cos(xb, out=out), sx, out=out)
+    out *= 2
+    out /= np.square(xb, out=xb)
+    out += sx
     out[small] = np.polyval(_SLICE_2_SERIES, x[small] ** 2)
     return out
 
@@ -110,17 +124,25 @@ def _radial_slice_2(q):
 def _chi_hat_polar(body, Xi, resolution):
     """Polar-slice quadrature sum_k w_k r_k^d slice(<xi, r_k u_k>) at the rows of Xi.
 
-    Rows run in blocks of _POLAR_BLOCK row-nodes.  Phases are summed elementwise, not
-    by BLAS, so a row gets the same phases in any block."""
+    Rows run in blocks of _POLAR_BLOCK row-nodes on the block pool.  Phases are summed
+    elementwise, not by BLAS, so a row gets the same phases in any block; the blocks keep
+    one size for any worker count, so the node sums see the same shapes too."""
     u, r, wts = body.polar_nodes(resolution)
     p = u * r[:, None]
     w = wts * r ** body.dim
-    radial_slice = _radial_slice_1 if body.dim == 2 else _radial_slice_2
+    radial_slice, buffers = (_radial_slice_1, 3) if body.dim == 2 else (_radial_slice_2, 4)
     out = np.empty(Xi.shape[0])
     step = max(1, _POLAR_BLOCK // len(r))
-    for s in range(0, Xi.shape[0], step):
-        q = sum(Xi[s:s + step, k, None] * p[None, :, k] for k in range(body.dim))
-        out[s:s + step] = radial_slice(q) @ w
+
+    def block(s, work):
+        xi = Xi[s:s + step]
+        q, *rest = (a[:len(xi)] for a in work)
+        np.multiply(xi[:, 0, None], p[None, :, 0], out=q)
+        for k in range(1, body.dim):
+            q += np.multiply(xi[:, k, None], p[None, :, k], out=rest[0])
+        out[s:s + len(xi)] = radial_slice(q, rest) @ w
+
+    _run_blocks(block, Xi.shape[0], step, 1 + buffers, len(r))
     return out
 
 

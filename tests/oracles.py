@@ -247,3 +247,22 @@ def old_hpolytope_contains(body, X, t=1.0):
     """HPolytope.contains_many as first written: point-major over the facets."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return np.all(X @ body.normals.T <= t * body.offsets[None, :] + 1e-15, axis=1)
+
+
+def unscaled_random_polygon(pairs, seed):
+    """random_symmetric_polytope(2, pairs, seed) as first written: offsets jitter by +/-8%
+    at every spacing, the first non-degenerate draw of up to 64 is returned, or None."""
+    from gaugelab.errors import BadInputError
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        ang = (np.arange(pairs) + rng.uniform(0.15, 0.85, size=pairs)) * np.pi / pairs
+        v = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        h = rng.uniform(0.92, 1.08, size=pairs)
+        try:
+            body = HPolytope(np.vstack([v, -v]), np.concatenate([h, h]))
+            for i in range(body.n_facets):
+                body._facet_vertices(i)
+        except BadInputError:
+            continue
+        return body
+    return None

@@ -287,3 +287,23 @@ class TestSerialization:
             norms = np.linalg.norm(mesh.positions, axis=1)
             assert np.all(norms >= r0 - 1e-9)
             assert np.all(norms <= r1 + 1e-9)
+
+
+class TestRandomPolygon:
+    def test_up_to_nine_pairs_unchanged(self):
+        for pairs in range(2, 10):
+            for seed in range(20):
+                old = oracles.unscaled_random_polygon(pairs, seed)
+                new = gl.random_symmetric_polytope(2, pairs, seed)
+                assert old is not None
+                np.testing.assert_array_equal(new.normals, old.normals)
+                np.testing.assert_array_equal(new.offsets, old.offsets)
+
+    def test_every_seed_draws_up_to_24_pairs(self):
+        # With +/-8% offsets at every spacing, a facet came out redundant from 10 pairs
+        # on, and every seed failed from 13.
+        for pairs in range(10, 25):
+            for seed in range(20):
+                body = gl.random_symmetric_polytope(2, pairs, seed)
+                assert body.n_facets == 2 * pairs
+                assert np.all(np.abs(body.offsets - 1.0) <= 0.08)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import gaugelab as gl
+from gaugelab import measures
 from gaugelab.errors import BadInputError, HypothesisViolationError
 from gaugelab.goodness import cap_pieces
+from gaugelab.measures import _sphere_directions
 
 import oracles
 
@@ -43,6 +45,41 @@ class TestGoodnessProfile:
             gl.goodness_profile(circle_measure, 5.0, [])
         with pytest.raises(BadInputError):
             gl.goodness_profile(circle_measure, 5.0, [4.0])
+
+
+class TestHalfRing:
+    @pytest.mark.parametrize("dim,n,rows", [(1, 4096, 1), (2, 1000, 500), (2, 999, 999),
+                                            (3, 700, 700)])
+    def test_sup_over_the_full_ring(self, dim, n, rows, monkeypatch):
+        rng = np.random.default_rng(dim * n)
+        mu = gl.AtomicMeasure(rng.uniform(-1, 1, size=(300, dim)), rng.uniform(-1, 1, size=300))
+        shells = np.array([3.0, 40.0, 250.0])
+        evaluated = []
+        run_blocks = measures._run_blocks
+        monkeypatch.setattr(measures, "_run_blocks", lambda block, n_rows, *args:
+                            evaluated.append(n_rows) or run_blocks(block, n_rows, *args))
+        rep = gl.goodness_profile(mu, 3.0, shells, n)
+        assert evaluated == [rows] * len(shells)
+        etas, spacing = _sphere_directions(dim, n)
+        np.testing.assert_array_equal(rep.cert_errors, mu.lipschitz_bound * shells * spacing)
+        for rho, sup in zip(shells, rep.shell_sups):
+            # ft(-xi) = conj ft(xi) holds to the last bit, so the half ring loses nothing
+            half = len(etas) // 2 if rows < len(etas) else 0
+            direct = np.concatenate([gl.ft_many(mu, rho * etas[:half]),
+                                     gl.ft_many(mu, rho * etas[half:])])
+            assert sup == np.max(np.abs(direct))
+            dense = np.abs(oracles.dense_expsum(mu.positions, mu.weights, rho * etas))
+            bound = 16 * np.finfo(float).eps * (1 + 2 * np.pi * rho * mu.support_radius)
+            assert abs(sup - np.max(dense)) <= bound * mu.abs_mass
+
+    @pytest.mark.parametrize("n", [8, 1000, 16384])
+    def test_even_circle_grid_negates_its_first_half(self, n):
+        etas, spacing = _sphere_directions(2, n)
+        np.testing.assert_array_equal(etas[n // 2:], -etas[:n // 2])
+        ang = np.arange(n) * 2 * np.pi / n
+        np.testing.assert_allclose(etas, np.stack([np.cos(ang), np.sin(ang)], axis=1),
+                                   rtol=0, atol=1e-15)
+        assert spacing == 2 * np.pi / n
 
 
 class TestConstructGoodMeasure:

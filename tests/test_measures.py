@@ -1,4 +1,8 @@
+import inspect
 import math
+import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugelab as gl
+from gaugelab import bodies, correlation, distances, goodness, measures, spectra
 from gaugelab.errors import BadInputError
 from gaugelab.measures import _ray_transform
 
@@ -150,6 +155,118 @@ class TestKernelsAgainstOracle:
         got = _ray_transform(mu, eta, 2.5, 0.1, 1)
         assert got.shape == (1,)
         assert abs(got[0] - gl.ft_measure(mu, 2.5 * eta)) <= kernel_bound(mu, 2.5)
+
+
+@contextmanager
+def block_workers(n, chunk=None):
+    """Run the row-block kernels on n workers, through a fresh pool when n > 1."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_WORKERS", n)
+        mp.setattr(measures, "_POOL", None)
+        if chunk is not None:
+            mp.setattr(measures, "_FT_CHUNK", chunk)
+        try:
+            yield
+        finally:
+            if measures._POOL is not None:
+                measures._POOL.shutdown()
+
+
+class TestBlockPool:
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3), atoms=st.integers(1, 300),
+           T=st.floats(0.0, 500.0), workers=st.integers(2, 4),
+           chunk=st.sampled_from([1 << 10, 1 << 14, measures._FT_CHUNK]),
+           blocks=st.sampled_from([1, 2, 7]), rem=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_worker_count_changes_no_bit(self, seed, dim, atoms, T, workers, chunk, blocks, rem):
+        mu, eta, rng = signed_cloud(seed, dim, atoms, 2.0)
+        # row count with the given number of blocks on `workers` workers, last one partial
+        step = max(1, chunk // (workers * atoms))
+        rows = (blocks - 1) * step + 1 + int(rem * (step - 1))
+        Xi = rng.normal(size=(rows, dim))
+        Xi *= (rng.uniform(0.0, T, size=rows) / np.linalg.norm(Xi, axis=1))[:, None]
+        ts = rng.uniform(-T, T, size=rows)
+        got = {}
+        for n in (1, workers):
+            with block_workers(n, chunk):
+                got[n] = gl.ft_many(mu, Xi), gl.ft_profile(mu, eta, ts)
+        for one, many in zip(got[1], got[workers]):
+            np.testing.assert_array_equal(one, many)
+        bound = kernel_bound(mu, T)
+        assert np.max(np.abs(got[1][0] - oracles.dense_expsum(mu.positions, mu.weights, Xi))) <= bound
+        ref = oracles.dense_expsum(mu.positions, mu.weights, ts[:, None] * eta[None, :])
+        assert np.max(np.abs(got[1][1] - ref)) <= bound
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3), atoms=st.integers(1, 300),
+           T=st.floats(0.0, 500.0), rows=st.integers(1, 600))
+    @settings(max_examples=40, deadline=None)
+    def test_negated_second_half_is_conjugated_exactly(self, seed, dim, atoms, T, rows):
+        mu, _, rng = signed_cloud(seed, dim, atoms, 2.0)
+        Xi = rng.normal(size=(rows, dim))
+        Xi *= (rng.uniform(0.0, T, size=rows) / np.linalg.norm(Xi, axis=1))[:, None]
+        got = gl.ft_many(mu, np.vstack([Xi, -Xi]))
+        np.testing.assert_array_equal(got[:rows], gl.ft_many(mu, Xi))
+        np.testing.assert_array_equal(got[rows:], gl.ft_many(mu, -Xi))
+
+    def test_more_workers_than_cpus_share_no_scratch(self):
+        # Blocks hand their scratch arrays on through a queue; with thread switches
+        # every microsecond, a set handed to two blocks at once would mix their rows.
+        mu, _, rng = signed_cloud(7, 2, 257, 2.0)
+        Xi = rng.normal(scale=50.0, size=(3001, 2))
+        with block_workers(1, 1 << 12):
+            one = gl.ft_many(mu, Xi)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with block_workers(8, 1 << 12):
+                many = [gl.ft_many(mu, Xi) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in many:
+            np.testing.assert_array_equal(got, one)
+
+    @pytest.mark.parametrize("body", (gl.regular_polygon_body(6),
+                                      gl.random_symmetric_polytope(3, 8, seed=1)))
+    def test_chi_hat_blocks_keep_every_bit(self, body):
+        Xi = np.random.default_rng(2).normal(scale=3.0, size=(400, body.dim))
+        with block_workers(1):
+            one = gl.chi_hat_many(body, Xi)
+        with block_workers(3):
+            many = gl.chi_hat_many(body, Xi)
+        np.testing.assert_array_equal(one, many)
+
+    def test_public_functions_stay_on_the_calling_thread(self, five_cap_measure, unit_disk):
+        # Span tracers wrap the public functions and keep one span stack per process.
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        mesh = gl.triangulate_boundary(unit_disk, 8192)
+        ang = np.arctan2(mesh.normals[:, 1], mesh.normals[:, 0])
+        piece = gl.from_mesh(mesh.restrict((ang > 0) & (ang < math.pi / 2)))
+        hexagon = gl.regular_polygon_body(6)
+        with block_workers(2), pytest.MonkeyPatch.context() as mp:
+            for mod in (gl, bodies, measures, goodness, correlation, distances, spectra):
+                for name, obj in list(vars(mod).items()):
+                    if name.startswith("_"):
+                        continue
+                    if inspect.isfunction(obj) and obj.__module__.startswith("gaugelab"):
+                        mp.setattr(mod, name, spy(name, obj))
+                    elif inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                        for meth, fn in list(vars(obj).items()):
+                            if not meth.startswith("_") and inspect.isfunction(fn):
+                                mp.setattr(obj, meth, spy(meth, fn))
+            gl.goodness_profile(five_cap_measure, 200.0, [200.0, 250.0], 16384)
+            gl.decay_scan(piece, [[1.0, 0.0]], 0.3, [10.0, 40.0])
+            gl.chi_hat_many(hexagon, np.ones((400, 2)))
+            assert measures._POOL is not None   # the blocks did leave the calling thread
+        names = {name for name, _ in calls}
+        assert {"goodness_profile", "decay_scan", "ft_many", "chi_hat_many"} <= names
+        assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 class TestProjection:
