@@ -58,14 +58,12 @@ from .goodness import (
 )
 from .measures import (
     AtomicMeasure,
-    FourierScan,
     LineMeasure,
     decay_scan,
     from_mesh,
     ft_many,
     ft_measure,
     ft_profile,
-    ft_scan,
     point_mass,
     polytopal_projection_distance,
     project_measure,

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
 from .errors import BadInputError
+from .measures import _sphere_directions
 
 PAIR_TOL = 1e-9        # +/- facet pairing match tolerance
 CLAMP_TOL = 1e-12      # inner products may overshoot [-1, 1] by at most this
@@ -104,8 +105,8 @@ class BoundaryMesh:
 class ConvexBody:
     """Base class for 0-symmetric convex bodies.
 
-    Subclasses provide gauge_many / dual_gauge_many / contains_many /
-    triangulate and the inner/outer radius certificates.
+    Subclasses provide gauge_many / dual_gauge_many / contains_many, the
+    inner/outer radius certificates, and _mesh, the 2d and 3d boundary mesh.
     """
 
     dim: int
@@ -159,7 +160,17 @@ class ConvexBody:
         raise NotImplementedError
 
     def triangulate(self, resolution: int) -> BoundaryMesh:
-        raise NotImplementedError
+        """Boundary quadrature mesh of about `resolution` nodes: in 1d the endpoints
+        +/- inner_radius() with unit weights, in 2d and 3d the variant's _mesh."""
+        if resolution < 1:
+            raise BadInputError("resolution must be >= 1")
+        if self.dim == 1:
+            r = self.inner_radius()
+            return BoundaryMesh(np.array([[-r], [r]]), np.array([[-1.0], [1.0]]),
+                                np.array([1.0, 1.0]), 1e-12, 1e-12)
+        if self.dim not in (2, 3):
+            raise BadInputError("boundary meshing supports dimensions 1..3")
+        return self._mesh(resolution)
 
     # -- serialization -------------------------------------------------------
 
@@ -297,27 +308,18 @@ class HPolytope(ConvexBody):
         verts = self.vertices
         on = np.abs(verts @ self.normals[i] - self.offsets[i]) <= VERTEX_TOL * max(1.0, self.offsets[i])
         fv = verts[on]
-        need = 2 if self.dim == 2 else self.dim
-        if fv.shape[0] < need:
+        if fv.shape[0] < self.dim:
             raise BadInputError(
                 f"facet {i} is redundant (carries no boundary); cannot mesh it")
         return fv
 
-    def triangulate(self, resolution):
-        if resolution < 1:
-            raise BadInputError("resolution must be >= 1")
-        if self.dim == 1:
-            h = float(np.min(self.offsets))
-            return BoundaryMesh(np.array([[-h], [h]]), np.array([[-1.0], [1.0]]),
-                                np.array([1.0, 1.0]), 1e-12, 1e-12)
+    def _mesh(self, resolution):
         if resolution < self.n_facets:
             raise BadInputError(
                 f"resolution {resolution} too small to cover all {self.n_facets} facets")
         if self.dim == 2:
             return self._mesh_polygon(resolution)
-        if self.dim == 3:
-            return self._mesh_polytope_3d(resolution)
-        raise BadInputError("boundary meshing supports dimensions 1..3")
+        return self._mesh_polytope_3d(resolution)
 
     def _mesh_polygon(self, resolution):
         edges = [self._facet_vertices(i) for i in range(self.n_facets)]
@@ -414,18 +416,9 @@ class Ellipsoid(ConvexBody):
         n = X / self.axes[None, :] ** 2
         return n / np.linalg.norm(n, axis=1)[:, None]
 
-    def triangulate(self, resolution):
-        if resolution < 1:
-            raise BadInputError("resolution must be >= 1")
-        if self.dim == 1:
-            a = self.axes[0]
-            return BoundaryMesh(np.array([[-a], [a]]), np.array([[-1.0], [1.0]]),
-                                np.array([1.0, 1.0]), 1e-12, 1e-12)
-        if self.dim == 2:
-            return _mesh_smooth_2d(self._radial_many, self._normal_at, resolution)
-        if self.dim == 3:
-            return _mesh_smooth_3d(self._radial_many, self._normal_at, resolution)
-        raise BadInputError("boundary meshing supports dimensions 1..3")
+    def _mesh(self, resolution):
+        mesh_smooth = _mesh_smooth_2d if self.dim == 2 else _mesh_smooth_3d
+        return mesh_smooth(self._radial_many, self._normal_at, resolution)
 
     def to_dict(self):
         return {"dim": self.dim, "type": "ellipsoid", "axes": self.axes.tolist()}
@@ -546,18 +539,7 @@ class RadialBody(ConvexBody):
         n = r[:, None] * u - dr[:, None] * uperp
         return n / np.linalg.norm(n, axis=1)[:, None]
 
-    def triangulate(self, resolution):
-        if resolution < 1:
-            raise BadInputError("resolution must be >= 1")
-        if self.dim == 1:
-            a = self.axes[0]
-            return BoundaryMesh(np.array([[-a], [a]]), np.array([[-1.0], [1.0]]),
-                                np.array([1.0, 1.0]), 1e-12, 1e-12)
-        if self.dim == 2:
-            return _mesh_smooth_2d(self._radial_many, self._normal_at, resolution)
-        if self.dim == 3 and self.kind == "superellipsoid":
-            return _mesh_smooth_3d(self._radial_many, self._normal_at, resolution)
-        raise BadInputError("tabulated radial bodies mesh only in the plane")
+    _mesh = Ellipsoid._mesh  # the smooth mesh: radii from _radial_many, normals from _normal_at
 
     def to_dict(self):
         if self.kind == "superellipsoid":
@@ -787,12 +769,8 @@ def random_symmetric_polytope(dim: int, pairs: int, seed: int) -> HPolytope:
         if dim == 2:
             ang = (np.arange(pairs) + rng.uniform(0.15, 0.85, size=pairs)) * np.pi / pairs
             v = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        else:
-            k = np.arange(pairs) + 0.5
-            golden = np.pi * (3 - 5 ** 0.5)
-            z = 1 - k / pairs  # upper half sphere, +/- pairing adds the rest
-            rho = np.sqrt(np.maximum(0.0, 1 - z * z))
-            v = np.stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z], axis=1)
+        else:  # the upper half of a spiral, +/- pairing adds the rest
+            v = _sphere_directions(3, 2 * pairs)[0][:pairs]
             v = v + rng.normal(scale=0.08, size=v.shape)
             v /= np.linalg.norm(v, axis=1)[:, None]
         h = 1 + (rng.uniform(0.92, 1.08, size=pairs) - 1) * jitter  # u exactly at jitter 1

@@ -24,9 +24,6 @@ import numpy as np
 from . import bodies, correlation, distances, goodness, measures, spectra
 from .errors import BadInputError, BudgetExceededError, HypothesisViolationError
 
-COMMANDS = ("body", "gauge", "distset", "gaps", "ftscan", "project", "wiener",
-            "decay", "goodness", "audit", "bourgain", "zeros", "spectrum")
-
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -48,8 +45,19 @@ def _parse_vector(text):
         raise BadInputError(f"cannot parse vector {text!r}") from None
 
 
-def _parse_vectors(text):
-    return np.stack([_parse_vector(part) for part in text.split(";")])
+def _directions(manifest, key, dim):
+    """The `;`-separated vectors of --key as unit rows; bad input unless each is nonzero
+    and has the body's dimension.  project and wiener take one vector, divided by its
+    vector norm, which can round apart from the row norm of _unit_rows in the last bit."""
+    rows = [_parse_vector(part) for part in str(_need(manifest, key)[0]).split(";")]
+    if any(row.size != dim for row in rows):
+        raise BadInputError(f"--{key} needs vectors of length {dim}")
+    units, _ = bodies._unit_rows(np.stack(rows), f"--{key}")
+    if manifest.command not in ("project", "wiener"):
+        return units
+    if len(rows) > 1:
+        raise BadInputError(f"{manifest.command} takes one --{key} vector")
+    return rows[0] / np.linalg.norm(rows[0])
 
 
 def _parse_grid(text):
@@ -170,6 +178,11 @@ def _cmd_gauge(manifest, outdir, log):
     log.add("points", len(pts))
 
 
+def _write_distances(outdir, report):
+    _write_csv(outdir / "distances.csv", ["value"], [[v] for v in report.distances])
+    _write_csv(outdir / "gaps.csv", ["start", "length"], report.gaps)
+
+
 def _points_from_manifest(manifest):
     if manifest.points:
         return distances.PointSet.load_csv(manifest.points)
@@ -189,8 +202,7 @@ def _cmd_distset(manifest, outdir, log):
     pts = _points_from_manifest(manifest)
     (t_max,) = _need(manifest, "tmax")
     report = distances.distance_set(pts, body, float(t_max))
-    _write_csv(outdir / "distances.csv", ["value"], [[v] for v in report.distances])
-    _write_csv(outdir / "gaps.csv", ["start", "length"], report.gaps)
+    _write_distances(outdir, report)
     log.add("points", len(pts))
     log.add("distinct distances", len(report.distances))
     log.add("separation witness", report.separation_witness)
@@ -218,26 +230,26 @@ def _cmd_gaps(manifest, outdir, log):
 def _cmd_ftscan(manifest, outdir, log):
     body = _load_body(manifest)
     mu, _ = _boundary_measure(manifest, body, log)
-    etas = _parse_vectors(str(_need(manifest, "eta")[0]))
-    etas = etas / np.linalg.norm(etas, axis=1)[:, None]
+    etas = _directions(manifest, "eta", body.dim)
     t_grid = _parse_grid(str(_need(manifest, "tgrid")[0]))
     points = (t_grid[None, :, None] * etas[:, None, :]).reshape(-1, body.dim)
-    scan = measures.ft_scan(mu, points)
+    vals = measures.ft_many(mu, points)
+    if np.any(np.abs(vals) > mu.abs_mass * (1 + 1e-12) + 1e-15):
+        raise BadInputError("transform values exceed the total mass bound")
     rows = []
     for k in range(etas.shape[0]):
         for i, t in enumerate(t_grid):
-            v = scan.values[k * t_grid.size + i]
+            v = vals[k * t_grid.size + i]
             rows.append([t, k, v.real, v.imag, abs(v)])
     _write_csv(outdir / "ftscan.csv", ["t", "eta_index", "re", "im", "abs"], rows)
     log.add("directions", len(etas))
-    log.add("lipschitz bound", scan.lipschitz)
+    log.add("lipschitz bound", mu.lipschitz_bound)
 
 
 def _cmd_project(manifest, outdir, log):
     body = _load_body(manifest)
     mu, _ = _boundary_measure(manifest, body, log)
-    eta = _parse_vector(str(_need(manifest, "eta")[0]))
-    eta = eta / np.linalg.norm(eta)
+    eta = _directions(manifest, "eta", body.dim)
     bins = int(manifest.params.get("bins", measures.DEFAULT_BINS))
     line = measures.project_measure(mu, eta, bins)
     _write_csv(outdir / "atoms.csv", ["location", "mass"],
@@ -252,8 +264,7 @@ def _cmd_project(manifest, outdir, log):
 def _cmd_wiener(manifest, outdir, log):
     body = _load_body(manifest)
     mu, _ = _boundary_measure(manifest, body, log)
-    eta = _parse_vector(str(_need(manifest, "eta")[0]))
-    eta = eta / np.linalg.norm(eta)
+    eta = _directions(manifest, "eta", body.dim)
     T = float(_need(manifest, "T")[0])
     samples = manifest.params.get("samples")
     val = measures.wiener_atom_mass(mu, eta, T, int(samples) if samples else None)
@@ -265,8 +276,7 @@ def _cmd_wiener(manifest, outdir, log):
 def _cmd_decay(manifest, outdir, log):
     body = _load_body(manifest)
     _, mesh = _boundary_measure(manifest, body, log)
-    thetas = _parse_vectors(str(_need(manifest, "thetas")[0]))
-    thetas = thetas / np.linalg.norm(thetas, axis=1)[:, None]
+    thetas = _directions(manifest, "thetas", body.dim)
     r_cap = float(_need(manifest, "rcap")[0])
     delta = float(_need(manifest, "delta")[0])
     t_grid = _parse_grid(str(_need(manifest, "tgrid")[0]))
@@ -416,9 +426,7 @@ def _cmd_spectrum(manifest, outdir, log):
     result = spectra.spectrum_gap_pipeline(pts, body, R,
                                            ortho_tol=float(tol) if tol else None)
     result.sparsified.save_csv(outdir / "sparsified.csv")
-    _write_csv(outdir / "distances.csv", ["value"],
-               [[v] for v in result.report.distances])
-    _write_csv(outdir / "gaps.csv", ["start", "length"], result.report.gaps)
+    _write_distances(outdir, result.report)
     log.add("input points", len(pts))
     log.add("kept points", len(result.sparsified))
     if result.residual is not None:
@@ -435,6 +443,7 @@ _HANDLERS = {
     "audit": _cmd_audit, "bourgain": _cmd_bourgain, "zeros": _cmd_zeros,
     "spectrum": _cmd_spectrum,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(manifest: ExperimentManifest) -> int:

@@ -20,11 +20,12 @@ from itertools import product
 import numpy as np
 
 from .errors import BadInputError, BudgetExceededError
-from .measures import AtomicMeasure, ft_many
+from .measures import AtomicMeasure
 
 _PAD = 2  # zero-padding factor for the frequency grid (kills torus wrap-around)
 SPECTRUM_BUDGET_BYTES = 1 << 28  # cap on one padded complex spectrum, 16 (_PAD m)^d bytes
 _GEMM_BLOCK = 1 << 20  # cap on the elements of one phase block in _sigma_hat_on_grid
+_LACUNARY_RATIO = 0.49  # t_{j+1} / t_j of a geometric plan, under the 1/2 a plan needs
 
 
 class GridIndicator:
@@ -61,11 +62,6 @@ class GridIndicator:
     def marked_centers(self):
         idx = np.argwhere(self.cells)
         return -1.0 + (idx + 0.5) * self.h
-
-    def grid_transform(self, Xi):
-        """ft(f) at arbitrary frequencies by the direct cell sum."""
-        cells = AtomicMeasure(self.marked_centers(), np.full(self.count, self.h ** self.dim))
-        return ft_many(cells, Xi)
 
     def _abs_fft_squared(self):
         """|F|^2 of the cell array zero-padded to (_PAD m)^d."""
@@ -263,11 +259,10 @@ class LacunaryPlan:
         return self.t.size
 
     @staticmethod
-    def geometric(delta, R, ratio=0.49, length=48, t1=None, d=None, eps=None):
-        if not (0 < ratio <= 0.5):
-            raise BadInputError("ratio must be in (0, 1/2]")
-        t1 = ratio if t1 is None else t1
-        t = t1 * ratio ** np.arange(length)
+    def geometric(delta, R, length=48, t1=None, d=None, eps=None):
+        """t_j = t1 r^j with r = _LACUNARY_RATIO, from t1 = r by default."""
+        t1 = _LACUNARY_RATIO if t1 is None else t1
+        t = t1 * _LACUNARY_RATIO ** np.arange(length)
         return LacunaryPlan(t, float(delta), float(R), d, eps)
 
 
@@ -373,8 +368,8 @@ class SplitResult:
         return self.i1 - abs(self.i2) - abs(self.i3)
 
 
-def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float, delta: float,
-                    require_symmetric: bool = True) -> SplitResult:
+def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float,
+                    delta: float) -> SplitResult:
     """Frequency-side correlation split at |xi| = delta/t and 1/(delta t).
 
     The quadrature lives on the zero-padded grid of f's transform, truncated
@@ -388,7 +383,7 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float, delta: flo
         raise BadInputError("delta must lie in (0,1)")
     if sigma.dim != f.dim:
         raise BadInputError("dimension mismatch between set and measure")
-    if require_symmetric and not sigma.is_symmetric():
+    if not sigma.is_symmetric():
         raise BadInputError("measure must be symmetric (real transform) "
                             "for the frequency-side correlation")
     power, radii, total_power, tail_power = f._power_spectrum()

@@ -164,10 +164,10 @@ def gap_scan(report: GapReport, eps: float, t0: float = 0.0):
     return len(found), found
 
 
-def well_distributed_radius(points: PointSet, probe_lo, probe_hi,
-                            r_hint: float = None, refine_iters: int = 24):
+def well_distributed_radius(points: PointSet, probe_lo, probe_hi):
     """Smallest side r (up to grid resolution r/4) so every r-cube in the probe
-    box contains a point; math.inf when the box side itself fails."""
+    box contains a point; math.inf when the box side itself fails.  The search
+    halves r from 1/256 of the box side while it passes, then bisects 24 times."""
     lo = np.asarray(probe_lo, dtype=float)
     hi = np.asarray(probe_hi, dtype=float)
     if np.any(hi <= lo):
@@ -193,12 +193,12 @@ def well_distributed_radius(points: PointSet, probe_lo, probe_hi,
     r_max = float(np.min(hi - lo))
     if not every_cube_hit(r_max):
         return math.inf
-    r_lo = r_hint if r_hint else r_max / 256.0
+    r_lo = r_max / 256.0
     while r_lo < r_max and every_cube_hit(r_lo):
         r_max = r_lo
         r_lo /= 2.0
     hi_r, lo_r = r_max, r_lo
-    for _ in range(refine_iters):
+    for _ in range(24):
         mid = 0.5 * (hi_r + lo_r)
         if every_cube_hit(mid):
             hi_r = mid

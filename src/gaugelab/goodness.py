@@ -17,7 +17,10 @@ import numpy as np
 
 from .bodies import BoundaryMesh, CapFamily, ConvexBody, HPolytope, geodesic_distance
 from .errors import BadInputError, HypothesisViolationError
-from .measures import AtomicMeasure, ft_many, _sphere_directions, wiener_atom_mass
+from .measures import AtomicMeasure, ft_many, _sampled_sup, _sphere_directions, wiener_atom_mass
+
+AUDIT_BOUNDARY_TOL = 1e-6  # |gauge - 1| allowed at an audited measure's atoms
+AUDIT_TOL = 0.02           # slack of the audit's sqrt(average) >= m / sqrt(2) check
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,8 @@ def goodness_profile(mu: AtomicMeasure, R: float, shells,
                      angular_resolution: int = 4096) -> GoodnessReport:
     """Sampled sup of |ft(mu)| on each frequency shell of radius >= R.
 
-    The certified error per shell is the transform's gradient bound times
-    the direction-grid spacing at that radius; eps_hat is the max of the
-    sampled sups and never exceeds the total mass.  Where the grid's second
+    The certified error per shell is that of _sampled_sup; eps_hat is the
+    max of the sampled sups and never exceeds the total mass.  Where the grid's second
     half negates its first (1d, or an even resolution in 2d), the transform
     kernel evaluates the first half and conjugates it, exactly.
     """
@@ -68,9 +70,8 @@ def goodness_profile(mu: AtomicMeasure, R: float, shells,
     sups = np.empty(shells.size)
     certs = np.empty(shells.size)
     for i, rho in enumerate(shells):
-        vals = np.abs(ft_many(mu, rho * etas))
-        sups[i] = float(np.max(vals))
-        certs[i] = mu.lipschitz_bound * rho * spacing
+        vals = ft_many(mu, rho * etas)
+        sups[i], certs[i] = _sampled_sup(mu, rho, vals, spacing)
     return GoodnessReport(float(R), shells, sups, certs)
 
 
@@ -110,28 +111,23 @@ def cap_pieces(mu: AtomicMeasure, caps: CapFamily) -> list[AtomicMeasure]:
 
 
 def stabilized_goodness(mu: AtomicMeasure, r_cap: float,
-                        start_R: float | None = None,
-                        shells_per_step: int = 4,
-                        angular_resolution: int = 16384,
-                        max_doublings: int = 10,
-                        rel_tol: float = 0.10,
-                        abs_tol: float = 0.02) -> tuple[float, GoodnessReport]:
+                        angular_resolution: int = 16384) -> tuple[float, GoodnessReport]:
     """Doubling search for a frequency cutoff where the profile settles.
 
-    Starts at R = 10 / r_cap and doubles until consecutive eps_hat values
-    agree within the tolerances or the doubling budget runs out; returns the
-    achieved (R, report) pair rather than asserting any particular cutoff.
+    Starts at R = 10 / r_cap, profiles the four shells R (1 + k/4), k < 4, and
+    doubles R until consecutive eps_hat values agree within max(0.02, 10%) or
+    ten doublings are spent; returns the achieved (R, report) pair rather
+    than asserting any particular cutoff.
     """
     if r_cap <= 0:
         raise BadInputError("r_cap must be positive")
-    R = float(start_R if start_R is not None else 10.0 / r_cap)
+    R = float(10.0 / r_cap)
     prev = None
-    report = None
-    for _ in range(max_doublings + 1):
-        shells = R * (1.0 + np.arange(shells_per_step) / shells_per_step)
+    for _ in range(11):
+        shells = R * (1.0 + np.arange(4) / 4)
         report = goodness_profile(mu, R, shells, angular_resolution)
         eps = report.eps_hat
-        if prev is not None and abs(eps - prev) <= max(abs_tol, rel_tol * prev):
+        if prev is not None and abs(eps - prev) <= max(0.02, 0.10 * prev):
             return R, report
         prev = eps
         R *= 2.0
@@ -168,20 +164,17 @@ class PolytopeAuditResult:
         return self.wiener_sqrt >= self.pair_lower_bound - self.tolerance
 
 
-def polytope_bound_audit(body: HPolytope, mu: AtomicMeasure, T: float,
-                         boundary_tol: float = 1e-6,
-                         samples: int | None = None,
-                         tolerance: float = 0.02) -> PolytopeAuditResult:
+def polytope_bound_audit(body: HPolytope, mu: AtomicMeasure, T: float) -> PolytopeAuditResult:
     """Audit that a boundary measure cannot beat the polytope goodness floor.
 
     Finds the facet-direction pair carrying the most mass (at least 1/N for
     a probability measure), takes the Wiener time average along that normal,
-    and checks sqrt(average) >= m / sqrt(2) - tolerance.
+    and checks sqrt(average) >= m / sqrt(2) - AUDIT_TOL.
     """
     if not isinstance(body, HPolytope):
         raise BadInputError("the audit needs an H-polytope")
     off = np.abs(body.gauge_many(mu.positions) - 1.0)
-    if np.any(off > boundary_tol):
+    if np.any(off > AUDIT_BOUNDARY_TOL):
         raise HypothesisViolationError(
             f"measure has mass off the boundary (max |gauge-1| = {off.max():.3g})")
     pairs = body.facet_pairs()
@@ -191,10 +184,10 @@ def polytope_bound_audit(body: HPolytope, mu: AtomicMeasure, T: float,
             d = geodesic_distance(mu.normals, theta[None, :])
             sel = np.minimum(d, np.pi - d) < 1e-6
         else:
-            sel = np.abs(np.abs(mu.positions @ theta) - h) <= boundary_tol * max(1.0, h)
+            sel = np.abs(np.abs(mu.positions @ theta) - h) <= AUDIT_BOUNDARY_TOL * max(1.0, h)
         masses[k] = float(np.sum(mu.weights[sel]))
     best = int(np.argmax(masses))
     theta_best = pairs[best][0]
-    w = wiener_atom_mass(mu, theta_best, T, samples)
+    w = wiener_atom_mass(mu, theta_best, T)
     return PolytopeAuditResult(len(pairs), theta_best, float(masses[best]),
-                               w, float(T), float(tolerance))
+                               w, float(T), AUDIT_TOL)

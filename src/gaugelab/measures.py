@@ -312,32 +312,6 @@ def ft_profile(mu: AtomicMeasure, eta, t_grid) -> np.ndarray:
     return _expsum(proj[:, None], mu.weights, t_grid)
 
 
-@dataclass(frozen=True)
-class FourierScan:
-    """Sampled transform values with the certified gradient bound attached."""
-
-    points: np.ndarray
-    values: np.ndarray
-    lipschitz: float
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        vals = np.asarray(self.values, dtype=complex).ravel()
-        if pts.shape[0] != vals.shape[0]:
-            raise BadInputError("scan points and values must match")
-        pts.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-
-
-def ft_scan(mu: AtomicMeasure, Xi) -> FourierScan:
-    vals = ft_many(mu, Xi)
-    if np.any(np.abs(vals) > mu.abs_mass * (1 + 1e-12) + 1e-15):
-        raise BadInputError("transform values exceed the total mass bound")
-    return FourierScan(Xi, vals, mu.lipschitz_bound)
-
-
 # -- projection to a line -------------------------------------------------------
 
 
@@ -386,13 +360,11 @@ class LineMeasure:
         return _expsum(pos[:, None], w, t.reshape(-1, 1)).reshape(t.shape)
 
 
-def project_measure(mu: AtomicMeasure, eta, bins: int = DEFAULT_BINS,
-                    atom_tol: float = ATOM_NORMAL_TOL,
-                    cluster_tol: float = CLUSTER_TOL) -> LineMeasure:
+def project_measure(mu: AtomicMeasure, eta, bins: int = DEFAULT_BINS) -> LineMeasure:
     """Pushforward of mu onto the line spanned by eta.
 
     Atoms of the projection come from nodes whose recorded normal is within
-    atom_tol of +/- eta (flat pieces orthogonal to eta project to points);
+    ATOM_NORMAL_TOL of +/- eta (flat pieces orthogonal to eta project to points);
     for measures without normals every node is a genuine point mass.  The
     remaining mass is binned.  Total mass is preserved exactly.
     """
@@ -407,9 +379,9 @@ def project_measure(mu: AtomicMeasure, eta, bins: int = DEFAULT_BINS,
     else:
         d_plus = np.linalg.norm(mu.normals - eta[None, :], axis=1)
         d_minus = np.linalg.norm(mu.normals + eta[None, :], axis=1)
-        flat = np.minimum(d_plus, d_minus) <= atom_tol
+        flat = np.minimum(d_plus, d_minus) <= ATOM_NORMAL_TOL
 
-    atom_pos, atom_mass = _cluster(proj[flat], mu.weights[flat], cluster_tol)
+    atom_pos, atom_mass = _cluster(proj[flat], mu.weights[flat], CLUSTER_TOL)
 
     rest = proj[~flat]
     rest_w = mu.weights[~flat]
@@ -521,33 +493,38 @@ def _admissible_directions(thetas, delta, spacing, dim):
     return etas[dist >= delta]
 
 
+def _sampled_sup(mu: AtomicMeasure, rho, vals, spacing):
+    """max |vals|, the transform sampled on a direction grid of the given spacing at radius
+    rho, with its certified error: the gradient bound times the grid spacing at rho."""
+    return float(np.max(np.abs(vals))), mu.lipschitz_bound * abs(rho) * spacing
+
+
 def decay_scan(mu: AtomicMeasure, thetas, delta: float, t_grid,
-               spacing: float | None = None, return_table: bool = False) -> DecayScanResult:
+               return_table: bool = False) -> DecayScanResult:
     """Envelope of |ft(mu)| along rays staying delta away from thetas U -thetas.
 
     mu is meant to be a surface measure restricted to a boundary piece whose
     normals lie in the theta set; the envelope then decays toward zero.  The
-    certified error per t is the transform's gradient bound times the chord
-    length of the direction-grid spacing at radius t.
+    directions are spaced delta / 4 apart; the certified error per t is that
+    of _sampled_sup.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     thetas = thetas / np.linalg.norm(thetas, axis=1)[:, None]
     if delta <= 0:
         raise BadInputError("delta must be positive")
-    if spacing is None:
-        spacing = delta / 4.0
+    spacing = delta / 4.0
     etas = _admissible_directions(thetas, delta, spacing, mu.dim)
     if etas.shape[0] == 0:
         raise BadInputError("no admissible directions: delta too large for the sphere grid")
     t_grid = np.asarray(t_grid, dtype=float).ravel()
     env = np.empty(t_grid.shape[0])
+    certs = np.empty(t_grid.shape[0])
     table = np.empty((t_grid.shape[0], etas.shape[0]), dtype=complex) if return_table else None
     for i, t in enumerate(t_grid):
         vals = ft_many(mu, t * etas)
-        env[i] = float(np.max(np.abs(vals)))
+        env[i], certs[i] = _sampled_sup(mu, t, vals, spacing)
         if return_table:
             table[i] = vals
-    certs = mu.lipschitz_bound * np.abs(t_grid) * spacing
     return DecayScanResult(t_grid, env, certs, etas, table)
 
 

@@ -23,6 +23,7 @@ from .errors import BadInputError, HypothesisViolationError
 from .measures import _run_blocks
 
 _POLAR_BLOCK = 1 << 18  # cap on rows * nodes per block in _chi_hat_polar
+_TAIL_ZEROS = 10        # zeros in the tail statistics of a ZeroLedger
 
 
 def _is_axis_box(body):
@@ -182,22 +183,22 @@ class ZeroLedger:
     def spacings(self):
         return np.diff(self.zeros)
 
-    def tail_spacing(self, count: int = 10):
-        """Mean and max deviation of the last `count` spacings."""
+    def tail_spacing(self):
+        """Mean and max deviation of the last _TAIL_ZEROS spacings."""
         s = self.spacings
         if s.size == 0:
             return math.nan, math.nan
-        tail = s[-count:]
+        tail = s[-_TAIL_ZEROS:]
         mean = float(np.mean(tail))
         return mean, float(np.max(np.abs(tail - mean)))
 
-    def tail_phase(self, count: int = 10):
-        """Circular mean of (2 pi z) mod pi over the last zeros.
+    def tail_phase(self):
+        """Circular mean of (2 pi z) mod pi over the last _TAIL_ZEROS zeros.
 
         For a d-ball this settles at (d-1) pi / 4 mod pi, the rescaled phase
         offset of the oscillatory profile.
         """
-        z = self.zeros[-count:]
+        z = self.zeros[-_TAIL_ZEROS:]
         if z.size == 0:
             return math.nan
         ang = np.mod(2 * np.pi * z, np.pi) * 2.0
@@ -250,15 +251,14 @@ def radial_zero_scan(body: ConvexBody, window, steps: int,
 # -- spectra ------------------------------------------------------------------------
 
 
-def orthogonality_residual(points: PointSet, body: ConvexBody,
-                           resolution: int = 4096) -> float:
+def orthogonality_residual(points: PointSet, body: ConvexBody) -> float:
     """max over distinct pairs of |chi_hat(body, difference)| (0 for < 2 points)."""
     n = len(points)
     if n < 2:
         return 0.0
     i, j = np.triu_indices(n, 1)
     diffs = points.points[j] - points.points[i]
-    return float(np.max(np.abs(chi_hat_many(body, diffs, resolution))))
+    return float(np.max(np.abs(chi_hat_many(body, diffs))))
 
 
 @dataclass(frozen=True)
@@ -269,14 +269,14 @@ class SpectrumPipelineResult:
 
 
 def spectrum_gap_pipeline(points: PointSet, body: ConvexBody, R: float,
-                          t_max: float | None = None,
                           ortho_tol: float | None = None) -> SpectrumPipelineResult:
     """Sparsify a spectrum candidate and report its dual-gauge distance gaps.
 
     With ortho_tol set, the candidate must first pass the orthogonality
     residual at that tolerance.  The sparsified set keeps points more than R
     apart in sup norm, so its dual distance set exposes the gap structure a
-    genuine spectrum would force.
+    genuine spectrum would force; the report runs up to the largest dual
+    distance plus 1.
     """
     residual = None
     if ortho_tol is not None:
@@ -287,8 +287,7 @@ def spectrum_gap_pipeline(points: PointSet, body: ConvexBody, R: float,
     thin = sparsify(points, R)
     if len(thin) == 0:
         return SpectrumPipelineResult(residual, thin, GapReport.from_values([], 0.0))
-    if t_max is None:
-        diffs = thin.points[:, None, :] - thin.points[None, :, :]
-        t_max = float(np.max(body.dual_gauge_many(diffs.reshape(-1, thin.dim)))) + 1.0
+    diffs = thin.points[:, None, :] - thin.points[None, :, :]
+    t_max = float(np.max(body.dual_gauge_many(diffs.reshape(-1, thin.dim)))) + 1.0
     report = distance_set(thin, body, t_max, dual=True)
     return SpectrumPipelineResult(residual, thin, report)

@@ -141,6 +141,11 @@ def separable_sigma_hat(sigma, t, mp, h, dim):
     return np.einsum(spec, sigma.weights, *E)
 
 
+def cell_transform(f, Xi):
+    """ft(f) at arbitrary frequencies by the direct sum over marked cell centers."""
+    return dense_expsum(f.marked_centers(), np.full(f.count, f.h ** f.dim), Xi)
+
+
 def dense_expsum(positions, weights, freqs):
     """sum_j w_j exp(-2 pi i <x_j, xi_k>) per row xi_k, one complex exponential per term."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -260,6 +265,30 @@ def unscaled_random_polygon(pairs, seed):
         h = rng.uniform(0.92, 1.08, size=pairs)
         try:
             body = HPolytope(np.vstack([v, -v]), np.concatenate([h, h]))
+            for i in range(body.n_facets):
+                body._facet_vertices(i)
+        except BadInputError:
+            continue
+        return body
+    return None
+
+
+def spiral_random_polytope(pairs, seed):
+    """random_symmetric_polytope(3, pairs, seed) with its spiral written out: golden-angle
+    points at heights 1 - (k + 1/2) / pairs, k < pairs, on the upper half sphere."""
+    from gaugelab.errors import BadInputError
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        k = np.arange(pairs) + 0.5
+        golden = np.pi * (3 - 5 ** 0.5)
+        z = 1 - k / pairs
+        rho = np.sqrt(np.maximum(0.0, 1 - z * z))
+        v = np.stack([rho * np.cos(golden * k), rho * np.sin(golden * k), z], axis=1)
+        v = v + rng.normal(scale=0.08, size=v.shape)
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        h = 1 + (rng.uniform(0.92, 1.08, size=pairs) - 1)
+        body = HPolytope(np.vstack([v, -v]), np.concatenate([h, h]))
+        try:
             for i in range(body.n_facets):
                 body._facet_vertices(i)
         except BadInputError:

@@ -213,6 +213,20 @@ class TestMeshes:
         mesh = gl.triangulate_boundary(cube3, 2000)
         assert mesh.total_mass == pytest.approx(24.0, abs=1e-9)
 
+    def test_four_dimensional_bodies_refused_for_their_dimension(self):
+        for body in (gl.cube_body(4), gl.ball_body(4), gl.RadialBody(p=3.0, axes=[1.0] * 4)):
+            with pytest.raises(BadInputError, match=r"supports dimensions 1\.\.3"):
+                gl.triangulate_boundary(body, 512)
+
+    def test_one_dimensional_meshes_are_the_endpoints(self):
+        # +/- the inner radius: the facet offset, the semi-axis, the semi-axis at any p
+        for body in (gl.cube_body(1, 0.3), gl.Ellipsoid([0.3]), gl.RadialBody(p=3.0, axes=[0.3])):
+            mesh = gl.triangulate_boundary(body, 64)
+            np.testing.assert_array_equal(mesh.positions, [[-0.3], [0.3]])
+            np.testing.assert_array_equal(mesh.normals, [[-1.0], [1.0]])
+            np.testing.assert_array_equal(mesh.weights, [1.0, 1.0])
+            assert (mesh.boundary_tol, mesh.mass_tol) == (1e-12, 1e-12)
+
 
 class TestAreaMeasure:
     def test_square_facet_cap(self, square_mesh):
@@ -295,6 +309,15 @@ class TestRandomPolygon:
             for seed in range(20):
                 old = oracles.unscaled_random_polygon(pairs, seed)
                 new = gl.random_symmetric_polytope(2, pairs, seed)
+                assert old is not None
+                np.testing.assert_array_equal(new.normals, old.normals)
+                np.testing.assert_array_equal(new.offsets, old.offsets)
+
+    def test_spatial_draws_match_the_written_out_spiral(self):
+        for pairs in range(3, 21):
+            for seed in range(20):
+                old = oracles.spiral_random_polytope(pairs, seed)
+                new = gl.random_symmetric_polytope(3, pairs, seed)
                 assert old is not None
                 np.testing.assert_array_equal(new.normals, old.normals)
                 np.testing.assert_array_equal(new.offsets, old.offsets)

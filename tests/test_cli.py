@@ -263,5 +263,19 @@ class TestExitCodes:
         assert code == 4
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("command, key, extra", [
+        ("ftscan", "--eta", ("--tgrid", "0,1,3")),
+        ("project", "--eta", ()),
+        ("wiener", "--eta", ("--T", 10)),
+        ("decay", "--thetas", ("--rcap", 0.4, "--delta", 0.3, "--tgrid", "1,2,2")),
+    ])
+    @pytest.mark.parametrize("vector", ["0,0", "1,0,0"])
+    def test_zero_or_wrong_length_direction_is_bad_input(self, workdir, command, key,
+                                                         extra, vector):
+        out = workdir / f"{command}-{vector}"
+        assert main(_args(command, "--body", workdir / "circle.json", key, vector,
+                          "--resolution", 256, *extra, "--out", out)) == 2
+        assert not (out / "run.log").exists()
+
     def test_unknown_command_usage(self):
         assert main([]) == 2

@@ -173,7 +173,7 @@ class TestSpectralCorrelation:
         xi = rng.normal(size=(40, 2))
         xi = xi / np.linalg.norm(xi, axis=1)[:, None] * rng.uniform(
             0, 1 / (4 * math.pi), size=(40, 1))
-        fhat = f.grid_transform(xi)
+        fhat = oracles.cell_transform(f, xi)
         assert np.all(np.abs(fhat) >= f.measure / 2)
         shat = gl.ft_many(circle_sigma, xi)
         assert np.all(shat.real >= 0.5)

@@ -71,9 +71,9 @@ class TestTransform:
 
     def test_scan_records_certificate(self):
         mu = random_measure(5)
-        scan = gl.ft_scan(mu, np.eye(2))
-        assert scan.lipschitz == pytest.approx(2 * math.pi * mu.abs_mass * mu.support_radius)
-        assert np.all(np.abs(scan.values) <= mu.abs_mass + 1e-12)
+        vals = gl.ft_many(mu, np.eye(2))
+        assert mu.lipschitz_bound == pytest.approx(2 * math.pi * mu.abs_mass * mu.support_radius)
+        assert np.all(np.abs(vals) <= mu.abs_mass + 1e-12)
 
 
 EPS = np.finfo(float).eps
@@ -364,6 +364,15 @@ class TestDecay:
         thetas = np.stack([np.cos(grid), np.sin(grid)], axis=1)
         scan = gl.decay_scan(piece, thetas, 0.3, [10.0, 40.0])
         assert scan.envelope[1] < scan.envelope[0] < piece.total_mass
+
+    def test_certificate_is_gradient_bound_times_spacing(self, unit_disk):
+        mesh = gl.triangulate_boundary(unit_disk, 2048)
+        ang = np.arctan2(mesh.normals[:, 1], mesh.normals[:, 0])
+        piece = gl.from_mesh(mesh.restrict((ang > 0) & (ang < math.pi / 2)))
+        t = np.array([-25.0, 0.0, 10.0, 40.0])
+        scan = gl.decay_scan(piece, [[1.0, 0.0]], 0.3, t)
+        np.testing.assert_array_equal(scan.cert_errors,
+                                      piece.lipschitz_bound * np.abs(t) * (0.3 / 4))
 
     def test_empty_admissible_set_rejected(self):
         seg = gl.segment_measure([0, 0], [0, 1], 1.0, 64, normal=[1.0, 0.0])
