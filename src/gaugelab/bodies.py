@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
 from .errors import BadInputError
-from .measures import _sphere_directions
+from .measures import _sphere_directions, _unit_rows
 
 PAIR_TOL = 1e-9        # +/- facet pairing match tolerance
 CLAMP_TOL = 1e-12      # inner products may overshoot [-1, 1] by at most this
@@ -40,14 +40,6 @@ def geodesic_distance(u, v):
     if np.any(np.abs(dot) > 1.0 + CLAMP_TOL):
         raise BadInputError("geodesic_distance expects unit vectors")
     return np.arccos(np.clip(dot, -1.0, 1.0))
-
-
-def _unit_rows(arr, what):
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    norms = np.linalg.norm(arr, axis=1)
-    if np.any(norms <= 0):
-        raise BadInputError(f"{what}: zero vector")
-    return arr / norms[:, None], norms
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,7 +53,7 @@ def _directions(manifest, key, dim):
     rows = [_parse_vector(part) for part in str(_need(manifest, key)[0]).split(";")]
     if any(row.size != dim for row in rows):
         raise BadInputError(f"--{key} needs vectors of length {dim}")
-    units, _ = bodies._unit_rows(np.stack(rows), f"--{key}")
+    units, _ = measures._unit_rows(np.stack(rows), f"--{key}")
     if manifest.command not in ("project", "wiener"):
         return units
     if len(rows) > 1:
@@ -506,9 +507,19 @@ def _manifest_from_args(args) -> ExperimentManifest:
         indicator=getattr(args, "set", None), params=params)
 
 
+_NEGATIVE_LIST = re.compile(r"-[\d.][\w.+-]*[,;][\w.+,;-]*")
+
+
 def main(argv=None) -> int:
+    args = []   # argparse reads a value like -1,0 as a flag: pass it on as --flag=-1,0
+    for arg in sys.argv[1:] if argv is None else argv:
+        flag = args[-1] if args and args[-1].startswith("--") and "=" not in args[-1] else None
+        if flag and _NEGATIVE_LIST.fullmatch(arg):
+            args[-1] = f"{flag}={arg}"
+        else:
+            args.append(arg)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(args)
     try:
         if args.manifest:
             manifest = ExperimentManifest.from_file(args.manifest)

@@ -14,18 +14,20 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
 from .errors import BadInputError, BudgetExceededError
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, _block_phases
 
 _PAD = 2  # zero-padding factor for the frequency grid (kills torus wrap-around)
 SPECTRUM_BUDGET_BYTES = 1 << 28  # cap on one padded complex spectrum, 16 (_PAD m)^d bytes
-_GEMM_BLOCK = 1 << 20  # cap on the elements of one phase block in _sigma_hat_on_grid
+_GEMM_BLOCK = 1 << 20  # cap on the table elements of one block of pairs in _sigma_hat_on_grid
 _LACUNARY_RATIO = 0.49  # t_{j+1} / t_j of a geometric plan, under the 1/2 a plan needs
+_SCRATCH = threading.local()  # per-thread work buffers of _sigma_hat_on_grid, kept between calls
 
 
 class GridIndicator:
@@ -319,29 +321,53 @@ def direct_correlation(f: GridIndicator, sigma: AtomicMeasure, t: float) -> floa
     return float(sigma.weights @ vals) * f.h ** f.dim
 
 
-def _sigma_hat_on_grid(sigma: AtomicMeasure, t: float, mp: int, h: float, dim: int):
-    """ft(sigma)(t xi) over the padded frequency grid, via separable phases.
+def _scratch(slot, shape):
+    """A complex array of this shape on the calling thread's buffer for slot, grown as needed
+    and kept between calls: fresh tables of a few MiB are new pages on every call."""
+    bufs, size = _SCRATCH.__dict__.setdefault("bufs", {}), math.prod(shape)
+    if slot not in bufs or bufs[slot].size < size:
+        bufs[slot] = np.empty(size, dtype=complex)
+    return bufs[slot][:size].reshape(shape)
 
-    With E_a[j, k] = exp(-2 pi i t x_{j,a} freq_k) the transform is
-    sum_j w_j E_0[j, k] E_1[j, l] (E_2[j, n]): in 2-d the matrix product
-    (w E_0)^T E_1, in 3-d the Khatri-Rao rows w_j E_0[j, k] E_1[j, l] times
-    E_2, each over blocks of atoms.
-    """
-    freqs = np.fft.fftfreq(mp, d=h)
-    out = np.zeros((mp,) * dim, dtype=complex)
-    step = max(1, _GEMM_BLOCK // mp ** (dim - 1))
-    for s in range(0, len(sigma), step):
-        X = sigma.positions[s:s + step]
-        w = sigma.weights[s:s + step]
-        E = [np.exp(-2j * np.pi * t * X[:, ax, None] * freqs[None, :]) for ax in range(dim)]
-        if dim == 1:
-            out += w @ E[0]
-        elif dim == 2:
-            out += (w[:, None] * E[0]).T @ E[1]
-        else:
-            kr = (w[:, None, None] * E[0][:, :, None] * E[1][:, None, :]).reshape(len(w), -1)
-            out += (kr.T @ E[2]).reshape(mp, mp, mp)
+
+def _power_table(s, out):
+    """out[k, p] = z_p^k with z_p = exp(-2 pi i s_p) at the fftfreq integers k of the rows
+    of out: z^0..z^half from the block factors of _block_phases, z^-k as conj(z^k)."""
+    half = out.shape[0] // 2
+    coarse, fine = _block_phases(s, 0.0, 1.0, half + 1)
+    np.multiply(coarse[:, None, :], fine[None, :, :],
+                out=out[:coarse.shape[0] * fine.shape[0]].reshape(coarse.shape[0], *fine.shape))
+    np.conjugate(out[half - 1:0:-1], out=out[half + 1:])
+    np.conjugate(out[half], out=out[half])
     return out
+
+
+def _sigma_hat_on_grid(sigma: AtomicMeasure, t: float, mp: int, h: float, dim: int):
+    """Re ft(sigma)(t xi) of a symmetric sigma on the padded grid xi = k / (mp h), and a
+    bound on its distance from the exact real part.
+
+    Each pair (i, j) of sigma._pairs_up() adds (w_i + w_j) cos(2 pi t <x_i, xi>) (w_i alone
+    if i == j), within |w_j| 2 pi t |x_i + x_j| |xi| of its share of Re ft(sigma).  With the
+    power tables E_a[k, p] = z^k of z = exp(-2 pi i t x_{p,a} / (mp h)), phase in long double,
+    the cosine is Re prod_a E_a: per block of pairs, one real matrix product of the (re, im)
+    view of the Khatri-Rao rows of E_0..E_{dim-2} (ones in 1-d), weighted by (w, -w),
+    against the view of E_{dim-1}."""
+    i, j = sigma._pairs_up()
+    x = sigma.positions[i]
+    w = sigma.weights[i] + np.where(i == j, 0.0, sigma.weights[j])
+    residue = np.sum(np.abs(sigma.weights[j]) * np.linalg.norm(x + sigma.positions[j], axis=1))
+    s = x.astype(np.longdouble) * (np.longdouble(t) / (np.longdouble(mp) * np.longdouble(h)))
+    step = max(1, _GEMM_BLOCK // mp ** max(1, dim - 1))
+    for b in range(0, max(len(w), 1), step):
+        n = min(step, len(w) - b)
+        tab = [_power_table(s[b:b + n, ax], _scratch(ax, (mp, n))) for ax in range(dim)]
+        lead = (np.ones((1, n), dtype=complex) if dim == 1 else tab[0] if dim == 2 else
+                np.multiply(tab[0][:, None], tab[1][None], out=_scratch(3, (mp, mp, n))))
+        lead = lead.reshape(-1, n).view(float)
+        lead *= np.stack([w[b:b + n], -w[b:b + n]], axis=1).ravel()
+        part = lead @ tab[-1].view(float).T
+        out = part if b == 0 else out + part
+    return out.reshape((mp,) * dim), float(math.pi * t * math.sqrt(dim) / h * residue)
 
 
 @dataclass(frozen=True)
@@ -349,8 +375,8 @@ class SplitResult:
     """The three-band split of the frequency-side correlation at one t.
 
     i1 + i2 + i3 equals the full quadrature sum exactly (same grid, disjoint
-    bands).  quad_error collects the symmetry residue and the spectral tail
-    proxy near the grid Nyquist radius.
+    bands).  quad_error is the pairing residue bound of _sigma_hat_on_grid times
+    the total spectral power, plus the tail proxy near the grid Nyquist radius.
     """
 
     t: float
@@ -388,9 +414,8 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float,
                             "for the frequency-side correlation")
     power, radii, total_power, tail_power = f._power_spectrum()
     mp = _PAD * f.m
-    shat = _sigma_hat_on_grid(sigma, t, mp, f.h, f.dim)
-    sym_err = float(np.max(np.abs(shat.imag))) * total_power
-    vals = power * shat.real
+    shat, residue = _sigma_hat_on_grid(sigma, t, mp, f.h, f.dim)
+    vals = power * shat
     lo_cut = delta / t
     hi_cut = 1.0 / (delta * t)
     band1 = radii <= lo_cut
@@ -400,7 +425,7 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float,
     i2 = float(np.sum(vals[band2]))
     i3 = float(np.sum(vals[band3]))
     return SplitResult(float(t), float(delta), i1, i2, i3, i1 + i2 + i3,
-                       sym_err + tail_power * sigma.abs_mass)
+                       residue * total_power + tail_power * sigma.abs_mass)
 
 
 # -- the lacunary search --------------------------------------------------------------

@@ -70,6 +70,15 @@ def _run_blocks(block, rows, step, buffers, width):
         pass
 
 
+def _unit_rows(arr, what):
+    """The rows of arr over their norms, and the norms; each must be finite and positive."""
+    arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    norms = np.linalg.norm(arr, axis=1)
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise BadInputError(f"{what}: zero or non-finite vector")
+    return arr / norms[:, None], norms
+
+
 class AtomicMeasure:
     """Finite weighted point cloud, optionally carrying per-atom unit normals."""
 
@@ -93,7 +102,7 @@ class AtomicMeasure:
             self.normals.setflags(write=False)
         self.positions.setflags(write=False)
         self.weights.setflags(write=False)
-        self._symmetric = {}    # tol -> is_symmetric(tol); the atoms are read-only
+        self._pairs = {}        # tol -> _pairs_up(tol)
 
     # -- basic quantities ----------------------------------------------------
 
@@ -128,29 +137,30 @@ class AtomicMeasure:
 
     def is_symmetric(self, tol=1e-9):
         """True when atoms pair up as (x, w) <-> (-x, w) within tolerance."""
-        if tol not in self._symmetric:
-            self._symmetric[tol] = self._pairs_up(tol)
-        return self._symmetric[tol]
+        return self._pairs_up(tol) is not None
 
-    def _pairs_up(self, tol):
-        scale = max(self.support_radius, 1.0)
-        key = np.round(self.positions / (tol * scale)).astype(np.int64)
-        table = {}
-        for i, k in enumerate(map(tuple, key)):
-            table.setdefault(k, []).append(i)
-        matched = np.zeros(len(self), dtype=bool)
-        wtol = tol * max(self.abs_mass, 1.0)
-        for i in range(len(self)):
-            if matched[i]:
-                continue
-            mirror = tuple(-key[i])
-            for j in table.get(mirror, []):
-                if not matched[j] and abs(self.weights[j] - self.weights[i]) <= wtol:
-                    matched[i] = matched[j] = True
-                    break
-            else:
-                return False
-        return True
+    def _pairs_up(self, tol=1e-9):
+        """Index arrays (i, j) matching each atom x_i, w_i with a mirror x_j ~ -x_i of weight
+        w_j ~ w_i within tol (i == j for an atom at the origin), or None when the atoms do
+        not pair up.  Cached per tol: the atoms are read-only."""
+        if tol not in self._pairs:
+            key = np.round(self.positions / (tol * max(self.support_radius, 1.0))).astype(np.int64)
+            table = {}
+            for i, k in enumerate(map(tuple, key)):
+                table.setdefault(k, []).append(i)
+            wtol = tol * max(self.abs_mass, 1.0)
+            free, pairs = np.ones(len(self), dtype=bool), []
+            for i in range(len(self)):
+                if free[i]:
+                    j = next((j for j in table.get(tuple(-key[i]), ()) if free[j]
+                              and abs(self.weights[j] - self.weights[i]) <= wtol), None)
+                    if j is None:
+                        break
+                    free[i] = free[j] = False
+                    pairs.append((i, j))
+            self._pairs[tol] = None if free.any() else tuple(
+                np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+        return self._pairs[tol]
 
     # -- derived measures ------------------------------------------------------
 
@@ -274,23 +284,33 @@ def _expsum(positions, weights, freqs) -> np.ndarray:
     return out
 
 
-def _ray_transform(mu: AtomicMeasure, eta, t0: float, dt: float, n: int) -> np.ndarray:
-    """ft(mu)(t_k eta) on the progression t_k = t0 + k dt, k < n.
+def _block_phases(s, t0: float, dt: float, n: int):
+    """Block factors of the phase table exp(-2 pi i t_k s_j) on t_k = t0 + k dt, k < n.
 
-    With B = ceil(sqrt(n)) and k = a B + b, exp(-2 pi i t_k s) factors into
-    exp(-2 pi i (t0 + a B dt) s) exp(-2 pi i b dt s), so the ray is one matrix
-    product of an A x atoms and a B x atoms table: ~2 sqrt(n) exponentials per atom.
-    """
+    With B = ceil(sqrt(n)) and k = a B + b, the entry is coarse[a, j] * fine[b, j] with
+    coarse = exp(-2 pi i (t0 + a B dt) s) and fine = exp(-2 pi i b dt s): ~2 sqrt(n)
+    exponentials per j instead of n.  Each t s is reduced mod 1 in the precision of s
+    first, so a long-double s gives phases exact to ~1e-16 where long double is wider
+    than double."""
+    B = math.isqrt(n - 1) + 1
+    factors = []
+    for ts in (t0 + np.arange(-(-n // B)) * (B * dt), np.arange(B) * dt):
+        p = np.outer(ts, s)
+        p -= np.rint(p)
+        factors.append(np.exp(-2j * np.pi * p.astype(float, copy=False)))
+    return factors
+
+
+def _ray_transform(mu: AtomicMeasure, eta, t0: float, dt: float, n: int) -> np.ndarray:
+    """ft(mu)(t_k eta) on the progression t_k = t0 + k dt, k < n: one matrix product of
+    the weighted coarse and the fine factors of _block_phases per block of atoms."""
     s = mu.positions @ np.asarray(eta, dtype=float)
     B = math.isqrt(n - 1) + 1
-    a_t = t0 + np.arange(-(-n // B)) * (B * dt)
-    b_t = np.arange(B) * dt
-    out = np.zeros((len(a_t), B), dtype=complex)
+    out = np.zeros((-(-n // B), B), dtype=complex)
     step = max(1, _FT_CHUNK // B)
     for j in range(0, len(s), step):
-        sj = s[j:j + step]
-        coarse = np.exp(-2j * np.pi * np.outer(a_t, sj)) * mu.weights[j:j + step]
-        out += coarse @ np.exp(-2j * np.pi * np.outer(b_t, sj)).T
+        coarse, fine = _block_phases(s[j:j + step], t0, dt, n)
+        out += (coarse * mu.weights[j:j + step]) @ fine.T
     return out.ravel()[:n]
 
 
@@ -370,7 +390,7 @@ def project_measure(mu: AtomicMeasure, eta, bins: int = DEFAULT_BINS) -> LineMea
     """
     eta = np.asarray(eta, dtype=float)
     nrm = np.linalg.norm(eta)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:   # also refuses NaN and infinite directions
         raise BadInputError("projection direction must be a unit vector")
     eta = eta / nrm
     proj = mu.positions @ eta
@@ -432,6 +452,7 @@ def wiener_atom_mass(mu: AtomicMeasure, eta, T: float, samples: int | None = Non
     """
     if T <= 0:
         raise BadInputError("T must be positive")
+    _unit_rows(eta, "ray direction")
     if samples is None:
         samples = int(math.ceil(40 * T * max(mu.support_radius, 0.025))) + 1
     if samples <= 0:
@@ -508,8 +529,7 @@ def decay_scan(mu: AtomicMeasure, thetas, delta: float, t_grid,
     directions are spaced delta / 4 apart; the certified error per t is that
     of _sampled_sup.
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    thetas = thetas / np.linalg.norm(thetas, axis=1)[:, None]
+    thetas, _ = _unit_rows(thetas, "decay directions")
     if delta <= 0:
         raise BadInputError("delta must be positive")
     spacing = delta / 4.0

@@ -133,10 +133,16 @@ def dense_direct_correlation(f, sigma, t):
 
 
 def separable_sigma_hat(sigma, t, mp, h, dim):
-    """ft(sigma)(t xi) on the fftfreq grid by one einsum over per-axis phases."""
-    freqs = np.fft.fftfreq(mp, d=h)
-    E = [np.exp(-2j * np.pi * t * sigma.positions[:, ax, None] * freqs[None, :])
-         for ax in range(dim)]
+    """ft(sigma)(t xi) on the grid xi = k / (mp h), k the fftfreq integers, by one einsum
+    over per-axis phases.  Each phase t x k / (mp h) is formed in long double and reduced
+    mod 1 before its exponential, one entry at a time, so it is exact to ~1e-16 even where
+    a double phase of a few hundred radians is ~1e-13 off."""
+    k = ((np.arange(mp) + mp // 2) % mp - mp // 2).astype(np.longdouble)
+    scale = np.longdouble(t) / (np.longdouble(mp) * np.longdouble(h))
+    E = []
+    for ax in range(dim):
+        cycles = sigma.positions[:, ax, None].astype(np.longdouble) * scale * k[None, :]
+        E.append(np.exp(-2j * np.pi * (cycles - np.rint(cycles)).astype(float)))
     spec = {1: "j,jk->k", 2: "j,jk,jl->kl", 3: "j,jk,jl,jm->klm"}[dim]
     return np.einsum(spec, sigma.weights, *E)
 

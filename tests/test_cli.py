@@ -117,6 +117,20 @@ class TestCommands:
         env = np.loadtxt(out / "envelope.csv", delimiter=",", skiprows=1)
         assert env[1, 1] < env[0, 1]
 
+    @pytest.mark.parametrize("command, flag, value, args", [
+        ("wiener", "--eta", "-1,0", ("--T", 60)),
+        ("decay", "--tgrid", "-5,20,3", ("--thetas", "1,0", "--rcap", "0.4", "--delta", "0.3")),
+    ])
+    def test_negative_list_is_a_value(self, workdir, command, flag, value, args):
+        outs = []
+        for form in ((flag, value), (f"{flag}={value}",)):
+            outs.append(workdir / f"{command}{len(form)}")
+            assert main(_args(command, "--body", workdir / "circle.json", *form, *args,
+                              "--resolution", 512, "--out", outs[-1])) == 0
+        csv = f"{command}.csv"
+        assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes()
+        assert json.loads((outs[0] / "manifest.json").read_text())["params"][flag[2:]] == value
+
     def test_decay_columns_are_complex_parts(self, workdir):
         out = workdir / "decay"
         assert main(_args("decay", "--body", workdir / "circle.json",

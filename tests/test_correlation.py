@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugelab as gl
-from gaugelab.correlation import _PAD, SPECTRUM_BUDGET_BYTES, _sigma_hat_on_grid
+from gaugelab import correlation
+from gaugelab.correlation import _PAD, SPECTRUM_BUDGET_BYTES, _power_table, _sigma_hat_on_grid
 from gaugelab.errors import BadInputError, BudgetExceededError
 
 import oracles
@@ -227,8 +228,8 @@ class TestSplitIntegrals:
         axes = np.meshgrid(*[np.fft.fftfreq(mp, d=f.h)] * f.dim, indexing="ij", sparse=True)
         radii = np.sqrt(sum(g ** 2 for g in axes))
         for t in (0.3, 0.45, 0.3):  # the repeat reads the cached sums
-            shat = _sigma_hat_on_grid(circle_sigma, t, mp, f.h, f.dim)
-            want = (float(np.max(np.abs(shat.imag))) * float(np.sum(power))
+            _, residue = _sigma_hat_on_grid(circle_sigma, t, mp, f.h, f.dim)
+            want = (residue * float(np.sum(power))
                     + float(np.sum(power[radii > 0.9 * (0.5 / f.h)])) * circle_sigma.abs_mass)
             assert gl.split_integrals(f, circle_sigma, t, 0.05).quad_error == want
 
@@ -355,16 +356,22 @@ class TestFastPathsAgainstOracles:
         # rounding noise, compare against the correlation's scale |sigma| |A|
         assert abs(fast - ref) <= 1e-12 * max(abs(ref), sigma.abs_mass * f.measure)
 
-    @given(data=st.data(), t=scales, symmetric=st.booleans())
+    @given(data=st.data(), t=scales)
     @settings(max_examples=100, deadline=None)
-    def test_sigma_hat_matches_separable_einsum(self, data, t, symmetric):
+    def test_sigma_hat_matches_separable_einsum(self, data, t):
+        # the kernel reads the real part of a symmetric measure's transform
         f = data.draw(grid_sets())
-        sigma = data.draw(atom_clouds(f.dim, st.floats(-1.0, 1.0), symmetric))
+        sigma = data.draw(atom_clouds(f.dim, st.floats(-1.0, 1.0), True))
         mp = _PAD * f.m
-        fast = _sigma_hat_on_grid(sigma, t, mp, f.h, f.dim)
+        fast, _ = _sigma_hat_on_grid(sigma, t, mp, f.h, f.dim)
         ref = oracles.separable_sigma_hat(sigma, t, mp, f.h, f.dim)
-        assert fast.shape == ref.shape
-        assert np.max(np.abs(fast - ref)) <= 1e-13 * sigma.abs_mass
+        assert fast.shape == ref.shape and fast.dtype == float
+        # below the normal range a rounding errs by up to half the smallest subnormal,
+        # absolutely, which no relative tolerance covers: a pair rounds 2w cos where the
+        # oracle rounds w cos twice.  The roundings of both paths, carried through the
+        # products of 3-d, stay under 8 smallest subnormals per atom
+        tiny = 8 * len(sigma) * np.finfo(float).smallest_subnormal
+        assert np.max(np.abs(fast - ref.real)) <= 1e-13 * sigma.abs_mass + tiny
 
     @given(data=st.data(), t=scales, delta=st.floats(0.01, 0.99))
     @settings(max_examples=60, deadline=None)
@@ -390,6 +397,113 @@ class TestFastPathsAgainstOracles:
         assert gl.direct_correlation(blob_set, sigma, 2.3) == 0.0
         assert gl.direct_correlation(blob_set, sigma, 1e300) == 0.0
         assert oracles.dense_direct_correlation(blob_set, sigma, 2.3) == 0.0
+
+
+EPS = np.finfo(float).eps
+
+
+def phase_bound(sigma, t, h, dim):
+    """Rounding budget of a transform on the grid of spacing h: the phases carry
+    2 pi t |x| |xi| with |xi| <= sqrt(dim) / (2 h)."""
+    xi_max = math.sqrt(dim) / (2 * h)
+    return 16 * EPS * (1 + 2 * math.pi * t * sigma.support_radius * xi_max) * sigma.abs_mass
+
+
+@st.composite
+def paired_measures(draw, dim):
+    """A symmetric measure as shuffled atoms x, -x of equal weight plus 0..2 atoms at the
+    origin, so odd and even atom counts and self-paired atoms all occur."""
+    weight = st.floats(-1.0, 1.0, allow_subnormal=False)
+    point = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    pairs = draw(st.lists(st.tuples(point, weight), min_size=0, max_size=5))
+    origin = draw(st.lists(weight, min_size=0, max_size=2))
+    atoms = ([(p, w) for p, w in pairs] + [([-c for c in p], w) for p, w in pairs]
+             + [([0.0] * dim, w) for w in origin])
+    if not atoms:
+        atoms = [([0.0] * dim, 1.0)]
+    order = draw(st.permutations(range(len(atoms))))
+    return gl.AtomicMeasure([atoms[k][0] for k in order], [atoms[k][1] for k in order])
+
+
+class TestPairedSigmaHat:
+    @given(data=st.data(), dim=st.integers(1, 3), m=st.integers(2, 32), t=scales,
+           block=st.sampled_from([None, 1, 300]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_oracle_real_part(self, data, dim, m, t, block):
+        sigma = data.draw(paired_measures(dim))
+        assert sigma.is_symmetric()
+        mp, h = _PAD * m, 2.0 / m
+        with pytest.MonkeyPatch.context() as mpatch:
+            if block is not None:   # blocks of one or a few pairs, summed
+                mpatch.setattr(correlation, "_GEMM_BLOCK", block)
+            fast, residue = _sigma_hat_on_grid(sigma, t, mp, h, dim)
+        ref = oracles.separable_sigma_hat(sigma, t, mp, h, dim).real
+        assert fast.shape == ref.shape
+        assert np.max(np.abs(fast - ref)) <= residue + phase_bound(sigma, t, h, dim)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3), m=st.integers(2, 24),
+           t=scales)
+    @settings(max_examples=60, deadline=None)
+    def test_pairing_residue_bounds_perturbed_measures(self, seed, dim, m, t):
+        # atoms in the unit ball on the 1e-9 lattice of the symmetry check, mirrors moved by
+        # up to 0.3e-9 and weights by up to 0.4e-9: still symmetric, no longer exactly
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        x = rng.integers(-5 * 10 ** 8, 5 * 10 ** 8, size=(n, dim)) * 1e-9
+        w = rng.uniform(0.05, 1.0, size=n)
+        pos = np.vstack([x, -x + rng.uniform(-3e-10, 3e-10, size=(n, dim))])
+        sigma = gl.AtomicMeasure(pos, np.concatenate([w, w + rng.uniform(-4e-10, 4e-10, n)]))
+        assert sigma.is_symmetric()
+        mp, h = _PAD * m, 2.0 / m
+        fast, residue = _sigma_hat_on_grid(sigma, t, mp, h, dim)
+        i, j = sigma._pairs_up()
+        xi_max = math.sqrt(dim) / (2 * h)
+        assert residue == pytest.approx(2 * math.pi * t * xi_max * np.sum(
+            np.abs(sigma.weights[j]) * np.linalg.norm(pos[i] + pos[j], axis=1)), rel=1e-12)
+        assert residue > 0
+        ref = oracles.separable_sigma_hat(sigma, t, mp, h, dim).real
+        assert np.max(np.abs(fast - ref)) <= residue + phase_bound(sigma, t, h, dim)
+
+    @pytest.mark.parametrize("dim, m", [(1, 48), (2, 48), (3, 24)])
+    def test_phases_stay_exact_at_large_t(self, dim, m):
+        # t = 8 puts phases of ~600 radians on the grid, where one double rounding of the
+        # phase is ~1e-13; long-double phases reduced mod 1 keep every term to a few ulp
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            sigma = gl.AtomicMeasure(rng.uniform(-1, 1, (4, dim)), rng.uniform(-1, 1, 4))
+            sigma = sigma.symmetrized()
+            fast, _ = _sigma_hat_on_grid(sigma, 8.0, _PAD * m, 2.0 / m, dim)
+            ref = oracles.separable_sigma_hat(sigma, 8.0, _PAD * m, 2.0 / m, dim).real
+            assert np.max(np.abs(fast - ref)) <= 16 * EPS * (1 + dim) * sigma.abs_mass
+
+    @pytest.mark.parametrize("mp", [4, 6, 10, 96, 512, 4096])
+    def test_power_table_matches_direct_exponentials(self, mp):
+        rng = np.random.default_rng(mp)
+        s = rng.uniform(-2.0, 2.0, size=37)
+        k = (np.arange(mp) + mp // 2) % mp - mp // 2
+        assert np.array_equal(k, np.fft.fftfreq(mp, d=1.0 / mp))
+        out = np.empty((mp, s.size), dtype=complex)
+        # double s: against np.exp of the double phase, within its rounding budget
+        _power_table(s, out)
+        direct = np.exp(-2j * np.pi * np.outer(k, s))
+        assert np.max(np.abs(out - direct)) <= 16 * EPS * (1 + 2 * np.pi * np.max(np.abs(k)) * 2)
+        # long-double s, as the kernel passes it: against long-double phases, to ~1e-16
+        sl = s.astype(np.longdouble) / 3
+        _power_table(sl, out)
+        cycles = np.outer(k.astype(np.longdouble), sl)
+        direct = np.exp(-2j * np.pi * (cycles - np.rint(cycles)).astype(float))
+        assert np.max(np.abs(out - direct)) <= 16 * EPS
+
+    def test_symmetry_check_and_kernel_share_one_pairing(self, blob_set, circle_sigma):
+        sigma = gl.AtomicMeasure(circle_sigma.positions, circle_sigma.weights)
+        gl.split_integrals(blob_set, sigma, 0.4, 0.05)
+        assert list(sigma._pairs) == [1e-9]
+        i, j = pairs = sigma._pairs_up()
+        assert sigma._pairs_up() is pairs and sigma.is_symmetric()
+        assert np.array_equal(np.sort(np.concatenate([i, j])), np.arange(len(sigma)))
+        assert np.max(np.abs(sigma.positions[i] + sigma.positions[j])) <= 1e-15
+        lop = gl.AtomicMeasure([[0.3, 0.1], [-0.3, -0.1]], [0.5, 0.25])
+        assert lop._pairs_up() is None and not lop.is_symmetric()
 
 
 class TestSpectrumBudget:

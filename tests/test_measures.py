@@ -269,6 +269,10 @@ class TestBlockPool:
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
+# a zero row, a NaN row (whose norm check `<= 0` is False) and an infinite row
+BAD_DIRECTIONS = [[0.0, 0.0], [math.nan, math.nan], [math.inf, 0.0]]
+
+
 class TestProjection:
     def test_point_projects_to_atom(self):
         mu = gl.point_mass([1.0, 2.0])
@@ -303,6 +307,11 @@ class TestProjection:
     def test_rejects_non_unit_direction(self, circle_measure):
         with pytest.raises(BadInputError):
             gl.project_measure(circle_measure, [1.0, 1.0])
+
+    @pytest.mark.parametrize("eta", BAD_DIRECTIONS)
+    def test_rejects_zero_or_non_finite_direction(self, circle_measure, eta):
+        with pytest.raises(BadInputError, match="unit vector"):
+            gl.project_measure(circle_measure, eta)
 
     @given(seed=st.integers(0, 10 ** 6), t=st.floats(-8, 8, allow_nan=False),
            angle=st.floats(0, 2 * math.pi))
@@ -341,6 +350,11 @@ class TestWiener:
         with pytest.raises(BadInputError):
             gl.wiener_atom_mass(circle_measure, [1.0, 0.0], 1.0, samples=0)
 
+    @pytest.mark.parametrize("eta", BAD_DIRECTIONS)
+    def test_rejects_zero_or_non_finite_direction(self, circle_measure, eta):
+        with pytest.raises(BadInputError, match="zero or non-finite"):
+            gl.wiener_atom_mass(circle_measure, eta, 10.0)
+
 
 class TestDecay:
     def test_flat_piece_constant_along_own_normal(self):
@@ -378,6 +392,12 @@ class TestDecay:
         seg = gl.segment_measure([0, 0], [0, 1], 1.0, 64, normal=[1.0, 0.0])
         with pytest.raises(BadInputError):
             gl.decay_scan(seg, [[1.0, 0.0]], 3.0, [1.0])
+
+    @pytest.mark.parametrize("theta", BAD_DIRECTIONS)
+    def test_rejects_zero_or_non_finite_direction(self, theta):
+        seg = gl.segment_measure([0, 0], [0, 1], 1.0, 64, normal=[1.0, 0.0])
+        with pytest.raises(BadInputError, match="zero or non-finite"):
+            gl.decay_scan(seg, [[1.0, 0.0], theta], 0.3, [10.0])
 
 
 class TestProjectionDistance:
