@@ -13,7 +13,6 @@ so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -21,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
-from .errors import BadInputError
-from .measures import _sphere_directions, _unit_rows
+from .errors import BadInputError, read_json, write_json
+from .measures import AtomicMeasure, _sphere_directions, _unit_rows
 
 PAIR_TOL = 1e-9        # +/- facet pairing match tolerance
 CLAMP_TOL = 1e-12      # inner products may overshoot [-1, 1] by at most this
@@ -42,9 +41,9 @@ def geodesic_distance(u, v):
     return np.arccos(np.clip(dot, -1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class BoundaryMesh:
-    """Quadrature discretization of (a piece of) a body boundary.
+class BoundaryMesh(AtomicMeasure):
+    """Quadrature discretization of (a piece of) a body boundary, a measure whose atoms
+    carry normals.
 
     positions lie on the boundary, normals are outward unit vectors
     (exact facet normals for polytopes), and weights are surface-area
@@ -53,39 +52,14 @@ class BoundaryMesh:
     surface area, for meshes of a full boundary.
     """
 
-    positions: np.ndarray
-    normals: np.ndarray
-    weights: np.ndarray
-    boundary_tol: float
-    mass_tol: float
-
-    def __post_init__(self):
-        p = np.atleast_2d(np.array(self.positions, dtype=float))
-        n = np.atleast_2d(np.array(self.normals, dtype=float))
-        w = np.array(self.weights, dtype=float).ravel()
-        if p.shape != n.shape or p.shape[0] != w.shape[0]:
-            raise BadInputError("mesh arrays must agree in length")
-        if np.any(w < 0):
+    def __init__(self, positions, normals, weights, boundary_tol, mass_tol):
+        super().__init__(positions, weights, normals)
+        if np.any(self.weights < 0):
             raise BadInputError("mesh weights must be nonnegative")
-        nn = np.linalg.norm(n, axis=1)
-        if np.any(np.abs(nn - 1.0) > 1e-9):
+        if np.any(np.abs(np.linalg.norm(self.normals, axis=1) - 1.0) > 1e-9):
             raise BadInputError("mesh normals must be unit vectors")
-        for a in (p, n, w):
-            a.setflags(write=False)
-        object.__setattr__(self, "positions", p)
-        object.__setattr__(self, "normals", n)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def dim(self):
-        return self.positions.shape[1]
-
-    @property
-    def total_mass(self):
-        return float(np.sum(self.weights))
-
-    def __len__(self):
-        return self.positions.shape[0]
+        self.boundary_tol = boundary_tol
+        self.mass_tol = mass_tol
 
     def restrict(self, mask):
         """Sub-mesh of the selected nodes (same tolerances)."""
@@ -203,7 +177,7 @@ class HPolytope(ConvexBody):
             raise BadInputError("facet offsets must be positive (0 interior)")
         normals, norms = _unit_rows(normals, "facet normals")
         offsets = offsets / norms
-        self._check_pairs(normals, offsets)
+        self._antipode = self._antipodes(normals, offsets)
         self.dim = normals.shape[1]
         self.normals = normals
         self.offsets = offsets
@@ -212,18 +186,22 @@ class HPolytope(ConvexBody):
         self._vertices = None
 
     @staticmethod
-    def _check_pairs(normals, offsets):
-        m = normals.shape[0]
+    def _antipodes(normals, offsets):
+        """Index of the most nearly opposite normal of each facet; bad input, naming the
+        first facet at fault, when a normal repeats or a facet has no opposite normal
+        with an equal offset."""
         dots = normals @ normals.T
-        for i in range(m):
-            close = np.where(dots[i] > 1.0 - PAIR_TOL)[0]
-            if len(close) > 1:
+        repeated = np.count_nonzero(dots > 1.0 - PAIR_TOL, axis=1) > 1
+        opposite = (dots < -1.0 + PAIR_TOL) & (np.abs(offsets[None, :] - offsets[:, None])
+                                               <= PAIR_TOL * np.maximum(1.0, offsets)[:, None])
+        bad = repeated | ~np.any(opposite, axis=1)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            if repeated[i]:
                 raise BadInputError(f"duplicate facet normal at index {i}")
-            anti = np.where(dots[i] < -1.0 + PAIR_TOL)[0]
-            paired = [j for j in anti if abs(offsets[j] - offsets[i]) <= PAIR_TOL * max(1.0, offsets[i])]
-            if not paired:
-                raise BadInputError(
-                    f"facet {i} has no matching opposite facet; body must be 0-symmetric")
+            raise BadInputError(
+                f"facet {i} has no matching opposite facet; body must be 0-symmetric")
+        return np.argmin(dots, axis=1)
 
     @property
     def n_facets(self):
@@ -235,17 +213,9 @@ class HPolytope(ConvexBody):
         return self.n_facets // 2
 
     def facet_pairs(self):
-        """One representative normal per +/- pair, with its offset."""
-        reps = []
-        seen = np.zeros(self.n_facets, dtype=bool)
-        for i in range(self.n_facets):
-            if seen[i]:
-                continue
-            dots = self.normals @ self.normals[i]
-            j = int(np.argmin(dots))
-            seen[i] = seen[j] = True
-            reps.append((self.normals[i], self.offsets[i]))
-        return reps
+        """One representative normal per +/- pair, the one of lower index, with its offset."""
+        reps = np.flatnonzero(np.arange(self.n_facets) < self._antipode)
+        return [(self.normals[i], self.offsets[i]) for i in reps]
 
     @staticmethod
     def _by_facet(X, rows, scale=1.0):
@@ -401,16 +371,12 @@ class Ellipsoid(ConvexBody):
     def is_ball(self, tol=1e-12):
         return float(np.ptp(self.axes)) <= tol * float(np.max(self.axes))
 
-    def _radial_many(self, U):
-        return 1.0 / np.sqrt(np.sum((U / self.axes[None, :]) ** 2, axis=1))
-
     def _normal_at(self, X):
         n = X / self.axes[None, :] ** 2
         return n / np.linalg.norm(n, axis=1)[:, None]
 
     def _mesh(self, resolution):
-        mesh_smooth = _mesh_smooth_2d if self.dim == 2 else _mesh_smooth_3d
-        return mesh_smooth(self._radial_many, self._normal_at, resolution)
+        return (_mesh_smooth_2d if self.dim == 2 else _mesh_smooth_3d)(self, resolution)
 
     def to_dict(self):
         return {"dim": self.dim, "type": "ellipsoid", "axes": self.axes.tolist()}
@@ -513,10 +479,6 @@ class RadialBody(ConvexBody):
             return float(np.max(self.axes)) * grow
         return float(np.max(self.samples))
 
-    def _radial_many(self, U):
-        g = self.gauge_many(U)
-        return 1.0 / g
-
     def _normal_at(self, X):
         if self.kind == "superellipsoid":
             g = np.abs(X / self.axes[None, :]) ** (self.p - 1.0) * np.sign(X) / self.axes[None, :]
@@ -531,7 +493,7 @@ class RadialBody(ConvexBody):
         n = r[:, None] * u - dr[:, None] * uperp
         return n / np.linalg.norm(n, axis=1)[:, None]
 
-    _mesh = Ellipsoid._mesh  # the smooth mesh: radii from _radial_many, normals from _normal_at
+    _mesh = Ellipsoid._mesh  # the smooth mesh: radii 1 / gauge, normals from _normal_at
 
     def to_dict(self):
         if self.kind == "superellipsoid":
@@ -548,8 +510,8 @@ class RadialBody(ConvexBody):
 # -- smooth meshing helpers ----------------------------------------------------
 
 
-def _mesh_smooth_2d(radial_many, normal_at, resolution):
-    """Angle-midpoint nodes; weights are chord lengths across each node cell."""
+def _mesh_smooth_2d(body, resolution):
+    """Angle-midpoint nodes at radii 1 / gauge; weights are chord lengths across each cell."""
     n = int(resolution)
     phi = (np.arange(n) + 0.5) * 2 * np.pi / n
     lo = phi - np.pi / n
@@ -557,11 +519,11 @@ def _mesh_smooth_2d(radial_many, normal_at, resolution):
 
     def bdry(angles):
         u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        return radial_many(u)[:, None] * u
+        return (1.0 / body.gauge_many(u))[:, None] * u
 
     pos = bdry(phi)
     wts = np.linalg.norm(bdry(hi) - bdry(lo), axis=1)
-    nrm = normal_at(pos)
+    nrm = body._normal_at(pos)
     h = 2 * np.pi / n
     return BoundaryMesh(pos, nrm, wts, 1e-9, 10.0 * float(np.sum(wts)) * h * h)
 
@@ -636,17 +598,17 @@ def _icosphere_patches(resolution):
     return u, _spherical_triangle_areas(a, b, c)
 
 
-def _mesh_smooth_3d(radial_many, normal_at, resolution):
-    """Icosphere directions projected radially onto the boundary.
+def _mesh_smooth_3d(body, resolution):
+    """Icosphere directions projected radially onto the boundary, at radii 1 / gauge.
 
     Node weights combine the exact spherical patch area with the radial
     area element r^2 / <n, u>, a midpoint rule for the surface integral;
     exact for the unit sphere.
     """
     u, patch = _icosphere_patches(resolution)
-    r = radial_many(u)
+    r = 1.0 / body.gauge_many(u)
     pos = r[:, None] * u
-    nrm = normal_at(pos)
+    nrm = body._normal_at(pos)
     cosang = np.einsum("ij,ij->i", nrm, u)
     wts = r ** 2 / cosang * patch
     h = math.sqrt(4 * np.pi / len(u))
@@ -801,11 +763,7 @@ def load_body(path, normalize: bool = True) -> ConvexBody:
     With normalize=True (the default) a body poking out of the unit ball is
     shrunk into it and the applied factor is kept on `body.scale`.
     """
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadInputError(f"cannot read body file {path}: {exc}") from None
+    spec = read_json(path, "body file")
     body = body_from_dict(spec)
     if "dim" in spec and int(spec["dim"]) != body.dim:
         raise BadInputError("declared dim does not match body data")
@@ -815,6 +773,4 @@ def load_body(path, normalize: bool = True) -> ConvexBody:
 
 
 def save_body(body: ConvexBody, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(body.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, body.to_dict(), indent=2)

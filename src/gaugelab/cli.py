@@ -13,7 +13,6 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bodies, correlation, distances, goodness, measures, spectra
+from . import bodies, correlation, distances, errors, goodness, measures, spectra
 from .errors import BadInputError, BudgetExceededError, HypothesisViolationError
 
 
@@ -90,11 +89,7 @@ class ExperimentManifest:
 
     @staticmethod
     def from_file(path):
-        try:
-            with open(path) as fh:
-                spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise BadInputError(f"cannot read manifest {path}: {exc}") from None
+        spec = errors.read_json(path, "manifest")
         if spec.get("command") not in COMMANDS:
             raise BadInputError(f"unknown command {spec.get('command')!r}")
         return ExperimentManifest(
@@ -454,8 +449,7 @@ def run(manifest: ExperimentManifest) -> int:
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)
     log = _RunLog(manifest)
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    errors.write_json(outdir / "manifest.json", manifest.to_dict(), indent=2)
     _HANDLERS[manifest.command](manifest, outdir, log)
     log.write(outdir)
     return 0
@@ -490,7 +484,8 @@ def _build_parser():
     add("bourgain", "--body", "--set", "--eps", "--delta", "--grid", "--resolution",
         "--shells")
     add("zeros", "--body", "--window", "--steps")
-    add("spectrum", "--body", "--points", "--lattice", "--R", "--ortho_tol")
+    p = add("spectrum", "--body", "--points", "--lattice", "--R", "--ortho_tol", "--spacing")
+    p.add_argument("--range", nargs=2, type=float)
     return parser
 
 

@@ -12,7 +12,6 @@ t-sequence by pigeonholing.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -20,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BadInputError, BudgetExceededError
+from .errors import BadInputError, BudgetExceededError, read_json, write_json
 from .measures import AtomicMeasure, _block_phases
 
 _PAD = 2  # zero-padding factor for the frequency grid (kills torus wrap-around)
@@ -159,11 +158,7 @@ def random_indicator(dim, m, target_measure, seed, max_balls=64) -> GridIndicato
 
 
 def load_indicator(path) -> GridIndicator:
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadInputError(f"cannot read indicator file {path}: {exc}") from None
+    spec = read_json(path, "indicator file")
     if spec.get("type") != "indicator":
         raise BadInputError("not an indicator file")
     dim, m, kind = int(spec["dim"]), int(spec["grid"]), spec.get("kind", "cells")
@@ -177,9 +172,7 @@ def load_indicator(path) -> GridIndicator:
 
 
 def save_indicator(f: GridIndicator, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(f.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, f.to_dict())
 
 
 # -- explicit constants ----------------------------------------------------------

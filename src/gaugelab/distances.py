@@ -23,7 +23,7 @@ DUP_TOL = 1e-12         # duplicate-point tolerance inside a PointSet
 class PointSet:
     """Finite point configuration with no duplicate points."""
 
-    def __init__(self, points, meta: dict | None = None):
+    def __init__(self, points):
         points = np.array(points, dtype=float)
         if points.size == 0:
             points = points.reshape(0, points.shape[1] if points.ndim == 2 else 1)
@@ -37,7 +37,6 @@ class PointSet:
                 raise BadInputError("duplicate points in the set")
         self.points = points
         self.points.setflags(write=False)
-        self.meta = dict(meta) if meta else None
 
     @property
     def dim(self):
@@ -73,8 +72,7 @@ def lattice_points(dim: int, lo: float, hi: float, spacing: float = 1.0) -> Poin
     ax = np.arange(math.ceil(lo / spacing), math.floor(hi / spacing) + 1) * spacing
     grids = np.meshgrid(*([ax] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    return PointSet(pts, meta={"generator": "lattice", "spacing": spacing,
-                               "box": [lo, hi]})
+    return PointSet(pts)
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,6 @@ def thicken(points: PointSet, body: ConvexBody, s: float, per_point: int,
     rng = np.random.default_rng(seed)
     r1 = body.outer_radius() * s
     extra = per_point - 1
-    samples = [np.zeros((1, points.dim))]
     need = extra * len(points)
     budget = 200 * max(need, 1) + 1000
     drawn = []
@@ -238,8 +235,7 @@ def thicken(points: PointSet, body: ConvexBody, s: float, per_point: int,
         out.append(c[None, :])
         if extra:
             out.append(c[None, :] + offs[i * extra:(i + 1) * extra])
-    return PointSet(np.vstack(out), meta={"generator": "thicken", "s": s,
-                                          "per_point": per_point, "seed": seed})
+    return PointSet(np.vstack(out))
 
 
 def sparsify(points: PointSet, R: float) -> PointSet:
@@ -268,4 +264,4 @@ def sparsify(points: PointSet, R: float) -> PointSet:
         if key not in chosen:
             chosen[key] = idx
     sel = sorted(chosen.values())
-    return PointSet(kept_pts[sel], meta={"generator": "sparsify", "R": R})
+    return PointSet(kept_pts[sel])

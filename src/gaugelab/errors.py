@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the JSON file reader and writer.
 
 The CLI maps these onto process exit codes: bad input -> 2,
 hypothesis violation -> 3, numeric budget exceeded -> 4.
 """
+
+import json
 
 
 class GaugeLabError(Exception):
@@ -24,3 +26,19 @@ class HypothesisViolationError(GaugeLabError):
 
 class BudgetExceededError(GaugeLabError):
     """A numeric search or sampling budget ran out before the goal was met."""
+
+
+def read_json(path, what):
+    """The JSON document at path; bad input naming `what` when it cannot be read."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise BadInputError(f"cannot read {what} {path}: {exc}") from None
+
+
+def write_json(path, spec, indent=None):
+    """spec as JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(spec, fh, indent=indent, sort_keys=True)
+        fh.write("\n")

@@ -2,8 +2,8 @@
 
 The transform convention is ft(mu)(xi) = sum_j w_j exp(-2 pi i <x_j, xi>),
 the discrete form of the integral against exp(-2 pi i <x, xi>).  Measures
-are finite atomic clouds; boundary meshes become measures whose atoms also
-remember the outward normal of the node they came from, which is what lets
+are finite atomic clouds; a boundary mesh is such a measure whose atoms also
+carry the outward normal of the node they sit at, which is what lets
 the projection operation tell genuine point masses (flat boundary pieces
 orthogonal to the projection direction) from curved mass that projects to
 an absolutely continuous part.
@@ -11,7 +11,6 @@ an absolutely continuous part.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import queue
@@ -20,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInputError
+from .errors import BadInputError, read_json, write_json
 
 ATOM_NORMAL_TOL = 1e-9   # node normal within this of +/- eta counts as flat
 CLUSTER_TOL = 1e-9       # projected positions merged within this
+SYMMETRY_TOL = 1e-9      # mirror atoms match in position and weight within this
 DEFAULT_BINS = 512
 
 _FT_CHUNK = 1 << 18      # cap on atoms*points per vectorized block
@@ -102,7 +102,6 @@ class AtomicMeasure:
             self.normals.setflags(write=False)
         self.positions.setflags(write=False)
         self.weights.setflags(write=False)
-        self._pairs = {}        # tol -> _pairs_up(tol)
 
     # -- basic quantities ----------------------------------------------------
 
@@ -135,32 +134,27 @@ class AtomicMeasure:
     def is_probability(self, tol=1e-12):
         return abs(self.total_mass - 1.0) <= tol and bool(np.all(self.weights >= 0))
 
-    def is_symmetric(self, tol=1e-9):
-        """True when atoms pair up as (x, w) <-> (-x, w) within tolerance."""
-        return self._pairs_up(tol) is not None
+    def is_symmetric(self):
+        """True when atoms pair up as (x, w) <-> (-x, w) within SYMMETRY_TOL."""
+        return self._pairs_up() is not None
 
-    def _pairs_up(self, tol=1e-9):
-        """Index arrays (i, j) matching each atom x_i, w_i with a mirror x_j ~ -x_i of weight
-        w_j ~ w_i within tol (i == j for an atom at the origin), or None when the atoms do
-        not pair up.  Cached per tol: the atoms are read-only."""
-        if tol not in self._pairs:
-            key = np.round(self.positions / (tol * max(self.support_radius, 1.0))).astype(np.int64)
-            table = {}
-            for i, k in enumerate(map(tuple, key)):
-                table.setdefault(k, []).append(i)
-            wtol = tol * max(self.abs_mass, 1.0)
-            free, pairs = np.ones(len(self), dtype=bool), []
-            for i in range(len(self)):
-                if free[i]:
-                    j = next((j for j in table.get(tuple(-key[i]), ()) if free[j]
-                              and abs(self.weights[j] - self.weights[i]) <= wtol), None)
-                    if j is None:
-                        break
-                    free[i] = free[j] = False
-                    pairs.append((i, j))
-            self._pairs[tol] = None if free.any() else tuple(
-                np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
-        return self._pairs[tol]
+    def _pairs_up(self):
+        """Index arrays (i, j), i <= j, matching each atom x_i, w_i with a mirror x_j ~ -x_i
+        of weight w_j ~ w_i within SYMMETRY_TOL (i == j at the origin), or None when the
+        atoms do not pair up.  Sorted by rounded position, then weight, and by negated
+        rounded position, then weight, atom k of one order pairs with atom k of the other:
+        coincident atoms pair by weight.  Cached: the atoms are read-only."""
+        if "_pairs" not in self.__dict__:
+            key = np.round(self.positions / (SYMMETRY_TOL * max(self.support_radius, 1.0)))
+            a, b = (np.lexsort((self.weights, *k.T[::-1])) for k in (key, -key))
+            wtol = SYMMETRY_TOL * max(self.abs_mass, 1.0)
+            self._pairs = None
+            if (np.array_equal(key[a], -key[b])
+                    and np.all(np.abs(self.weights[a] - self.weights[b]) <= wtol)):
+                mirror = b[np.argsort(a)]    # atom a[k] pairs with atom b[k]
+                i = np.flatnonzero(np.arange(len(self)) <= mirror)
+                self._pairs = (i, mirror[i])
+        return self._pairs
 
     # -- derived measures ------------------------------------------------------
 
@@ -228,20 +222,14 @@ def segment_measure(center, direction, length, nodes, normal=None, mass=None) ->
 
 
 def load_measure(path) -> AtomicMeasure:
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadInputError(f"cannot read measure file {path}: {exc}") from None
+    spec = read_json(path, "measure file")
     if spec.get("type") != "measure":
         raise BadInputError("not a measure file")
     return AtomicMeasure(spec["positions"], spec["weights"], spec.get("normals"))
 
 
 def save_measure(mu: AtomicMeasure, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mu.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, mu.to_dict())
 
 
 # -- Fourier transforms -------------------------------------------------------

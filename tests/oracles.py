@@ -301,3 +301,46 @@ def spiral_random_polytope(pairs, seed):
             continue
         return body
     return None
+
+
+def scan_pairs_up(mu, tol=1e-9):
+    """AtomicMeasure._pairs_up as first written: atoms bucketed by rounded position, each
+    free atom in index order taking the first free mirror of matching weight.  Index
+    arrays (i, j), or None when some atom finds no mirror."""
+    key = np.round(mu.positions / (tol * max(mu.support_radius, 1.0))).astype(np.int64)
+    table = {}
+    for i, k in enumerate(map(tuple, key)):
+        table.setdefault(k, []).append(i)
+    wtol = tol * max(mu.abs_mass, 1.0)
+    free, pairs = np.ones(len(mu), dtype=bool), []
+    for i in range(len(mu)):
+        if free[i]:
+            j = next((j for j in table.get(tuple(-key[i]), ()) if free[j]
+                      and abs(mu.weights[j] - mu.weights[i]) <= wtol), None)
+            if j is None:
+                return None
+            free[i] = free[j] = False
+            pairs.append((i, j))
+    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+
+
+def scan_facet_pairs(normals, offsets, tol=1e-9):
+    """HPolytope's facet pairing as first written, on unit normals and their offsets: the
+    per-facet check loop (BadInputError on a repeated normal or an unmatched facet), then
+    one representative (normal, offset) per +/- pair by a seen-flag scan."""
+    from gaugelab.errors import BadInputError
+    dots = normals @ normals.T
+    for i in range(normals.shape[0]):
+        if len(np.where(dots[i] > 1.0 - tol)[0]) > 1:
+            raise BadInputError(f"duplicate facet normal at index {i}")
+        anti = np.where(dots[i] < -1.0 + tol)[0]
+        if not [j for j in anti if abs(offsets[j] - offsets[i]) <= tol * max(1.0, offsets[i])]:
+            raise BadInputError(
+                f"facet {i} has no matching opposite facet; body must be 0-symmetric")
+    reps, seen = [], np.zeros(normals.shape[0], dtype=bool)
+    for i in range(normals.shape[0]):
+        if not seen[i]:
+            j = int(np.argmin(normals @ normals[i]))
+            seen[i] = seen[j] = True
+            reps.append((normals[i], offsets[i]))
+    return reps

@@ -330,3 +330,75 @@ class TestRandomPolygon:
                 body = gl.random_symmetric_polytope(2, pairs, seed)
                 assert body.n_facets == 2 * pairs
                 assert np.all(np.abs(body.offsets - 1.0) <= 0.08)
+
+
+class TestFacetPairing:
+    """HPolytope's antipode index against the check and seen-flag loops it replaced."""
+
+    def test_facet_pairs_match_the_scan(self):
+        for dim, pair_counts in ((2, range(2, 25)), (3, range(3, 16))):
+            for pairs in pair_counts:
+                for seed in range(10):
+                    body = gl.random_symmetric_polytope(dim, pairs, seed)
+                    old = oracles.scan_facet_pairs(body.normals, body.offsets)
+                    new = body.facet_pairs()
+                    assert len(new) == len(old) == pairs
+                    for (n_new, h_new), (n_old, h_old) in zip(new, old):
+                        assert np.array_equal(n_new, n_old) and h_new == h_old
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fault", ["dropped", "turned", "offset", "repeated"])
+    def test_bad_pairings_raise_as_the_scan(self, dim, fault):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            pairs = int(rng.integers(2, 10))
+            v = rng.normal(size=(pairs, dim))
+            v /= np.linalg.norm(v, axis=1)[:, None]
+            h = rng.uniform(0.5, 2.0, size=pairs)
+            order = rng.permutation(2 * pairs)
+            normals, offsets = np.vstack([v, -v])[order], np.concatenate([h, h])[order]
+            k = int(rng.integers(2 * pairs))
+            if fault == "dropped":
+                normals, offsets = np.delete(normals, k, axis=0), np.delete(offsets, k)
+            elif fault == "turned":
+                normals[k] += rng.normal(scale=1e-3, size=dim)
+            elif fault == "offset":
+                offsets[k] *= 1 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-7, -2)
+            else:
+                at = int(rng.integers(2 * pairs + 1))
+                normals = np.insert(normals, at, normals[k] * rng.uniform(0.5, 2), axis=0)
+                offsets = np.insert(offsets, at, rng.uniform(0.5, 2.0))
+            norms = np.linalg.norm(normals, axis=1)    # the constructor's unit rows
+            with pytest.raises(BadInputError) as old:
+                oracles.scan_facet_pairs(normals / norms[:, None], offsets / norms)
+            with pytest.raises(BadInputError) as new:
+                gl.HPolytope(normals, offsets)
+            assert str(new.value) == str(old.value)
+
+
+class TestMeshIsMeasure:
+    def test_mesh_is_its_surface_measure(self, circle_mesh):
+        assert isinstance(circle_mesh, gl.AtomicMeasure)
+        assert circle_mesh.is_symmetric()
+        xi = np.random.default_rng(0).normal(scale=20.0, size=(257, 2))
+        assert np.array_equal(gl.ft_many(circle_mesh, xi),
+                              gl.ft_many(gl.from_mesh(circle_mesh), xi))
+
+    def test_restrict_keeps_class_and_tolerances(self):
+        mesh = gl.triangulate_boundary(gl.cube_body(3), 1500)
+        piece = mesh.restrict(mesh.normals[:, 2] > 0.5)
+        assert type(piece) is gl.BoundaryMesh
+        assert (piece.boundary_tol, piece.mass_tol) == (mesh.boundary_tol, mesh.mass_tol)
+        assert len(piece) == len(mesh) // 6
+        assert piece.total_mass == pytest.approx(4.0, rel=1e-12)    # the top face
+
+    def test_bad_nodes_rejected(self):
+        pos = nrm = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        w = np.array([0.5, 0.5])
+        assert gl.BoundaryMesh(pos, nrm, w, 1e-9, 1e-9).total_mass == 1.0
+        bad = {"nonnegative": (pos, nrm, np.array([0.5, -0.5])),
+               "unit vectors": (pos, nrm * 1.01, w),
+               "finite": (np.array([[np.nan, 0.0], [-1.0, 0.0]]), nrm, w)}
+        for message, args in bad.items():
+            with pytest.raises(BadInputError, match=message):
+                gl.BoundaryMesh(*args, 1e-9, 1e-9)

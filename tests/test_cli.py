@@ -188,6 +188,25 @@ class TestCommands:
         assert (out / "sparsified.csv").exists()
         assert "orthogonality residual" in (out / "run.log").read_text()
 
+    def test_spectrum_lattice_range_and_spacing(self, workdir):
+        out = workdir / "spectrum_range"
+        assert main(_args("spectrum", "--body", workdir / "cube.json", "--lattice", "Z2",
+                          "--range", -4, 4, "--spacing", 0.5, "--R", 2, "--out", out)) == 0
+        by_flags = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "input points: 289" in by_flags["run.log"].decode()    # 17 x 17 at spacing 1/2
+        assert main(_args("--manifest", out / "manifest.json")) == 0
+        by_file = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(by_file) == sorted(by_flags)
+        for name in by_flags:
+            if name != "run.log":
+                assert by_file[name] == by_flags[name], name
+        # the log echoes the range as the flags' tuple or the file's list, and nothing else
+        flags_log = by_flags["run.log"].decode().splitlines()
+        file_log = by_file["run.log"].decode().splitlines()
+        diff = [(a, b) for a, b in zip(flags_log, file_log) if a != b]
+        assert len(flags_log) == len(file_log)
+        assert diff == [("param range: (-4.0, 4.0)", "param range: [-4.0, 4.0]")]
+
 
 class TestDeterminismAndLog:
     def test_identical_manifest_identical_bytes(self, workdir):

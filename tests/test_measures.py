@@ -453,3 +453,91 @@ class TestMeasureBasics:
         back = load_measure(path)
         np.testing.assert_array_equal(back.positions, mu.positions)
         np.testing.assert_array_equal(back.weights, mu.weights)
+
+
+@st.composite
+def coincident_symmetrized(draw, dim):
+    """The even part of 1..4 points, each carrying 1..3 coincident atoms whose weights are
+    multiples of 1/8, so coincident atoms weigh the same or differ by far more than the
+    tolerance; atoms shuffled."""
+    point = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    groups = draw(st.lists(st.tuples(point, st.lists(st.integers(-8, 8), min_size=1,
+                                                     max_size=3)), min_size=1, max_size=4))
+    atoms = [(p, k / 8) for p, ks in groups for k in ks]
+    sym = gl.AtomicMeasure([p for p, _ in atoms], [w for _, w in atoms]).symmetrized()
+    order = np.array(draw(st.permutations(range(len(sym)))))
+    return gl.AtomicMeasure(sym.positions[order], sym.weights[order])
+
+
+def perturbed_cloud(seed, dim):
+    """Atoms on the 1e-9 lattice of the unit ball, mirrors moved by up to 0.3e-9 and their
+    weights by up to 0.4e-9: symmetric within the tolerance, not exactly."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    x = rng.integers(-5 * 10 ** 8, 5 * 10 ** 8, size=(n, dim)) * 1e-9
+    w = rng.uniform(0.05, 1.0, size=n)
+    pos = np.vstack([x, -x + rng.uniform(-3e-10, 3e-10, size=(n, dim))])
+    wts = np.concatenate([w, w + rng.uniform(-4e-10, 4e-10, n)])
+    order = rng.permutation(2 * n)
+    return gl.AtomicMeasure(pos[order], wts[order])
+
+
+class TestSortedPairing:
+    """AtomicMeasure._pairs_up (two sorts) against the first-fit scan it replaced."""
+
+    @staticmethod
+    def check_against_scan(mu):
+        new, old = mu._pairs_up(), oracles.scan_pairs_up(mu)
+        assert (new is None) == (old is None)
+        if new is not None:
+            i, j = new
+            assert i.dtype == j.dtype == np.intp and np.all(i <= j)
+            assert np.array_equal(np.sort(np.concatenate([i, j[i != j]])), np.arange(len(mu)))
+            scale = max(mu.support_radius, 1.0)
+            assert np.all(np.abs(mu.positions[i] + mu.positions[j])
+                          <= measures.SYMMETRY_TOL * scale)
+            assert np.all(np.abs(mu.weights[i] - mu.weights[j])
+                          <= measures.SYMMETRY_TOL * max(mu.abs_mass, 1.0))
+        return new, old
+
+    @given(data=st.data(), dim=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_coincident_atoms_of_unequal_weight(self, data, dim):
+        new, _ = self.check_against_scan(data.draw(coincident_symmetrized(dim)))
+        assert new is not None
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_clouds_perturbed_within_tolerance(self, seed, dim):
+        new, _ = self.check_against_scan(perturbed_cloud(seed, dim))
+        assert new is not None
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3),
+           fault=st.sampled_from(["random", "moved", "reweighted"]))
+    @settings(max_examples=100, deadline=None)
+    def test_asymmetric_clouds(self, seed, dim, fault):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        pos, wts = rng.uniform(-1, 1, (n, dim)), rng.uniform(0.1, 1.0, n)
+        if fault != "random":
+            pos, wts = np.vstack([pos, -pos]), np.concatenate([wts, wts])
+            k = int(rng.integers(2 * n))
+            if fault == "moved":
+                pos[k, int(rng.integers(dim))] += 1e-6
+            else:
+                wts[k] += 1e-6
+        new, _ = self.check_against_scan(gl.AtomicMeasure(pos, wts))
+        assert new is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: gl.from_mesh(gl.triangulate_boundary(gl.ball_body(2), 512), normalize=True),
+        lambda: gl.from_mesh(gl.triangulate_boundary(gl.ball_body(2), 2048), normalize=True),
+        lambda: gl.from_mesh(gl.triangulate_boundary(gl.ball_body(2), 16384), normalize=True),
+        lambda: gl.triangulate_boundary(gl.regular_polygon_body(6), 4096),
+        lambda: gl.triangulate_boundary(gl.cube_body(3), 3000),
+        lambda: gl.triangulate_boundary(gl.ball_body(3), 3000),
+    ], ids=["disk512", "disk2048", "disk16384", "hexagon", "cube3", "ball3"])
+    def test_meshes_pair_exactly_as_the_scan(self, make):
+        new, old = self.check_against_scan(make())
+        assert new is not None
+        assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
