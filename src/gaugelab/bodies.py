@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .errors import BadInputError, read_json, write_json
 from .measures import AtomicMeasure, _sphere_directions, _unit_rows
@@ -36,7 +35,7 @@ def geodesic_distance(u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     dot = np.sum(u * v, axis=-1)
-    if np.any(np.abs(dot) > 1.0 + CLAMP_TOL):
+    if not np.all(np.abs(dot) <= 1.0 + CLAMP_TOL):
         raise BadInputError("geodesic_distance expects unit vectors")
     return np.arccos(np.clip(dot, -1.0, 1.0))
 
@@ -56,7 +55,7 @@ class BoundaryMesh(AtomicMeasure):
         super().__init__(positions, weights, normals)
         if np.any(self.weights < 0):
             raise BadInputError("mesh weights must be nonnegative")
-        if np.any(np.abs(np.linalg.norm(self.normals, axis=1) - 1.0) > 1e-9):
+        if not np.all(np.abs(np.linalg.norm(self.normals, axis=1) - 1.0) <= 1e-9):
             raise BadInputError("mesh normals must be unit vectors")
         self.boundary_tol = boundary_tol
         self.mass_tol = mass_tol
@@ -284,23 +283,19 @@ class HPolytope(ConvexBody):
         return self._mesh_polytope_3d(resolution)
 
     def _mesh_polygon(self, resolution):
-        edges = [self._facet_vertices(i) for i in range(self.n_facets)]
-        lengths = np.array([np.linalg.norm(e[1] - e[0]) for e in edges])
+        ends = np.array([self._facet_vertices(i)[:2] for i in range(self.n_facets)])
+        a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
+        lengths = np.sqrt(np.vecdot(d, d))
         per = np.maximum(1, np.round(resolution * lengths / lengths.sum()).astype(int))
-        pos, nrm, wts = [], [], []
-        for i, e in enumerate(edges):
-            a, b = e[0], e[1]
-            m = per[i]
-            ts = (np.arange(m) + 0.5) / m
-            pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-            pos.append(pts)
-            nrm.append(np.repeat(self.normals[i][None, :], m, axis=0))
-            wts.append(np.full(m, lengths[i] / m))
-        return BoundaryMesh(np.vstack(pos), np.vstack(nrm), np.concatenate(wts),
+        edge = np.repeat(np.arange(self.n_facets), per)
+        k = np.arange(edge.size) - np.repeat(np.cumsum(per) - per, per)
+        m = per[edge]
+        pos = a[edge] + ((k + 0.5) / m)[:, None] * d[edge]
+        return BoundaryMesh(pos, self.normals[edge], lengths[edge] / m,
                             1e-9, 1e-9 * float(lengths.sum()))
 
     def _mesh_polytope_3d(self, resolution):
-        base = []
+        base, facet = [], []
         for i in range(self.n_facets):
             fv = self._facet_vertices(i)
             c = fv.mean(axis=0)
@@ -310,26 +305,14 @@ class HPolytope(ConvexBody):
             b2 = np.cross(self.normals[i], b1)
             ang = np.arctan2((fv - c) @ b2, (fv - c) @ b1)
             fv = fv[np.argsort(ang)]
-            for k in range(len(fv)):
-                base.append((c, fv[k], fv[(k + 1) % len(fv)], i))
-        level = 0
-        while len(base) * 4 ** (level + 1) <= resolution:
-            level += 1
-        pos, nrm, wts = [], [], []
-        for (a, b, c, i) in base:
-            tris = [(a, b, c)]
-            for _ in range(level):
-                nxt = []
-                for (p, q, r) in tris:
-                    pq, qr, rp = (p + q) / 2, (q + r) / 2, (r + p) / 2
-                    nxt += [(p, pq, rp), (pq, q, qr), (rp, qr, r), (pq, qr, rp)]
-                tris = nxt
-            for (p, q, r) in tris:
-                pos.append((p + q + r) / 3)
-                wts.append(0.5 * np.linalg.norm(np.cross(q - p, r - p)))
-                nrm.append(self.normals[i])
-        return BoundaryMesh(np.array(pos), np.array(nrm), np.array(wts),
-                            1e-9, 1e-9 * float(np.sum(wts)))
+            base.append(np.stack([np.broadcast_to(c, fv.shape), fv, np.roll(fv, -1, axis=0)], axis=1))
+            facet += [i] * len(fv)
+        tris = _refine(np.concatenate(base), resolution)
+        p, q, r = tris[:, 0], tris[:, 1], tris[:, 2]
+        area = np.cross(q - p, r - p)
+        wts = 0.5 * np.sqrt(np.vecdot(area, area))
+        nrm = np.repeat(self.normals[facet], len(tris) // len(facet), axis=0)
+        return BoundaryMesh((p + q + r) / 3, nrm, wts, 1e-9, 1e-9 * float(np.sum(wts)))
 
     def to_dict(self):
         return {"dim": self.dim, "type": "hpolytope",
@@ -511,71 +494,39 @@ class RadialBody(ConvexBody):
 
 
 def _mesh_smooth_2d(body, resolution):
-    """Angle-midpoint nodes at radii 1 / gauge; weights are chord lengths across each cell."""
-    n = int(resolution)
+    """The polar nodes at radii 1 / gauge; weights are chord lengths across each cell."""
+    u, r, _ = body.polar_nodes(int(resolution))
+    n = len(u)
     phi = (np.arange(n) + 0.5) * 2 * np.pi / n
-    lo = phi - np.pi / n
-    hi = phi + np.pi / n
 
     def bdry(angles):
-        u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        return (1.0 / body.gauge_many(u))[:, None] * u
+        v = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        return (1.0 / body.gauge_many(v))[:, None] * v
 
-    pos = bdry(phi)
-    wts = np.linalg.norm(bdry(hi) - bdry(lo), axis=1)
+    pos = r[:, None] * u
+    wts = np.linalg.norm(bdry(phi + np.pi / n) - bdry(phi - np.pi / n), axis=1)
     nrm = body._normal_at(pos)
     h = 2 * np.pi / n
     return BoundaryMesh(pos, nrm, wts, 1e-9, 10.0 * float(np.sum(wts)) * h * h)
 
 
-@lru_cache(maxsize=8)
-def _icosphere(level):
-    """Subdivided icosahedron: unit vertices and triangle index triples.
+def _refine(tris, resolution, sphere=False):
+    """Split each triangle (p, q, r) of the (n, 3, 3) array tris into (p, pq, rp),
+    (pq, q, qr), (rp, qr, r), (pq, qr, rp), in that order, while 4n <= resolution.
 
-    The vertex set is antipodally symmetric at every level, so meshes and
-    measures built from it inherit the 0-symmetry of the body.
-    """
-    t = (1 + 5 ** 0.5) / 2
-    verts = []
-    for a, b in [(1, t), (-1, t), (1, -t), (-1, -t)]:
-        verts += [(0, a, b), (a, b, 0), (b, 0, a)]
-    verts = np.array(verts, dtype=float)
-    verts /= np.linalg.norm(verts, axis=1)[:, None]
-    from scipy.spatial import ConvexHull
-    faces = ConvexHull(verts).simplices
-    # orient all faces outward
-    fixed = []
-    for f in faces:
-        a, b, c = verts[f]
-        if np.dot(np.cross(b - a, c - a), a + b + c) < 0:
-            f = f[[0, 2, 1]]
-        fixed.append(f)
-    faces = np.array(fixed)
-    for _ in range(level):
-        vlist = [tuple(v) for v in verts]
-        index = {v: i for i, v in enumerate(vlist)}
-        cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = verts[i] + verts[j]
-                m = m / np.linalg.norm(m)
-                tm = tuple(m)
-                if tm not in index:
-                    index[tm] = len(vlist)
-                    vlist.append(tm)
-                cache[key] = index[tm]
-            return cache[key]
-
-        new_faces = []
-        for (i, j, k) in faces:
-            ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            new_faces += [(i, ij, ki), (ij, j, jk), (ki, jk, k), (ij, jk, ki)]
-        verts = np.array(vlist)
-        verts /= np.linalg.norm(verts, axis=1)[:, None]
-        faces = np.array(new_faces)
-    return verts, faces
+    pq is the edge midpoint; on the sphere it is (p + q) / |p + q|, |.| rounded as a 1-d
+    norm by vecdot, and then every corner is divided by its row norm (np.linalg.norm)."""
+    while 4 * len(tris) <= resolution:
+        p, q, r = tris[:, 0], tris[:, 1], tris[:, 2]
+        pq, qr, rp = p + q, q + r, r + p
+        if sphere:
+            pq, qr, rp = (m / np.sqrt(np.vecdot(m, m))[:, None] for m in (pq, qr, rp))
+        else:
+            pq, qr, rp = pq / 2, qr / 2, rp / 2
+        tris = np.stack([p, pq, rp, pq, q, qr, rp, qr, r, pq, qr, rp], axis=1).reshape(-1, 3, 3)
+        if sphere:
+            tris = tris / np.linalg.norm(tris, axis=2)[..., None]
+    return tris
 
 
 def _spherical_triangle_areas(a, b, c):
@@ -586,27 +537,35 @@ def _spherical_triangle_areas(a, b, c):
 
 
 def _icosphere_patches(resolution):
-    """Unit patch centers and solid angles of the finest icosphere with at most
-    `resolution` faces (the level-0 icosahedron when resolution < 80)."""
-    level = 0
-    while 20 * 4 ** (level + 1) <= resolution:
-        level += 1
-    verts, faces = _icosphere(level)
-    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    """Unit patch centers and solid angles of the finest subdivided icosahedron with at
+    most `resolution` faces (the icosahedron itself when resolution < 80).
+
+    The vertex set is antipodally symmetric at every level, so meshes and measures
+    built from it inherit the 0-symmetry of the body.
+    """
+    t = (1 + 5 ** 0.5) / 2
+    verts = np.array([v for a, b in [(1, t), (-1, t), (1, -t), (-1, -t)]
+                      for v in [(0, a, b), (a, b, 0), (b, 0, a)]], dtype=float)
+    verts /= np.linalg.norm(verts, axis=1)[:, None]
+    faces = ConvexHull(verts).simplices
+    a, b, c = (verts[faces[:, k]] for k in range(3))
+    inward = np.vecdot(np.cross(b - a, c - a), a + b + c) < 0
+    faces[inward] = faces[inward][:, [0, 2, 1]]  # orient all faces outward
+    tris = _refine(verts[faces], resolution, sphere=True)
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     u = a + b + c
     u /= np.linalg.norm(u, axis=1)[:, None]
     return u, _spherical_triangle_areas(a, b, c)
 
 
 def _mesh_smooth_3d(body, resolution):
-    """Icosphere directions projected radially onto the boundary, at radii 1 / gauge.
+    """The polar nodes, icosphere directions at radii 1 / gauge, on the boundary.
 
     Node weights combine the exact spherical patch area with the radial
     area element r^2 / <n, u>, a midpoint rule for the surface integral;
     exact for the unit sphere.
     """
-    u, patch = _icosphere_patches(resolution)
-    r = 1.0 / body.gauge_many(u)
+    u, r, patch = body.polar_nodes(resolution)
     pos = r[:, None] * u
     nrm = body._normal_at(pos)
     cosang = np.einsum("ij,ij->i", nrm, u)
@@ -637,10 +596,8 @@ class CapFamily:
         n = dirs.shape[0]
         if n < 1:
             raise BadInputError("need at least one cap")
-        d0 = math.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                d0 = min(d0, float(geodesic_distance(dirs[i], dirs[j])))
+        i, j = np.triu_indices(n, 1)
+        d0 = float(np.min(geodesic_distance(dirs[i], dirs[j]))) if n > 1 else math.inf
         if n > 1 and d0 <= 2 * self.r_cap:
             raise BadInputError(
                 f"caps overlap: min center distance {d0:.6g} <= 2*r_cap {2 * self.r_cap:.6g}")
@@ -681,6 +638,7 @@ def triangulate_boundary(body: ConvexBody, resolution: int) -> BoundaryMesh:
 def area_measure_cap_mass(mesh: BoundaryMesh, theta, r_cap: float) -> float:
     """Boundary mass whose Gauss image lies strictly inside the open cap at theta."""
     theta = np.asarray(theta, dtype=float)
+    _unit_rows(theta, "cap direction")
     theta = theta / np.linalg.norm(theta)
     dist = geodesic_distance(mesh.normals, theta[None, :])
     return float(np.sum(mesh.weights[dist < r_cap]))

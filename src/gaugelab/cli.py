@@ -495,7 +495,7 @@ def _manifest_from_args(args) -> ExperimentManifest:
     for key, val in vars(args).items():
         if key in skip or val is None:
             continue
-        params[key] = val if not isinstance(val, list) else tuple(val)
+        params[key] = val
     return ExperimentManifest(
         command=args.command, out=args.out, seed=args.seed,
         body=getattr(args, "body", None), points=getattr(args, "points", None),

@@ -230,12 +230,9 @@ def thicken(points: PointSet, body: ConvexBody, s: float, per_point: int,
         ok = body.gauge_many(block) <= s
         drawn.append(block[ok])
     offs = np.vstack(drawn)[:need] if need else np.zeros((0, points.dim))
-    out = []
-    for i, c in enumerate(points.points):
-        out.append(c[None, :])
-        if extra:
-            out.append(c[None, :] + offs[i * extra:(i + 1) * extra])
-    return PointSet(np.vstack(out))
+    centers = points.points[:, None, :]
+    out = np.concatenate([centers, centers + offs.reshape(len(points), extra, points.dim)], axis=1)
+    return PointSet(out.reshape(-1, points.dim))
 
 
 def sparsify(points: PointSet, R: float) -> PointSet:
@@ -256,12 +253,6 @@ def sparsify(points: PointSet, R: float) -> PointSet:
     even = np.all(np.mod(n, 2) == 0, axis=1)
     keep = inside & even
     kept_pts = points.points[keep]
-    kept_n = n[keep].astype(np.int64)
-    chosen = {}
     order = np.lexsort(kept_pts.T[::-1])
-    for idx in order:
-        key = tuple(kept_n[idx])
-        if key not in chosen:
-            chosen[key] = idx
-    sel = sorted(chosen.values())
-    return PointSet(kept_pts[sel])
+    _, first = np.unique(n[keep].astype(np.int64)[order], axis=0, return_index=True)
+    return PointSet(kept_pts[np.sort(order[first])])

@@ -98,6 +98,8 @@ class AtomicMeasure:
             normals = np.atleast_2d(np.array(normals, dtype=float))
             if normals.shape != positions.shape:
                 raise BadInputError("normals must match positions in shape")
+            if not np.all(np.isfinite(normals)):
+                raise BadInputError("measure normals must be finite")
             self.normals = normals
             self.normals.setflags(write=False)
         self.positions.setflags(write=False)
@@ -547,6 +549,7 @@ def polytopal_projection_distance(mu_d: AtomicMeasure, mu_p: AtomicMeasure,
     if abs(mu_d.total_mass - mu_p.total_mass) > 0.25 * max(mu_d.total_mass, mu_p.total_mass):
         raise BadInputError("measures must have comparable total mass")
     eta_set = np.atleast_2d(np.asarray(eta_set, dtype=float))
+    _unit_rows(eta_set, "projection directions")
     worst = 0.0
     for eta in eta_set:
         eta = eta / np.linalg.norm(eta)

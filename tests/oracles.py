@@ -5,9 +5,12 @@ re-derived from the raw body data, transforms come from dense quadrature of
 the defining integrals, and correlations come from exhaustive pair searches.
 """
 
+import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from gaugelab.bodies import Ellipsoid, HPolytope, RadialBody
 
@@ -219,24 +222,182 @@ def longdouble_radial_slice(dim, a, c):
     return out
 
 
+@lru_cache(maxsize=8)
+def dict_icosphere(level):
+    """The subdivided icosahedron as first written: unit vertices and triangle index
+    triples, each level through a vertex dict, a midpoint cache and per-face loops."""
+    t = (1 + 5 ** 0.5) / 2
+    verts = []
+    for a, b in [(1, t), (-1, t), (1, -t), (-1, -t)]:
+        verts += [(0, a, b), (a, b, 0), (b, 0, a)]
+    verts = np.array(verts, dtype=float)
+    verts /= np.linalg.norm(verts, axis=1)[:, None]
+    faces = ConvexHull(verts).simplices
+    # orient all faces outward
+    fixed = []
+    for f in faces:
+        a, b, c = verts[f]
+        if np.dot(np.cross(b - a, c - a), a + b + c) < 0:
+            f = f[[0, 2, 1]]
+        fixed.append(f)
+    faces = np.array(fixed)
+    for _ in range(level):
+        vlist = [tuple(v) for v in verts]
+        index = {v: i for i, v in enumerate(vlist)}
+        cache = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = verts[i] + verts[j]
+                m = m / np.linalg.norm(m)
+                tm = tuple(m)
+                if tm not in index:
+                    index[tm] = len(vlist)
+                    vlist.append(tm)
+                cache[key] = index[tm]
+            return cache[key]
+
+        new_faces = []
+        for (i, j, k) in faces:
+            ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
+            new_faces += [(i, ij, ki), (ij, j, jk), (ki, jk, k), (ij, jk, ki)]
+        verts = np.array(vlist)
+        verts /= np.linalg.norm(verts, axis=1)[:, None]
+        faces = np.array(new_faces)
+    return verts, faces
+
+
+def dict_icosphere_patches(resolution):
+    """_icosphere_patches as first written, on dict_icosphere: unit patch centers and
+    solid angles of the finest level with at most `resolution` faces."""
+    from gaugelab.bodies import _spherical_triangle_areas
+    level = 0
+    while 20 * 4 ** (level + 1) <= resolution:
+        level += 1
+    verts, faces = dict_icosphere(level)
+    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    u = a + b + c
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return u, _spherical_triangle_areas(a, b, c)
+
+
+def loop_polytope_mesh(body, resolution):
+    """triangulate_boundary of a 2-d or 3-d HPolytope as first written: the resolution
+    check, then per-edge node loops in 2-d, and in 3-d per-triangle midpoint splits of
+    each facet's centroid fan, as many levels as fit four times into the resolution."""
+    from gaugelab.bodies import BoundaryMesh
+    from gaugelab.errors import BadInputError
+    if resolution < body.n_facets:
+        raise BadInputError(
+            f"resolution {resolution} too small to cover all {body.n_facets} facets")
+    if body.dim == 2:
+        edges = [body._facet_vertices(i) for i in range(body.n_facets)]
+        lengths = np.array([np.linalg.norm(e[1] - e[0]) for e in edges])
+        per = np.maximum(1, np.round(resolution * lengths / lengths.sum()).astype(int))
+        pos, nrm, wts = [], [], []
+        for i, e in enumerate(edges):
+            a, b = e[0], e[1]
+            m = per[i]
+            ts = (np.arange(m) + 0.5) / m
+            pos.append(a[None, :] + ts[:, None] * (b - a)[None, :])
+            nrm.append(np.repeat(body.normals[i][None, :], m, axis=0))
+            wts.append(np.full(m, lengths[i] / m))
+        return BoundaryMesh(np.vstack(pos), np.vstack(nrm), np.concatenate(wts),
+                            1e-9, 1e-9 * float(lengths.sum()))
+    base = []
+    for i in range(body.n_facets):
+        fv = body._facet_vertices(i)
+        c = fv.mean(axis=0)
+        b1 = fv[0] - c
+        b1 /= np.linalg.norm(b1)
+        b2 = np.cross(body.normals[i], b1)
+        ang = np.arctan2((fv - c) @ b2, (fv - c) @ b1)
+        fv = fv[np.argsort(ang)]
+        for k in range(len(fv)):
+            base.append((c, fv[k], fv[(k + 1) % len(fv)], i))
+    level = 0
+    while len(base) * 4 ** (level + 1) <= resolution:
+        level += 1
+    pos, nrm, wts = [], [], []
+    for (a, b, c, i) in base:
+        tris = [(a, b, c)]
+        for _ in range(level):
+            nxt = []
+            for (p, q, r) in tris:
+                pq, qr, rp = (p + q) / 2, (q + r) / 2, (r + p) / 2
+                nxt += [(p, pq, rp), (pq, q, qr), (rp, qr, r), (pq, qr, rp)]
+            tris = nxt
+        for (p, q, r) in tris:
+            pos.append((p + q + r) / 3)
+            wts.append(0.5 * np.linalg.norm(np.cross(q - p, r - p)))
+            nrm.append(body.normals[i])
+    return BoundaryMesh(np.array(pos), np.array(nrm), np.array(wts),
+                        1e-9, 1e-9 * float(np.sum(wts)))
+
+
+def scan_sparsify(points, R):
+    """sparsify as first written, for R > 0: the cube keys of the kept points walked in
+    lexicographic point order, the first point seen in each cube kept."""
+    from gaugelab.distances import PointSet
+    if len(points) == 0:
+        return PointSet(points.points)
+    scaled = points.points / R
+    n = np.rint(scaled)
+    keep = np.all(np.abs(scaled - n) < 0.5 - 1e-12, axis=1) & np.all(np.mod(n, 2) == 0, axis=1)
+    kept_pts = points.points[keep]
+    kept_n = n[keep].astype(np.int64)
+    chosen = {}
+    for idx in np.lexsort(kept_pts.T[::-1]):
+        key = tuple(kept_n[idx])
+        if key not in chosen:
+            chosen[key] = idx
+    return PointSet(kept_pts[sorted(chosen.values())])
+
+
+def pairwise_cap_delta0(dirs):
+    """CapFamily.delta0 as first written: the running minimum of geodesic_distance over
+    every pair i < j of unit directions, inf for a single cap."""
+    from gaugelab.bodies import geodesic_distance
+    d0 = math.inf
+    for i in range(len(dirs)):
+        for j in range(i + 1, len(dirs)):
+            d0 = min(d0, float(geodesic_distance(dirs[i], dirs[j])))
+    return d0
+
+
+def loop_thicken(points, body, s, per_point, seed=0):
+    """thicken as first written, less its argument checks and sampling budget: the output
+    stacked center by center in a loop, each center, then its per_point - 1 offsets.  An
+    empty set raises numpy's ValueError."""
+    from gaugelab.distances import PointSet
+    rng = np.random.default_rng(seed)
+    r1 = body.outer_radius() * s
+    extra = per_point - 1
+    need = extra * len(points)
+    drawn = []
+    while sum(len(b) for b in drawn) < need:
+        block = rng.uniform(-r1, r1, size=(4096, points.dim))
+        drawn.append(block[body.gauge_many(block) <= s])
+    offs = np.vstack(drawn)[:need] if need else np.zeros((0, points.dim))
+    out = []
+    for i, c in enumerate(points.points):
+        out.append(c[None, :])
+        if extra:
+            out.append(c[None, :] + offs[i * extra:(i + 1) * extra])
+    return PointSet(np.vstack(out))
+
+
 def fresh_polar_chi_hat(body, xi, resolution=4096):
     """chi_hat by polar slices as first written, nodes and radii rebuilt for this xi,
     with the phases, the radial slices and the sum in long double."""
-    from gaugelab.bodies import _icosphere, _spherical_triangle_areas
     xi = np.asarray(xi, dtype=float)
     if body.dim == 2:
         phi = (np.arange(resolution) + 0.5) * 2 * np.pi / resolution
         u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
         wts = np.full(resolution, 2 * np.pi / resolution)
     else:
-        level = 0
-        while 20 * 4 ** (level + 1) <= resolution:
-            level += 1
-        verts, faces = _icosphere(level)
-        a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-        u = a + b + c
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        wts = _spherical_triangle_areas(a, b, c)
+        u, wts = dict_icosphere_patches(resolution)
     r = 1.0 / body.gauge_many(u)
     phase = 2 * np.pi * np.sum(u.astype(np.longdouble) * xi.astype(np.longdouble), axis=1)
     return float(np.sum(longdouble_radial_slice(body.dim, r, phase) * wts))

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaugelab as gl
+from gaugelab import bodies
 from gaugelab.errors import BadInputError
 
 import oracles
@@ -245,6 +246,14 @@ class TestAreaMeasure:
             assert got == pytest.approx(brute, abs=1e-12)
             assert got == pytest.approx(2 * w, abs=4 * math.pi / 4096 + 1e-9)
 
+    def test_zero_cap_direction_rejected(self, square_mesh):
+        with pytest.raises(BadInputError, match="cap direction"):
+            gl.area_measure_cap_mass(square_mesh, [0.0, 0.0], 0.3)
+
+    def test_nan_direction_has_no_geodesic_distance(self):
+        with pytest.raises(BadInputError, match="unit vectors"):
+            bodies.geodesic_distance([np.nan, 0.0], [1.0, 0.0])
+
 
 class TestCapFamily:
     def test_disjointness_enforced(self):
@@ -255,6 +264,20 @@ class TestCapFamily:
     def test_delta0(self, five_caps):
         assert five_caps.delta0 == pytest.approx(math.pi / 5, abs=1e-12)
         assert five_caps.delta0 > 2 * five_caps.r_cap
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), dim=st.integers(2, 3),
+           r_cap=st.floats(1e-3, 0.4))
+    @settings(max_examples=150, deadline=None)
+    def test_delta0_is_the_pairwise_minimum(self, seed, n, dim, r_cap):
+        dirs = np.random.default_rng(seed).normal(size=(n, dim))
+        unit = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        d0 = oracles.pairwise_cap_delta0(unit)
+        if n > 1 and d0 <= 2 * r_cap:
+            with pytest.raises(BadInputError, match="caps overlap"):
+                gl.CapFamily(dirs, r_cap)
+        else:
+            assert gl.CapFamily(dirs, r_cap).delta0 == d0
+            assert n > 1 or d0 == math.inf
 
 
 class TestSerialization:
@@ -402,3 +425,65 @@ class TestMeshIsMeasure:
         for message, args in bad.items():
             with pytest.raises(BadInputError, match=message):
                 gl.BoundaryMesh(*args, 1e-9, 1e-9)
+
+    def test_nan_normal_rejected(self):
+        pos = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(BadInputError, match="normals must be finite"):
+            gl.BoundaryMesh(pos, [[np.nan, 0.0], [-1.0, 0.0]], [0.5, 0.5], 1e-9, 1e-9)
+
+
+def polytope_draws(dim, pairs):
+    """random_symmetric_polytope(dim, pairs, seed) for seeds 0 and 1, where a draw exists."""
+    out = []
+    for seed in (0, 1):
+        try:
+            out.append(gl.random_symmetric_polytope(dim, pairs, seed))
+        except BadInputError:
+            pass
+    return out
+
+
+def same_mesh(a, b):
+    return (np.array_equal(a.positions, b.positions) and np.array_equal(a.normals, b.normals)
+            and np.array_equal(a.weights, b.weights)
+            and (a.boundary_tol, a.mass_tol) == (b.boundary_tol, b.mass_tol))
+
+
+class TestMeshesAgainstLoops:
+    """The array meshes and icosphere against the loops they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("level", range(8))
+    def test_icosphere_patches_equal_dict_icosphere(self, level):
+        u, area = bodies._icosphere_patches(20 * 4 ** level)
+        ref_u, ref_area = oracles.dict_icosphere_patches(20 * 4 ** level)
+        assert len(u) == 20 * 4 ** level
+        assert np.array_equal(u, ref_u) and np.array_equal(area, ref_area)
+
+    @pytest.mark.parametrize("dim, pairs", [(2, p) for p in range(2, 41)]
+                             + [(3, p) for p in range(3, 16)])
+    def test_polytope_mesh_equals_loops(self, dim, pairs):
+        draws = polytope_draws(dim, pairs)
+        assert draws
+        for body in draws:
+            n = body.n_facets
+            for res in (1, n - 1, n, 4 * n - 1, 4 * n, 16 * n + 3, 1000, 5000):
+                try:
+                    ref = oracles.loop_polytope_mesh(body, res)
+                except BadInputError as exc:
+                    with pytest.raises(BadInputError) as got:
+                        gl.triangulate_boundary(body, res)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert same_mesh(gl.triangulate_boundary(body, res), ref), res
+
+    @pytest.mark.parametrize("body", [
+        gl.ball_body(2), gl.Ellipsoid([1.3, 0.8]), gl.RadialBody(p=4.0, axes=[1.0, 0.7]),
+        gl.RadialBody(radial_samples=1 + 0.2 * np.cos(4 * np.pi * np.arange(64) / 64)),
+        gl.ball_body(3), gl.Ellipsoid([0.9, 0.7, 0.5]),
+        gl.RadialBody(p=3.5, axes=[0.9, 0.8, 0.7])],
+        ids=["disk", "ellipse", "superellipse", "tabulated", "ball3", "ellipsoid3", "super3"])
+    def test_smooth_mesh_nodes_are_the_polar_nodes(self, body):
+        for res in (1, 79, 80, 500, 4096):
+            u, r, _ = body.polar_nodes(res)
+            mesh = gl.triangulate_boundary(body, res)
+            assert np.array_equal(mesh.positions, r[:, None] * u)

@@ -198,14 +198,8 @@ class TestCommands:
         by_file = {p.name: p.read_bytes() for p in out.iterdir()}
         assert sorted(by_file) == sorted(by_flags)
         for name in by_flags:
-            if name != "run.log":
-                assert by_file[name] == by_flags[name], name
-        # the log echoes the range as the flags' tuple or the file's list, and nothing else
-        flags_log = by_flags["run.log"].decode().splitlines()
-        file_log = by_file["run.log"].decode().splitlines()
-        diff = [(a, b) for a, b in zip(flags_log, file_log) if a != b]
-        assert len(flags_log) == len(file_log)
-        assert diff == [("param range: (-4.0, 4.0)", "param range: [-4.0, 4.0]")]
+            assert by_file[name] == by_flags[name], name
+        assert "param range: [-4.0, 4.0]" in by_flags["run.log"].decode().splitlines()
 
 
 class TestDeterminismAndLog:

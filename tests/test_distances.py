@@ -200,8 +200,49 @@ class TestThicken:
             inside = (rep.distances > x + eps / 5) & (rep.distances < x + 4 * eps / 5)
             assert not np.any(inside)
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 25), dim=st.integers(1, 3),
+           per_point=st.integers(1, 5), s=st.floats(0.01, 0.3))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_center_by_center_loop(self, seed, n, dim, per_point, s):
+        pts = gl.PointSet(np.random.default_rng(seed).uniform(-5, 5, size=(n, dim)))
+        body = gl.cube_body(dim, 0.5)
+        got = gl.thicken(pts, body, s, per_point, seed=seed)
+        assert np.array_equal(got.points, oracles.loop_thicken(pts, body, s, per_point, seed).points)
+
+    def test_empty_set_thickens_to_empty_set(self, half_cube):
+        th = gl.thicken(gl.PointSet(np.empty((0, 2))), half_cube, 0.1, 3)
+        assert th.points.shape == (0, 2)
+
+
+def cube_cloud(seed, n, dim, decimals, flip):
+    """n points on a 10^-decimals grid in [-6, 6]^dim, negated when flip (so a zero
+    coordinate is -0.0 and its cube key rounds from -0.0)."""
+    pts = np.unique(np.round(np.random.default_rng(seed).uniform(-6, 6, size=(n, dim)),
+                             decimals), axis=0)
+    return gl.PointSet(-pts if flip else pts)
+
 
 class TestSparsify:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 80), dim=st.integers(1, 3),
+           decimals=st.integers(0, 2), flip=st.booleans(),
+           R=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_first_in_cube_scan(self, seed, n, dim, decimals, flip, R):
+        pts = cube_cloud(seed, n, dim, decimals, flip)
+        got, ref = gl.sparsify(pts, R).points, oracles.scan_sparsify(pts, R).points
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_negative_zero_keys_share_a_cube(self):
+        # rint(-0.15) is -0.0 and rint(0.15) is 0.0: one cube, one survivor
+        pts = gl.PointSet([[0.3, 0.2], [-0.3, -0.2]])
+        np.testing.assert_array_equal(gl.sparsify(pts, 2.0).points, [[-0.3, -0.2]])
+
+    def test_empty_set(self):
+        for pts in (np.empty((0, 3)), [[2.0, 0.0], [0.0, 2.0]]):
+            sp = gl.sparsify(gl.PointSet(pts), 2.0)
+            assert len(sp) == 0 and sp.dim == np.shape(pts)[1]
+
     def test_lattice_spacing_three(self):
         lat = gl.lattice_points(2, -12, 12)
         sp = gl.sparsify(lat, 3.0)

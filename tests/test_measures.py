@@ -421,6 +421,10 @@ class TestProjectionDistance:
         val = gl.polytopal_projection_distance(D, P8, np.array([[1.0, 0.0]]))
         assert 0 < val <= 2.1  # computed 1.97; mass gap 0.16 plus shape mismatch
 
+    def test_zero_direction_rejected(self, circle_measure):
+        with pytest.raises(BadInputError, match="projection directions"):
+            gl.polytopal_projection_distance(circle_measure, circle_measure, [[0.0, 0.0]])
+
     def test_incomparable_masses_rejected(self, circle_measure):
         heavy = gl.AtomicMeasure(circle_measure.positions, circle_measure.weights * 5)
         with pytest.raises(BadInputError):
@@ -444,6 +448,16 @@ class TestMeasureBasics:
     def test_complex_weights_rejected(self):
         with pytest.raises(BadInputError):
             gl.AtomicMeasure([[0.0, 0.0]], np.array([1 + 1j]))
+
+    def test_nan_normals_rejected(self):
+        with pytest.raises(BadInputError, match="normals must be finite"):
+            gl.AtomicMeasure([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5],
+                             [[np.nan, 0.0], [-1.0, 0.0]])
+
+    def test_segment_with_zero_normal_rejected(self):
+        with pytest.raises(BadInputError, match="normals must be finite"), \
+                np.errstate(invalid="ignore"):
+            gl.segment_measure([0.0, 0.0], [1.0, 0.0], 1.0, 8, normal=[0.0, 0.0])
 
     def test_round_trip(self, tmp_path):
         mu = random_measure(23)
