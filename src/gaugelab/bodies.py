@@ -182,7 +182,7 @@ class HPolytope(ConvexBody):
         self.offsets = offsets
         self.normals.setflags(write=False)
         self.offsets.setflags(write=False)
-        self._vertices = None
+        self._vertices = self._edges = None
 
     @staticmethod
     def _antipodes(normals, offsets):
@@ -265,11 +265,11 @@ class HPolytope(ConvexBody):
     def outer_radius(self):
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
-    def _facet_vertices(self, i):
+    def _facet_vertices(self, i, redundant_ok=False):
         verts = self.vertices
         on = np.abs(verts @ self.normals[i] - self.offsets[i]) <= VERTEX_TOL * max(1.0, self.offsets[i])
         fv = verts[on]
-        if fv.shape[0] < self.dim:
+        if fv.shape[0] < self.dim and not redundant_ok:
             raise BadInputError(
                 f"facet {i} is redundant (carries no boundary); cannot mesh it")
         return fv
@@ -282,10 +282,24 @@ class HPolytope(ConvexBody):
             return self._mesh_polygon(resolution)
         return self._mesh_polytope_3d(resolution)
 
+    def _polygon_edges(self):
+        """Each facet's extreme vertices along it, in lexicographic order, (n_facets, 2, 2);
+        cached.  A redundant facet, on one vertex or none, gets an edge of length 0."""
+        if self._edges is None:
+            self._edges = np.zeros((self.n_facets, 2, 2))
+            for i, (nx, ny) in enumerate(self.normals):
+                fv = self._facet_vertices(i, redundant_ok=True)
+                t = fv @ [-ny, nx]
+                self._edges[i] = fv[np.sort([np.argmin(t), np.argmax(t)])] if len(fv) else 0.0
+            self._edges.setflags(write=False)
+        return self._edges
+
     def _mesh_polygon(self, resolution):
-        ends = np.array([self._facet_vertices(i)[:2] for i in range(self.n_facets)])
+        ends = self._polygon_edges()
         a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
         lengths = np.sqrt(np.vecdot(d, d))
+        if not np.all(lengths > 0):  # a redundant facet: distinct vertices are > VERTEX_TOL apart
+            self._facet_vertices(int(np.argmin(lengths > 0)))  # raises bad input
         per = np.maximum(1, np.round(resolution * lengths / lengths.sum()).astype(int))
         edge = np.repeat(np.arange(self.n_facets), per)
         k = np.arange(edge.size) - np.repeat(np.cumsum(per) - per, per)
@@ -672,11 +686,11 @@ def random_symmetric_polytope(dim: int, pairs: int, seed: int) -> HPolytope:
 
     Normals are jittered around an even angular spread and offsets stay near
     1, which keeps every facet supporting; degenerate draws are retried.  A planar
-    facet between neighbours at angles a and b away has ~ab/2 of offset room, so
-    beyond 9 pairs the +/-8% offset jitter shrinks as the cube of the spacing.
+    facet between neighbours at angles a and b away has ~ab/2 of offset room, so from 9
+    pairs on the +/-8% offset jitter shrinks as (7 / pairs)^3, retrying ~1/4 of draws.
     """
     rng = np.random.default_rng(seed)
-    jitter = (9 / pairs) ** 3 if dim == 2 and pairs > 9 else 1.0
+    jitter = (7 / pairs) ** 3 if dim == 2 and pairs > 8 else 1.0
     for _ in range(64):
         if dim == 2:
             ang = (np.arange(pairs) + rng.uniform(0.15, 0.85, size=pairs)) * np.pi / pairs

@@ -1,9 +1,9 @@
 """Distance sets of point configurations under a body gauge.
 
-Brute-force pairwise distances, gap detection over an interval, the
-well-distributedness radius of a point set, thickening a set by small
-copies of a body, and the cube-lattice sparsification that keeps at most
-one point per side-R cube centered on the even lattice.
+Pairwise distances (each distinct difference once on exact grids), gap detection over an
+interval, the well-distributedness radius of a point set, thickening a set by small copies
+of a body, and the cube-lattice sparsification that keeps at most one point per side-R cube
+centered on the even lattice.
 """
 
 from __future__ import annotations
@@ -14,10 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody
+from .correlation import SPECTRUM_BUDGET_BYTES
 from .errors import BadInputError, BudgetExceededError
 
 MERGE_TOL = 1e-9        # distances closer than this count as one value
 DUP_TOL = 1e-12         # duplicate-point tolerance inside a PointSet
+_LAG_PAIRS_PER_CELL = 8  # lag grids of more cells than pairs / 8 take every pair: faster there
+_LAG_CELL_BYTES = 48    # peak bytes a lag-grid cell takes in _lag_vectors, all arrays live
 
 
 class PointSet:
@@ -139,6 +142,35 @@ def _pairwise_gauge(points, body: ConvexBody, dual: bool, chunk: int = 512):
     return np.empty(0)
 
 
+def _lag_vectors(points):
+    """The distinct p_i - p_j, i < j, of 2+ points in lexicographic order whose coordinates
+    on axis k are x0_k + a h_k exactly (x0_k the least, a an integer, h_k the least gap, a
+    power of two or an integer): the support of the occupancy grid's autocorrelation, times
+    h.  None for other sets and for lag grids over either cell bound above."""
+    x0 = points.min(axis=0)
+    h = np.array([np.min(np.diff(u)) if u.size > 1 else 1.0 for u in map(np.unique, points.T)])
+    d = points - x0
+    a = np.rint(d / h)
+    back = d - points  # TwoSum: the subtraction is exact iff its error term is 0
+    exact = ((points - (d - back)) + (-x0 - back) == 0) & (a * h == d) & (np.abs(d) < 2.0 ** 53)
+    g = a.max(axis=0) + 1
+    cells = np.prod(2 * g - 1)  # in floating point: no overflow before the bounds
+    if not (np.all(exact) and np.all((np.frexp(h)[0] == 0.5) | (h == np.rint(h)))
+            and cells * _LAG_PAIRS_PER_CELL <= math.comb(len(points), 2)
+            and cells * _LAG_CELL_BYTES <= SPECTRUM_BUDGET_BYTES
+            and np.array_equal(np.lexsort(points.T[::-1]), np.arange(len(points)))):
+        return None
+    shape, axes = tuple((2 * g - 1).astype(np.int64)), range(len(g))
+    occ = np.zeros(shape)
+    occ[tuple(a.astype(np.int64).T)] = 1.0
+    power = np.abs(np.fft.rfftn(occ, axes=axes)) ** 2
+    del occ
+    # counts are integers far within 1/2; centred, the lags run in lexicographic order, so
+    # the cells before lag 0 are the negative ones
+    hit = np.fft.fftshift(np.fft.irfftn(power, s=shape, axes=axes) > 0.5).ravel()[:int(cells) // 2]
+    return (np.stack(np.unravel_index(np.flatnonzero(hit), shape), axis=1) - (g - 1)) * h
+
+
 def distance_set(points: PointSet, body: ConvexBody, t_max: float,
                  merge_tol: float = MERGE_TOL, dual: bool = False) -> GapReport:
     """All pairwise gauge distances up to t_max, deduplicated at merge_tol.
@@ -148,7 +180,10 @@ def distance_set(points: PointSet, body: ConvexBody, t_max: float,
     """
     if t_max <= 0:
         raise BadInputError("t_max must be positive")
-    vals = _pairwise_gauge(points.points, body, dual)
+    lags = _lag_vectors(points.points) if len(points) > 1 else None
+    fn, rows = (body.dual_gauge_many if dual else body.gauge_many), 1 << 18  # as pairwise blocks
+    vals = (_pairwise_gauge(points.points, body, dual) if lags is None
+            else np.concatenate([fn(lags[s:s + rows]) for s in range(0, len(lags), rows)]))
     if len(points) >= 1:
         vals = np.concatenate([[0.0], vals])
     return GapReport.from_values(vals, t_max, merge_tol)

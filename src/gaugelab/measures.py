@@ -208,6 +208,7 @@ def segment_measure(center, direction, length, nodes, normal=None, mass=None) ->
     """
     center = np.asarray(center, dtype=float)
     direction = np.asarray(direction, dtype=float)
+    _unit_rows(direction, "segment direction")
     direction = direction / np.linalg.norm(direction)
     if nodes < 1 or length <= 0:
         raise BadInputError("segment needs nodes >= 1 and positive length")
@@ -218,6 +219,7 @@ def segment_measure(center, direction, length, nodes, normal=None, mass=None) ->
     nrm = None
     if normal is not None:
         normal = np.asarray(normal, dtype=float)
+        _unit_rows(normal, "segment normal")
         normal = normal / np.linalg.norm(normal)
         nrm = np.repeat(normal[None, :], nodes, axis=0)
     return AtomicMeasure(pos, w, nrm)

@@ -162,10 +162,11 @@ def dense_expsum(positions, weights, freqs):
     return np.exp(-2j * np.pi * (freqs @ positions.T)) @ np.asarray(weights, dtype=float)
 
 
-def sequential_merge_distance_set(points, body, t_max, merge_tol=1e-9):
-    """Distance set as first written: the sequential merge walks every sorted value."""
+def sequential_merge_distance_set(points, body, t_max, merge_tol=1e-9, dual=False):
+    """Distance set as first written: every pair gauged, and the sequential merge walks
+    every sorted value.  dual=True is its twin under the dual gauge."""
     from gaugelab.distances import GapReport, _pairwise_gauge
-    vals = _pairwise_gauge(points.points, body, False)
+    vals = _pairwise_gauge(points.points, body, dual)
     if len(points) >= 1:
         vals = np.concatenate([[0.0], vals])
     vals = np.sort(vals[vals <= t_max + merge_tol])
@@ -401,6 +402,35 @@ def fresh_polar_chi_hat(body, xi, resolution=4096):
     r = 1.0 / body.gauge_many(u)
     phase = 2 * np.pi * np.sum(u.astype(np.longdouble) * xi.astype(np.longdouble), axis=1)
     return float(np.sum(longdouble_radial_slice(body.dim, r, phase) * wts))
+
+
+def _polygon_ring(body):
+    """A polygon's vertices in counterclockwise order, in long double."""
+    v = body.vertices
+    return v[np.argsort(np.arctan2(v[:, 1], v[:, 0]))].astype(np.longdouble)
+
+
+def longdouble_polygon_chi_hat(body, Xi):
+    """The divergence-theorem edge sum in long double, with the edges taken between
+    consecutive vertices in angle order and the normals turned from the edges."""
+    a = _polygon_ring(body)
+    b = np.roll(a, -1, axis=0)
+    d = b - a
+    nu = np.stack([d[:, 1], -d[:, 0]], axis=1)
+    pi = 4 * np.arctan(np.longdouble(1))
+    X = np.asarray(Xi, dtype=np.longdouble)
+    z = pi * (X @ d.T)
+    sinc = np.sin(z) / np.where(z == 0, 1, z)
+    sinc[z == 0] = 1
+    terms = (X @ nu.T) * sinc * np.sin(pi * (X @ (a + b).T))
+    return np.sum(terms, axis=1) / (2 * pi * np.sum(X * X, axis=1))
+
+
+def shoelace_area(body):
+    """Polygon area by the shoelace sum over the counterclockwise vertices."""
+    v = _polygon_ring(body)
+    w = np.roll(v, -1, axis=0)
+    return float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]) / 2)
 
 
 def old_hpolytope_gauge(body, X):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugelab as gl
+from gaugelab import distances
 from gaugelab.errors import BadInputError
 
 import oracles
@@ -92,6 +93,93 @@ class TestMergeAgainstSequentialOracle:
         body = gl.random_symmetric_polytope(2, 6, seed=seed % 97)
         assert_same_report(gl.distance_set(pts, body, 6.0, merge_tol),
                            oracles.sequential_merge_distance_set(pts, body, 6.0, merge_tol))
+
+
+@st.composite
+def sorted_grid_subsets(draw):
+    """A nonempty subset of a box of the scaled lattice s Z^d, shifted by a whole or half
+    step, with its points in lexicographic order as lattice_points writes them."""
+    dim = draw(st.integers(1, 3))
+    spacing = draw(st.sampled_from((1.0, 0.5, 0.25, 2.0)))
+    side = draw(st.integers(1, (40, 9, 5)[dim - 1]))
+    keep = draw(st.floats(0.2, 1.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    shift = draw(st.lists(st.integers(-60, 60), min_size=dim, max_size=dim))
+    half = draw(st.booleans())
+    idx = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    idx = idx[np.random.default_rng(seed).uniform(size=len(idx)) < keep]
+    pts = (idx + np.asarray(shift)) * spacing + (spacing / 2 if half else 0.0)
+    return gl.PointSet(pts if len(pts) else np.zeros((1, dim)))
+
+
+LAG_BODIES = {1: [gl.cube_body(1, 0.7)],
+              2: [gl.cube_body(2, 0.5), gl.regular_polygon_body(6), gl.ball_body(2),
+                  gl.random_symmetric_polytope(2, 9, seed=3), gl.RadialBody(p=3, axes=[1.0, 0.6])],
+              3: [gl.cube_body(3, 0.5), gl.random_symmetric_polytope(3, 6, seed=2),
+                  gl.Ellipsoid([0.9, 0.7, 0.5])]}
+
+
+class TestLagVectors:
+    """distance_set through the lag vectors against every pair gauged, bit for bit."""
+
+    @given(pts=sorted_grid_subsets(), dual=st.booleans(), pick=st.integers(0, 4),
+           t_max=st.sampled_from((3.0, 12.5, 60.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_grid_subsets(self, pts, dual, pick, t_max):
+        bodies = LAG_BODIES[pts.dim]
+        body = bodies[pick % len(bodies)]
+        assert_same_report(gl.distance_set(pts, body, t_max, dual=dual),
+                           oracles.sequential_merge_distance_set(pts, body, t_max, dual=dual))
+
+    @pytest.mark.parametrize("dim,lo,hi,spacing", [(1, -30, 30, 1.0), (2, -8, 8, 1.0),
+                                                  (2, -6, 6, 0.5), (2, -3, 3, 0.25),
+                                                  (2, -12, 12, 2.0), (3, -3, 3, 0.5),
+                                                  (3, -2, 2, 1.0)])
+    def test_lattice_boxes_take_the_lag_path(self, dim, lo, hi, spacing, monkeypatch):
+        lat = gl.lattice_points(dim, lo, hi, spacing)
+        shifted = lat.translated(np.full(dim, spacing / 2))
+        for pts in (lat, shifted):
+            want = {(id(b), dual): oracles.sequential_merge_distance_set(pts, b, 9.0, dual=dual)
+                    for b in LAG_BODIES[dim] for dual in (False, True)}
+            with monkeypatch.context() as m:
+                m.setattr(distances, "_pairwise_gauge", None)  # a call would raise
+                for b in LAG_BODIES[dim]:
+                    for dual in (False, True):
+                        assert_same_report(gl.distance_set(pts, b, 9.0, dual=dual),
+                                           want[id(b), dual])
+
+    def test_lags_are_the_distinct_differences(self):
+        lat = gl.lattice_points(2, -4, 4, 0.5)
+        i, j = np.triu_indices(len(lat), 1)
+        diffs = np.unique(lat.points[i] - lat.points[j], axis=0)
+        lags = distances._lag_vectors(lat.points)
+        np.testing.assert_array_equal(lags, diffs)  # lexicographic order, each once
+
+    @pytest.mark.parametrize("case", ["unsorted", "spacing 0.1", "sparse", "pairs / 8",
+                                      "spacing 1.5", "off grid", "inexact"])
+    def test_other_sets_fall_back_to_every_pair(self, case):
+        lat = gl.lattice_points(2, -5, 5)
+        pts = {"unsorted": gl.PointSet(lat.points[::-1]),
+               "spacing 0.1": gl.lattice_points(2, -0.6, 0.6, 0.1),
+               # 3 points on a 41 x 41 grid: 6561 lag cells for 3 pairs
+               "sparse": gl.PointSet([[0.0, 0.0], [1.0, 40.0], [40.0, 1.0]]),
+               # 20 points at spacing 2: 39 lag cells for 190 pairs, more than 190 / 8
+               "pairs / 8": gl.PointSet(np.arange(0.0, 40.0, 2.0)[:, None]),
+               "spacing 1.5": gl.lattice_points(2, -6, 6, 1.5),
+               "off grid": gl.PointSet(np.vstack([lat.points, [[5.0, 5.3]]])),
+               # x - x0 rounds: 1 - 2^-60 is 1.0 in floating point
+               "inexact": gl.PointSet(np.r_[2.0 ** -60, np.arange(1.0, 41.0)][:, None])}[case]
+        assert distances._lag_vectors(pts.points) is None
+        body = gl.regular_polygon_body(6) if pts.dim == 2 else gl.cube_body(1, 0.7)
+        for dual in (False, True):
+            assert_same_report(gl.distance_set(pts, body, 12.0, dual=dual),
+                               oracles.sequential_merge_distance_set(pts, body, 12.0, dual=dual))
+
+    def test_lag_grid_over_the_memory_budget_takes_every_pair(self, monkeypatch):
+        lat = gl.lattice_points(2, -8, 8)  # 33 x 33 lag cells
+        assert distances._lag_vectors(lat.points) is not None
+        monkeypatch.setattr(distances, "SPECTRUM_BUDGET_BYTES", 33 * 33 * distances._LAG_CELL_BYTES - 1)
+        assert distances._lag_vectors(lat.points) is None
 
 
 class TestGapScan:

@@ -454,10 +454,16 @@ class TestMeasureBasics:
             gl.AtomicMeasure([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5],
                              [[np.nan, 0.0], [-1.0, 0.0]])
 
+    @pytest.mark.filterwarnings("error")  # refused before any division
     def test_segment_with_zero_normal_rejected(self):
-        with pytest.raises(BadInputError, match="normals must be finite"), \
-                np.errstate(invalid="ignore"):
+        with pytest.raises(BadInputError, match="segment normal: zero or non-finite vector"):
             gl.segment_measure([0.0, 0.0], [1.0, 0.0], 1.0, 8, normal=[0.0, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction", ([0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]))
+    def test_segment_with_bad_direction_rejected(self, direction):
+        with pytest.raises(BadInputError, match="segment direction: zero or non-finite vector"):
+            gl.segment_measure([0.0, 0.0], direction, 1.0, 8, normal=[1.0, 0.0])
 
     def test_round_trip(self, tmp_path):
         mu = random_measure(23)
