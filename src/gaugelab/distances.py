@@ -180,13 +180,17 @@ def distance_set(points: PointSet, body: ConvexBody, t_max: float,
     """
     if t_max <= 0:
         raise BadInputError("t_max must be positive")
+    return GapReport.from_values(_distance_values(points, body, dual), t_max, merge_tol)
+
+
+def _distance_values(points: PointSet, body: ConvexBody, dual: bool) -> np.ndarray:
+    """0 (for a nonempty set) and the gauge of every p_i - p_j, i < j: of each distinct
+    difference once where _lag_vectors applies, else of every pair."""
     lags = _lag_vectors(points.points) if len(points) > 1 else None
     fn, rows = (body.dual_gauge_many if dual else body.gauge_many), 1 << 18  # as pairwise blocks
     vals = (_pairwise_gauge(points.points, body, dual) if lags is None
             else np.concatenate([fn(lags[s:s + rows]) for s in range(0, len(lags), rows)]))
-    if len(points) >= 1:
-        vals = np.concatenate([[0.0], vals])
-    return GapReport.from_values(vals, t_max, merge_tol)
+    return np.concatenate([[0.0], vals]) if len(points) >= 1 else vals
 
 
 def gap_scan(report: GapReport, eps: float, t0: float = 0.0):

@@ -16,6 +16,7 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,10 @@ SYMMETRY_TOL = 1e-9      # mirror atoms match in position and weight within this
 DEFAULT_BINS = 512
 
 _FT_CHUNK = 1 << 18      # cap on atoms*points per vectorized block
+# _circle_ring takes a ring of M rows around A atoms when (2N + 1)(A + 200) <= 50 M A: the
+# measured crossover with the dense kernel, A = 8 ... 4096 atoms, M = 1024 and 16384
+_RING_ORDER_ATOMS, _RING_ROW_COST = 200, 50
+_ring_grid = lru_cache(maxsize=4)(lambda m: _sphere_directions(2, m)[0])  # grids it matches
 # Threads for independent row blocks, one per CPU this process may run on; their pool
 # is created on first use.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -248,7 +253,11 @@ def _expsum(positions, weights, freqs) -> np.ndarray:
     depends on the block's shape, so a row's value does not depend on the block size or
     the worker count, and the row of -xi is exactly the conjugate of the row of xi.  An
     even set of rows whose second half negates its first, such as a full ring of
-    directions, is therefore evaluated on its first half only."""
+    directions, is therefore evaluated on its first half only; _circle_ring takes rings
+    around a circle."""
+    ring = _circle_ring(positions, weights, freqs)
+    if ring is not None:
+        return ring
     out = np.empty(freqs.shape[0], dtype=complex)
     rows = freqs.shape[0]
     mirrored = rows % 2 == 0 and np.array_equal(freqs[rows // 2:], -freqs[:rows // 2])
@@ -276,34 +285,71 @@ def _expsum(positions, weights, freqs) -> np.ndarray:
     return out
 
 
-def _block_phases(s, t0: float, dt: float, n: int):
-    """Block factors of the phase table exp(-2 pi i t_k s_j) on t_k = t0 + k dt, k < n.
-
-    With B = ceil(sqrt(n)) and k = a B + b, the entry is coarse[a, j] * fine[b, j] with
-    coarse = exp(-2 pi i (t0 + a B dt) s) and fine = exp(-2 pi i b dt s): ~2 sqrt(n)
-    exponentials per j instead of n.  Each t s is reduced mod 1 in the precision of s
-    first, so a long-double s gives phases exact to ~1e-16 where long double is wider
-    than double."""
+def _block_times(t0: float, dt: float, n: int):
+    """Times of the block factors of t_k = t0 + k dt, k < n: with B = ceil(sqrt(n)) and
+    k = a B + b, exp(-2 pi i t_k s) is the product of the coarse factor at t0 + a B dt and
+    the fine one at b dt, ~2 sqrt(n) exponentials per s instead of n."""
     B = math.isqrt(n - 1) + 1
-    factors = []
-    for ts in (t0 + np.arange(-(-n // B)) * (B * dt), np.arange(B) * dt):
-        p = np.outer(ts, s)
-        p -= np.rint(p)
-        factors.append(np.exp(-2j * np.pi * p.astype(float, copy=False)))
-    return factors
+    return t0 + np.arange(-(-n // B)) * (B * dt), np.arange(B) * dt
+
+
+def _phase_cycles(ts, s):
+    """t s over the outer product of ts and s, reduced mod 1 in the precision of s: a
+    long-double s gives phases exp(-2 pi i t s) exact to ~1e-16."""
+    p = np.outer(ts, s)
+    p -= np.rint(p)
+    return p.astype(float, copy=False)
+
+
+def _progression_sum(s, weights, t0: float, dt: float, n: int) -> np.ndarray:
+    """sum_j w_j exp(-2 pi i t_k s_j), k < n: per block of atoms, the weighted coarse phase
+    table at the times of _block_times times the fine one.  The two tables take their
+    exponentials side by side on the block pool, in place."""
+    times = _block_times(t0, dt, n)
+    out = np.zeros([len(ts) for ts in times], dtype=complex)
+    step = max(1, _FT_CHUNK // len(times[1]))
+    for j in range(0, len(s), step):
+        tables = [np.multiply(-2j * np.pi, _phase_cycles(ts, s[j:j + step])) for ts in times]
+        _run_blocks(lambda k, _: np.exp(tables[k], out=tables[k]), 2, 1, 0, 0)
+        tables[0] *= weights[j:j + step]
+        out += tables[0] @ tables[1].T
+    return out.ravel()[:n]
 
 
 def _ray_transform(mu: AtomicMeasure, eta, t0: float, dt: float, n: int) -> np.ndarray:
-    """ft(mu)(t_k eta) on the progression t_k = t0 + k dt, k < n: one matrix product of
-    the weighted coarse and the fine factors of _block_phases per block of atoms."""
-    s = mu.positions @ np.asarray(eta, dtype=float)
-    B = math.isqrt(n - 1) + 1
-    out = np.zeros((-(-n // B), B), dtype=complex)
-    step = max(1, _FT_CHUNK // B)
-    for j in range(0, len(s), step):
-        coarse, fine = _block_phases(s[j:j + step], t0, dt, n)
-        out += (coarse * mu.weights[j:j + step]) @ fine.T
-    return out.ravel()[:n]
+    """ft(mu)(t_k eta) on the progression t_k = t0 + k dt, k < n."""
+    return _progression_sum(mu.positions @ np.asarray(eta, dtype=float), mu.weights, t0, dt, n)
+
+
+def _circle_ring(positions, weights, freqs):
+    """_expsum on the ring rho * _sphere_directions(2, M)[0] of a 2-d cloud whose radii are
+    within 4 ulp of r0, or None for other input or where the dense kernel is cheaper.  By
+    Jacobi-Anger (Watson, Bessel Functions, 2.22) the ring is sum_n c_n e^{i n theta}, c_n =
+    (-i)^n J_n(z) w(n), z = 2 pi rho r0, w(n) = sum_j w_j e^{-i n phi_j}; orders past N = |z|
+    + 12 |z|^(1/3) + 30 carry under 1e-16 |mass|.  (-i)^n J_n(z) is one FFT of e^{-i z cos a}
+    on L > 2N points, w(n) a progression sum, and the c_n folded mod M give the M samples
+    by one inverse FFT, up to rounding of ~2 pi |z| eps |mass|."""
+    rows, A = freqs.shape[0], len(weights)
+    if positions.shape[1] != 2 or not (rows and A) or freqs[0, 1] != 0:
+        return None
+    r = np.hypot(positions[:, 0], positions[:, 1])
+    rho, r0 = freqs[0, 0], r.max()
+    z = 2 * np.pi * rho * r0
+    N = int(abs(z) + 12 * abs(z) ** (1 / 3) + 30)
+    if ((2 * N + 1) * (A + _RING_ORDER_ATOMS) > _RING_ROW_COST * rows * A
+            or np.any(r < r0 - 4 * np.spacing(r0))
+            or not np.array_equal(freqs, rho * _ring_grid(rows))):
+        return None
+    L = min(m << (2 * N // m).bit_length() for m in (1, 3, 5))   # 2^a, 3 2^a or 5 2^a > 2N
+    bessel = np.fft.fft(np.exp(-1j * z * np.cos(np.arange(L) * (2 * np.pi / L))), norm="forward")
+    s = np.arctan2(positions[:, 1], positions[:, 0]) / (2 * np.pi)
+    step = max(1, _FT_CHUNK // (8 * math.isqrt(N)))   # atoms per phase table of ~2^16 entries
+    w = sum(_progression_sum(s[j:j + step], weights[j:j + step], 0.0, 1.0, N + 1)
+            for j in range(0, len(s), step))
+    n = np.arange(-N, N + 1)
+    c = bessel[n % L] * np.concatenate([w[:0:-1].conj(), w])
+    return rows * np.fft.ifft(np.bincount(n % rows, c.real, rows)
+                              + 1j * np.bincount(n % rows, c.imag, rows))
 
 
 def ft_measure(mu: AtomicMeasure, xi) -> complex:

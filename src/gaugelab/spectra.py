@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .bodies import ConvexBody, Ellipsoid, HPolytope
-from .distances import GapReport, PointSet, distance_set, sparsify
+from .distances import GapReport, PointSet, _distance_values, _lag_vectors, sparsify
 from .errors import BadInputError, HypothesisViolationError
 from .measures import _run_blocks
 
@@ -273,13 +273,16 @@ def radial_zero_scan(body: ConvexBody, window, steps: int,
 
 
 def orthogonality_residual(points: PointSet, body: ConvexBody) -> float:
-    """max over distinct pairs of |chi_hat(body, difference)| (0 for < 2 points)."""
+    """max over distinct pairs of |chi_hat(body, difference)| (0 for < 2 points): over the
+    distinct differences p_j - p_i, i < j, where _lag_vectors applies, else over every pair."""
     n = len(points)
     if n < 2:
         return 0.0
-    i, j = np.triu_indices(n, 1)
-    diffs = points.points[j] - points.points[i]
-    return float(np.max(np.abs(chi_hat_many(body, diffs))))
+    diffs = _lag_vectors(points.points)
+    if diffs is None:
+        i, j = np.triu_indices(n, 1)
+        diffs = points.points[i] - points.points[j]
+    return float(np.max(np.abs(chi_hat_many(body, -diffs))))
 
 
 @dataclass(frozen=True)
@@ -306,9 +309,6 @@ def spectrum_gap_pipeline(points: PointSet, body: ConvexBody, R: float,
             raise HypothesisViolationError(
                 f"orthogonality residual {residual:.3g} exceeds tolerance {ortho_tol:.3g}")
     thin = sparsify(points, R)
-    if len(thin) == 0:
-        return SpectrumPipelineResult(residual, thin, GapReport.from_values([], 0.0))
-    diffs = thin.points[:, None, :] - thin.points[None, :, :]
-    t_max = float(np.max(body.dual_gauge_many(diffs.reshape(-1, thin.dim)))) + 1.0
-    report = distance_set(thin, body, t_max, dual=True)
-    return SpectrumPipelineResult(residual, thin, report)
+    vals = _distance_values(thin, body, dual=True)
+    t_max = float(np.max(vals)) + 1.0 if len(thin) else 0.0
+    return SpectrumPipelineResult(residual, thin, GapReport.from_values(vals, t_max))

@@ -162,6 +162,43 @@ def dense_expsum(positions, weights, freqs):
     return np.exp(-2j * np.pi * (freqs @ positions.T)) @ np.asarray(weights, dtype=float)
 
 
+def longdouble_expsum(positions, weights, freqs):
+    """dense_expsum with each phase <x_j, xi_k> formed in long double and reduced mod 1 before
+    its exponential: exact to ~1e-16 per term where long double is wider than double."""
+    cycles = (np.asarray(freqs, dtype=np.longdouble)
+              @ np.asarray(positions, dtype=np.longdouble).T)
+    cycles -= np.rint(cycles)
+    return np.exp(-2j * np.pi * cycles.astype(float)) @ np.asarray(weights, dtype=float)
+
+
+def dense_ring_sup(positions, weights, freqs, block=512):
+    """max_k |dense_expsum| over the rows of freqs, in blocks of rows."""
+    return max(float(np.max(np.abs(dense_expsum(positions, weights, freqs[s:s + block]))))
+               for s in range(0, len(freqs), block))
+
+
+def pairwise_orthogonality_residual(points, body):
+    """orthogonality_residual as first written: chi_hat at p_j - p_i for every pair i < j."""
+    from gaugelab.spectra import chi_hat_many
+    n = len(points)
+    if n < 2:
+        return 0.0
+    i, j = np.triu_indices(n, 1)
+    return float(np.max(np.abs(chi_hat_many(body, points.points[j] - points.points[i]))))
+
+
+def all_pairs_spectrum_report(points, body, R):
+    """spectrum_gap_pipeline's report as first written: t_max from the dual gauge of all n^2
+    differences of the sparsified set, then distance_set up to it."""
+    from gaugelab.distances import GapReport, distance_set, sparsify
+    thin = sparsify(points, R)
+    if len(thin) == 0:
+        return GapReport.from_values([], 0.0)
+    diffs = thin.points[:, None, :] - thin.points[None, :, :]
+    t_max = float(np.max(body.dual_gauge_many(diffs.reshape(-1, thin.dim)))) + 1.0
+    return distance_set(thin, body, t_max, dual=True)
+
+
 def sequential_merge_distance_set(points, body, t_max, merge_tol=1e-9, dual=False):
     """Distance set as first written: every pair gauged, and the sequential merge walks
     every sorted value.  dual=True is its twin under the dual gauge."""

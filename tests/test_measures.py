@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import gaugelab as gl
 from gaugelab import bodies, correlation, distances, goodness, measures, spectra
 from gaugelab.errors import BadInputError
-from gaugelab.measures import _ray_transform
+from gaugelab.measures import _ray_transform, _sphere_directions
 
 import oracles
 
@@ -267,6 +268,125 @@ class TestBlockPool:
         names = {name for name, _ in calls}
         assert {"goodness_profile", "decay_scan", "ft_many", "chi_hat_many"} <= names
         assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+def circle_cloud(seed, atoms, radius):
+    """Signed atoms at uniform random angles on the circle of the given radius."""
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-np.pi, np.pi, size=atoms)
+    return gl.AtomicMeasure(radius * np.stack([np.cos(phi), np.sin(phi)], axis=1),
+                            rng.uniform(-1.0, 1.0, size=atoms))
+
+
+def ring_orders(z):
+    """2N + 1 for the N = |z| + 12 |z|^(1/3) + 30 of _circle_ring's docstring."""
+    return 2 * int(abs(z) + 12 * abs(z) ** (1 / 3) + 30) + 1
+
+
+def radius_for_orders(orders, r):
+    """A ring radius rho at which a circle of radius r needs about `orders` Bessel orders."""
+    z = max(0.0, (orders - 61) / 2)
+    for _ in range(20):
+        z = max(0.0, (orders - 61) / 2 - 12 * z ** (1 / 3))
+    return z / (2 * np.pi * r)
+
+
+@contextmanager
+def ring_paths():
+    """Which path each ring took: _circle_ring's returns (True when it evaluated the ring)
+    and the row counts of every _run_blocks call."""
+    seen = {"circle": [], "blocks": []}
+    circle, run_blocks = measures._circle_ring, measures._run_blocks
+
+    def spy_circle(*args):
+        out = circle(*args)
+        seen["circle"].append(out is not None)
+        return out
+
+    def spy_blocks(block, rows, *args):
+        seen["blocks"].append(rows)
+        return run_blocks(block, rows, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_circle_ring", spy_circle)
+        mp.setattr(measures, "_run_blocks", spy_blocks)
+        yield seen
+
+
+class TestCircleRing:
+    @given(seed=st.integers(0, 2 ** 32 - 1), atoms=st.integers(16, 300),
+           radius=st.floats(0.01, 3.0), rows=st.integers(64, 2500),
+           orders_per_row=st.floats(0.05, 2.0), sign=st.sampled_from((1.0, -1.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_sum(self, seed, atoms, radius, rows, orders_per_row, sign):
+        mu = circle_cloud(seed, atoms, radius)
+        rho = sign * radius_for_orders(orders_per_row * rows, radius)
+        Xi = rho * _sphere_directions(2, rows)[0]
+        with ring_paths() as seen:
+            got = gl.ft_many(mu, Xi)
+        assert seen["circle"] == [True]
+        ref = oracles.dense_expsum(mu.positions, mu.weights, Xi)
+        assert np.max(np.abs(got - ref)) <= kernel_bound(mu, abs(rho))
+
+    @pytest.mark.parametrize("rows", (1000, 999))
+    @pytest.mark.parametrize("orders_per_row", (0.3, 1.9))
+    def test_rows_below_and_above_the_orders(self, rows, orders_per_row):
+        # 2N + 1 > M folds the coefficients mod M; 2N + 1 <= M leaves them apart
+        mu = circle_cloud(rows, 200, 0.7)
+        rho = radius_for_orders(orders_per_row * rows, 0.7)
+        orders = ring_orders(2 * np.pi * rho * mu.support_radius)
+        assert (orders > rows) == (orders_per_row > 1)
+        Xi = rho * _sphere_directions(2, rows)[0]
+        with ring_paths() as seen:
+            got = gl.ft_many(mu, Xi)
+        assert seen["circle"] == [True]
+        ref = oracles.longdouble_expsum(mu.positions, mu.weights, Xi)
+        assert np.max(np.abs(got - ref)) <= kernel_bound(mu, rho)
+
+    @pytest.mark.parametrize("fault", ("atom off the circle", "row off the ring"))
+    def test_near_misses_take_the_dense_kernel(self, fault):
+        mu = circle_cloud(5, 200, 1.3)
+        Xi = 300.0 * _sphere_directions(2, 1000)[0]
+        if fault == "atom off the circle":
+            pos = np.array(mu.positions)
+            pos[17] *= 1 + 1e-12
+            mu = gl.AtomicMeasure(pos, mu.weights)
+        else:
+            Xi[300, 1] = np.nextafter(Xi[300, 1], np.inf)
+        with ring_paths() as seen:
+            got = gl.ft_many(mu, Xi)
+        assert seen["circle"] == [False]
+        assert seen["blocks"] == [1000 if fault == "row off the ring" else 500]
+        ref = oracles.dense_expsum(mu.positions, mu.weights, Xi)
+        assert np.max(np.abs(got - ref)) <= kernel_bound(mu, 300.0)
+
+    def test_few_atoms_stay_dense(self):
+        # the two-atom ring of the tracer test: 101 and 117 orders cost more than 8 dense rows
+        mu = gl.AtomicMeasure([[0.5, 0.0], [-0.5, 0.0]], [0.5, 0.5])
+        with ring_paths() as seen:
+            gl.goodness_profile(mu, 1.0, [1.0, 2.0], 8)
+        assert seen["circle"] == [False, False]
+
+    @pytest.mark.parametrize("z", np.concatenate([[0.0, 0.3], np.geomspace(1.0, 1e7, 40)]))
+    def test_orders_past_n_carry_under_1e_16(self, z):
+        N = (ring_orders(z) - 1) // 2
+        n = np.arange(N + 1, N + 1000, dtype=float)
+        assert 2 * np.sum(np.abs(special.jv(n, z))) < 1e-16
+
+    @pytest.mark.parametrize("rho", (200.0, 1600.0, 5600.0))
+    def test_five_cap_shells(self, five_cap_measure, rho):
+        etas = _sphere_directions(2, 16384)[0]
+        with ring_paths() as seen:
+            rep = gl.goodness_profile(five_cap_measure, rho, [rho], 16384)
+        assert seen["circle"] == [True]
+        mu = five_cap_measure
+        dense = oracles.dense_ring_sup(mu.positions, mu.weights, rho * etas)
+        assert abs(rep.shell_sups[0] - dense) <= 1e-9
+        if rho == 5600.0:
+            some = np.arange(0, 16384, 61)
+            got = gl.ft_many(mu, rho * etas)[some]
+            ref = oracles.longdouble_expsum(mu.positions, mu.weights, rho * etas[some])
+            assert np.max(np.abs(got - ref)) <= 1e-11
 
 
 # a zero row, a NaN row (whose norm check `<= 0` is False) and an infinite row

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugelab as gl
+from gaugelab import distances
 from gaugelab.errors import BadInputError, HypothesisViolationError
 from gaugelab.spectra import _chi_hat_polar
 
@@ -351,6 +352,27 @@ class TestOrthogonality:
     def test_single_point_has_no_pairs(self, half_cube):
         assert gl.orthogonality_residual(gl.PointSet([[0.0, 0.0]]), half_cube) == 0.0
 
+    @pytest.mark.parametrize("case,seed", [("hexagon on Z^2", 0), ("hexagon dual lattice", 0),
+                                           ("polygon on Z^2 / 2", 0)]
+                             + [("polygon off the grid", seed) for seed in range(4)])
+    def test_distinct_differences_keep_every_bit(self, case, seed):
+        # lag vectors give each difference p_j - p_i, i < j, once; the max over them is the
+        # max over every pair, bit for bit
+        hexagon, polygon = gl.regular_polygon_body(6), gl.random_symmetric_polytope(2, 7, 5)
+        rng = np.random.default_rng(seed)
+        tiles = 2 * hexagon.offsets[:2, None] * hexagon.normals[:2]
+        k = np.stack(np.meshgrid(np.arange(-4, 5), np.arange(-4, 5), indexing="ij"), axis=-1)
+        body, pts, lags = {
+            "hexagon on Z^2": (hexagon, gl.lattice_points(2, -12, 12), True),
+            "hexagon dual lattice": (hexagon, gl.PointSet(k.reshape(-1, 2)
+                                                          @ np.linalg.inv(tiles).T), False),
+            "polygon on Z^2 / 2": (polygon, gl.lattice_points(2, -5, 5, 0.5), True),
+            "polygon off the grid": (polygon, gl.PointSet(rng.uniform(-6, 6, (200, 2))), False),
+        }[case]
+        assert (distances._lag_vectors(pts.points) is not None) == lags
+        assert (gl.orthogonality_residual(pts, body)
+                == oracles.pairwise_orthogonality_residual(pts, body))
+
 
 class TestSpectrumPipeline:
     def test_synthetic_zero_shell_stress_input(self, unit_disk):
@@ -377,6 +399,25 @@ class TestSpectrumPipeline:
                 brute.add(round(half_cube.dual_gauge(P[i] - P[j]), 9))
         brute.add(0.0)
         assert len(result.report.distances) == len(brute)
+
+    @pytest.mark.parametrize("case", ["hexagon on Z^2", "square on Z^2 / 2", "disk on Z^2",
+                                      "polygon off the grid", "cube on Z^3"])
+    def test_report_matches_every_pair(self, case):
+        # t_max from the distinct differences equals the max over all n^2 of them
+        rng = np.random.default_rng(8)
+        body, pts, R = {
+            "hexagon on Z^2": (gl.regular_polygon_body(6), gl.lattice_points(2, -20, 20), 0.5),
+            "square on Z^2 / 2": (gl.cube_body(2, 0.5), gl.lattice_points(2, -6, 6, 0.5), 1.0),
+            "disk on Z^2": (gl.ball_body(2), gl.lattice_points(2, -9, 9), 2.0),
+            "polygon off the grid": (gl.random_symmetric_polytope(2, 7, 5),
+                                     gl.PointSet(rng.uniform(-9, 9, (400, 2))), 0.7),
+            "cube on Z^3": (gl.cube_body(3, 0.5), gl.lattice_points(3, -4, 4), 1.0),
+        }[case]
+        got = gl.spectrum_gap_pipeline(pts, body, R).report
+        want = oracles.all_pairs_spectrum_report(pts, body, R)
+        np.testing.assert_array_equal(got.distances, want.distances)
+        assert got.gaps == want.gaps
+        assert (got.t0, got.t_max, got.merge_tol) == (want.t0, want.t_max, want.merge_tol)
 
     def test_orthogonality_gate(self, half_cube):
         rng = np.random.default_rng(4)
