@@ -12,9 +12,6 @@ an absolutely continuous part.
 from __future__ import annotations
 
 import math
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,47 +29,6 @@ _FT_CHUNK = 1 << 18      # cap on atoms*points per vectorized block
 # measured crossover with the dense kernel, A = 8 ... 4096 atoms, M = 1024 and 16384
 _RING_ORDER_ATOMS, _RING_ROW_COST = 200, 50
 _ring_grid = lru_cache(maxsize=4)(lambda m: _sphere_directions(2, m)[0])  # grids it matches
-# Threads for independent row blocks, one per CPU this process may run on; their pool
-# is created on first use.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_POOL = None
-
-
-def _forget_pool():
-    global _POOL
-    _POOL = None  # a forked child has none of the parent's threads
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_blocks(block, rows, step, buffers, width):
-    """block(s, work) for s in range(0, rows, step): inline for a single block or worker,
-    else on the shared pool.  work is a list of `buffers` scratch arrays of step x width,
-    allocated here, one set per block in flight: memory a pool thread allocates stays in
-    its own malloc arena, where the calling thread cannot reuse it.  A block writes only
-    its own rows and calls no public gaugelab function, so span tracers see every call
-    on the calling thread."""
-    global _POOL
-    starts = range(0, rows, step)
-    workers = min(_WORKERS, len(starts))
-    sets = queue.SimpleQueue()
-    for _ in range(workers):
-        sets.put([np.empty((min(step, rows), width)) for _ in range(buffers)])
-
-    def run(s):
-        work = sets.get()
-        try:
-            block(s, work)
-        finally:
-            sets.put(work)
-
-    if workers > 1 and _POOL is None:
-        _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="gaugelab-blocks")
-    for _ in (_POOL.map if workers > 1 else map)(run, starts):
-        pass
 
 
 def _unit_rows(arr, what):
@@ -245,29 +201,31 @@ def save_measure(mu: AtomicMeasure, path) -> None:
 
 
 def _expsum(positions, weights, freqs) -> np.ndarray:
-    """sum_j w_j exp(-2 pi i <x_j, xi_k>) per row xi_k: cos and sin of the real phase
-    times the weights, summed per row.
-
-    Row blocks of at most _FT_CHUNK atom-frequency pairs over all workers run on the block
-    pool.  Phases are summed elementwise and rows by numpy, not by BLAS, whose rounding
-    depends on the block's shape, so a row's value does not depend on the block size or
-    the worker count, and the row of -xi is exactly the conjugate of the row of xi.  An
-    even set of rows whose second half negates its first, such as a full ring of
-    directions, is therefore evaluated on its first half only; _circle_ring takes rings
-    around a circle."""
+    """sum_j w_j exp(-2 pi i <x_j, xi_k>) per row xi_k.  The row of -xi is exactly the
+    conjugate of the row of xi (see _dense_rows), so an even set of rows whose second half
+    negates its first, such as a full ring of directions, is evaluated on its first half
+    only; _circle_ring takes rings around a circle."""
     ring = _circle_ring(positions, weights, freqs)
     if ring is not None:
         return ring
-    out = np.empty(freqs.shape[0], dtype=complex)
-    rows = freqs.shape[0]
-    mirrored = rows % 2 == 0 and np.array_equal(freqs[rows // 2:], -freqs[:rows // 2])
-    if mirrored:
-        rows //= 2
-    scaled = (2 * np.pi) * positions
-    step = max(1, _FT_CHUNK // (_WORKERS * max(1, len(weights))))
+    half = freqs.shape[0] // 2
+    if freqs.shape[0] % 2 == 0 and np.array_equal(freqs[half:], -freqs[:half]):
+        out = _dense_rows(positions, weights, freqs[:half])
+        return np.concatenate([out, out.conj()])
+    return _dense_rows(positions, weights, freqs)
 
-    def block(s, work):
-        f = freqs[s:min(s + step, rows)]
+
+def _dense_rows(positions, weights, freqs) -> np.ndarray:
+    """_expsum at every row: cos and sin of the real phase times the weights, summed per
+    row, in row blocks of at most _FT_CHUNK atom-frequency pairs through two scratch arrays.
+    Phases are summed elementwise and rows by numpy, not by BLAS, whose rounding depends on
+    the block's shape, so a row's value does not depend on the block size."""
+    out = np.empty(freqs.shape[0], dtype=complex)
+    scaled = (2 * np.pi) * positions
+    step = max(1, _FT_CHUNK // max(1, len(weights)))
+    work = [np.empty((min(step, len(freqs)), len(weights))) for _ in range(2)]
+    for s in range(0, len(freqs), step):
+        f = freqs[s:s + step]
         phase, part = (w[:len(f)] for w in work)
         np.multiply.outer(f[:, 0], scaled[:, 0], out=phase)
         for k in range(1, f.shape[1]):
@@ -278,10 +236,6 @@ def _expsum(positions, weights, freqs) -> np.ndarray:
         np.sin(phase, out=part)
         part *= weights
         out.imag[s:s + len(f)] = -part.sum(axis=1)
-
-    _run_blocks(block, rows, step, 2, len(weights))
-    if mirrored:
-        out[rows:] = out[:rows].conj()
     return out
 
 
@@ -303,14 +257,14 @@ def _phase_cycles(ts, s):
 
 def _progression_sum(s, weights, t0: float, dt: float, n: int) -> np.ndarray:
     """sum_j w_j exp(-2 pi i t_k s_j), k < n: per block of atoms, the weighted coarse phase
-    table at the times of _block_times times the fine one.  The two tables take their
-    exponentials side by side on the block pool, in place."""
+    table at the times of _block_times times the fine one, each exponential taken in place."""
     times = _block_times(t0, dt, n)
     out = np.zeros([len(ts) for ts in times], dtype=complex)
     step = max(1, _FT_CHUNK // len(times[1]))
     for j in range(0, len(s), step):
         tables = [np.multiply(-2j * np.pi, _phase_cycles(ts, s[j:j + step])) for ts in times]
-        _run_blocks(lambda k, _: np.exp(tables[k], out=tables[k]), 2, 1, 0, 0)
+        for t in tables:
+            np.exp(t, out=t)
         tables[0] *= weights[j:j + step]
         out += tables[0] @ tables[1].T
     return out.ravel()[:n]
@@ -365,6 +319,7 @@ def ft_many(mu: AtomicMeasure, Xi) -> np.ndarray:
 
 def ft_profile(mu: AtomicMeasure, eta, t_grid) -> np.ndarray:
     """Transform along the ray t -> ft(mu)(t * eta) at arbitrary t."""
+    _unit_rows(eta, "ray direction")
     proj = mu.positions @ np.asarray(eta, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1, 1)
     return _expsum(proj[:, None], mu.weights, t_grid)
@@ -426,6 +381,8 @@ def project_measure(mu: AtomicMeasure, eta, bins: int = DEFAULT_BINS) -> LineMea
     for measures without normals every node is a genuine point mass.  The
     remaining mass is binned.  Total mass is preserved exactly.
     """
+    if bins < 1:
+        raise BadInputError("projection needs bins >= 1")
     eta = np.asarray(eta, dtype=float)
     nrm = np.linalg.norm(eta)
     if not abs(nrm - 1.0) <= 1e-9:   # also refuses NaN and infinite directions
@@ -523,6 +480,8 @@ def _sphere_directions(dim, n):
     the exact negation of the first."""
     if dim == 1:
         return np.array([[1.0], [-1.0]]), 0.0
+    if n < 1:
+        raise BadInputError("direction grids need an angular resolution >= 1")
     if dim == 2:
         ang = np.arange(n) * 2 * np.pi / n
         etas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -568,6 +527,8 @@ def decay_scan(mu: AtomicMeasure, thetas, delta: float, t_grid,
     of _sampled_sup.
     """
     thetas, _ = _unit_rows(thetas, "decay directions")
+    if thetas.shape[1] != mu.dim:
+        raise BadInputError("decay directions must have the measure's dimension")
     if delta <= 0:
         raise BadInputError("delta must be positive")
     spacing = delta / 4.0
@@ -594,6 +555,8 @@ def polytopal_projection_distance(mu_d: AtomicMeasure, mu_p: AtomicMeasure,
     projected supports; refining the polytopal approximation drives the
     value down.
     """
+    if bins < 1:
+        raise BadInputError("projection needs bins >= 1")
     if abs(mu_d.total_mass - mu_p.total_mass) > 0.25 * max(mu_d.total_mass, mu_p.total_mass):
         raise BadInputError("measures must have comparable total mass")
     eta_set = np.atleast_2d(np.asarray(eta_set, dtype=float))

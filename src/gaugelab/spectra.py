@@ -20,7 +20,6 @@ from scipy import special
 from .bodies import ConvexBody, Ellipsoid, HPolytope
 from .distances import GapReport, PointSet, _distance_values, _lag_vectors, sparsify
 from .errors import BadInputError, HypothesisViolationError
-from .measures import _run_blocks
 
 _POLAR_BLOCK = 1 << 18  # cap on rows * nodes (edges) per block in _chi_hat_polar (_polygon)
 _TAIL_ZEROS = 10        # zeros in the tail statistics of a ZeroLedger
@@ -125,25 +124,23 @@ def _radial_slice_2(q, work=None):
 def _chi_hat_polar(body, Xi, resolution):
     """Polar-slice quadrature sum_k w_k r_k^d slice(<xi, r_k u_k>) at the rows of Xi.
 
-    Rows run in blocks of _POLAR_BLOCK row-nodes on the block pool.  Phases are summed
-    elementwise, not by BLAS, so a row gets the same phases in any block; the blocks keep
-    one size for any worker count, so the node sums see the same shapes too."""
+    Rows run in blocks of _POLAR_BLOCK row-nodes through one set of scratch arrays.  Phases
+    are summed elementwise, not by BLAS, so a row gets the same phases in any block; the
+    node sums by BLAS round by block shape, so the block size is fixed."""
     u, r, wts = body.polar_nodes(resolution)
     p = u * r[:, None]
     w = wts * r ** body.dim
     radial_slice, buffers = (_radial_slice_1, 3) if body.dim == 2 else (_radial_slice_2, 4)
     out = np.empty(Xi.shape[0])
     step = max(1, _POLAR_BLOCK // len(r))
-
-    def block(s, work):
+    work = [np.empty((min(step, len(Xi)), len(r))) for _ in range(1 + buffers)]
+    for s in range(0, len(Xi), step):
         xi = Xi[s:s + step]
         q, *rest = (a[:len(xi)] for a in work)
         np.multiply(xi[:, 0, None], p[None, :, 0], out=q)
         for k in range(1, body.dim):
             q += np.multiply(xi[:, k, None], p[None, :, k], out=rest[0])
         out[s:s + len(xi)] = radial_slice(q, rest) @ w
-
-    _run_blocks(block, Xi.shape[0], step, 1 + buffers, len(r))
     return out
 
 

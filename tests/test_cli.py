@@ -304,5 +304,17 @@ class TestExitCodes:
                           "--resolution", 256, *extra, "--out", out)) == 2
         assert not (out / "run.log").exists()
 
+    @pytest.mark.parametrize("command, option, args", [
+        ("goodness", "--angular=0", ("--N", 3, "--rcap", 0.1, "--delta", 0.05)),
+        ("goodness", "--angular=-5", ("--N", 3, "--rcap", 0.1, "--delta", 0.05)),
+        ("project", "--bins=0", ("--eta", "1,0")),
+        ("project", "--bins=-2", ("--eta", "1,0")),
+    ])
+    def test_count_below_one_is_bad_input(self, workdir, command, option, args):
+        out = workdir / f"{command}{option}"
+        assert main(_args(command, "--body", workdir / "circle.json", option, *args,
+                          "--resolution", 512, "--out", out)) == 2
+        assert not (out / "run.log").exists()
+
     def test_unknown_command_usage(self):
         assert main([]) == 2

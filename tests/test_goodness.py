@@ -46,6 +46,13 @@ class TestGoodnessProfile:
         with pytest.raises(BadInputError):
             gl.goodness_profile(circle_measure, 5.0, [4.0])
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_angular_resolution_below_one_rejected(self, dim, n):
+        mu = gl.point_mass(np.full(dim, 0.5))
+        with pytest.raises(BadInputError, match="angular resolution"):
+            gl.goodness_profile(mu, 5.0, [5.0], n)
+
 
 class TestHalfRing:
     @pytest.mark.parametrize("dim,n,rows", [(1, 4096, 1), (2, 1000, 500), (2, 999, 999),
@@ -55,9 +62,9 @@ class TestHalfRing:
         mu = gl.AtomicMeasure(rng.uniform(-1, 1, size=(300, dim)), rng.uniform(-1, 1, size=300))
         shells = np.array([3.0, 40.0, 250.0])
         evaluated = []
-        run_blocks = measures._run_blocks
-        monkeypatch.setattr(measures, "_run_blocks", lambda block, n_rows, *args:
-                            evaluated.append(n_rows) or run_blocks(block, n_rows, *args))
+        dense_rows = measures._dense_rows
+        monkeypatch.setattr(measures, "_dense_rows", lambda pos, w, freqs:
+                            evaluated.append(len(freqs)) or dense_rows(pos, w, freqs))
         rep = gl.goodness_profile(mu, 3.0, shells, n)
         assert evaluated == [rows] * len(shells)
         etas, spacing = _sphere_directions(dim, n)

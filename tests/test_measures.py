@@ -1,6 +1,5 @@
 import inspect
 import math
-import sys
 import threading
 from contextlib import contextmanager
 
@@ -158,45 +157,30 @@ class TestKernelsAgainstOracle:
         assert abs(got[0] - gl.ft_measure(mu, 2.5 * eta)) <= kernel_bound(mu, 2.5)
 
 
-@contextmanager
-def block_workers(n, chunk=None):
-    """Run the row-block kernels on n workers, through a fresh pool when n > 1."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_WORKERS", n)
-        mp.setattr(measures, "_POOL", None)
-        if chunk is not None:
-            mp.setattr(measures, "_FT_CHUNK", chunk)
-        try:
-            yield
-        finally:
-            if measures._POOL is not None:
-                measures._POOL.shutdown()
-
-
 class TestBlockPool:
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3), atoms=st.integers(1, 300),
-           T=st.floats(0.0, 500.0), workers=st.integers(2, 4),
-           chunk=st.sampled_from([1 << 10, 1 << 14, measures._FT_CHUNK]),
+           T=st.floats(0.0, 500.0), chunk=st.sampled_from([1 << 10, 1 << 14, measures._FT_CHUNK]),
            blocks=st.sampled_from([1, 2, 7]), rem=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
-    def test_worker_count_changes_no_bit(self, seed, dim, atoms, T, workers, chunk, blocks, rem):
+    def test_block_size_changes_no_bit(self, seed, dim, atoms, T, chunk, blocks, rem):
         mu, eta, rng = signed_cloud(seed, dim, atoms, 2.0)
-        # row count with the given number of blocks on `workers` workers, last one partial
-        step = max(1, chunk // (workers * atoms))
+        # row count with the given number of blocks, last one partial
+        step = max(1, chunk // atoms)
         rows = (blocks - 1) * step + 1 + int(rem * (step - 1))
         Xi = rng.normal(size=(rows, dim))
         Xi *= (rng.uniform(0.0, T, size=rows) / np.linalg.norm(Xi, axis=1))[:, None]
         ts = rng.uniform(-T, T, size=rows)
         got = {}
-        for n in (1, workers):
-            with block_workers(n, chunk):
-                got[n] = gl.ft_many(mu, Xi), gl.ft_profile(mu, eta, ts)
-        for one, many in zip(got[1], got[workers]):
-            np.testing.assert_array_equal(one, many)
+        for c in (chunk, rows * atoms):   # the given blocks, then every row in one block
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(measures, "_FT_CHUNK", c)
+                got[c] = gl.ft_many(mu, Xi), gl.ft_profile(mu, eta, ts)
+        for blocked, whole in zip(got[chunk], got[rows * atoms]):
+            np.testing.assert_array_equal(blocked, whole)
         bound = kernel_bound(mu, T)
-        assert np.max(np.abs(got[1][0] - oracles.dense_expsum(mu.positions, mu.weights, Xi))) <= bound
-        ref = oracles.dense_expsum(mu.positions, mu.weights, ts[:, None] * eta[None, :])
-        assert np.max(np.abs(got[1][1] - ref)) <= bound
+        for val, freqs in zip(got[chunk], (Xi, ts[:, None] * eta[None, :])):
+            ref = oracles.dense_expsum(mu.positions, mu.weights, freqs)
+            assert np.max(np.abs(val - ref)) <= bound
 
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3), atoms=st.integers(1, 300),
            T=st.floats(0.0, 500.0), rows=st.integers(1, 600))
@@ -209,34 +193,8 @@ class TestBlockPool:
         np.testing.assert_array_equal(got[:rows], gl.ft_many(mu, Xi))
         np.testing.assert_array_equal(got[rows:], gl.ft_many(mu, -Xi))
 
-    def test_more_workers_than_cpus_share_no_scratch(self):
-        # Blocks hand their scratch arrays on through a queue; with thread switches
-        # every microsecond, a set handed to two blocks at once would mix their rows.
-        mu, _, rng = signed_cloud(7, 2, 257, 2.0)
-        Xi = rng.normal(scale=50.0, size=(3001, 2))
-        with block_workers(1, 1 << 12):
-            one = gl.ft_many(mu, Xi)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with block_workers(8, 1 << 12):
-                many = [gl.ft_many(mu, Xi) for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
-        for got in many:
-            np.testing.assert_array_equal(got, one)
-
-    @pytest.mark.parametrize("body", (gl.regular_polygon_body(6),
-                                      gl.random_symmetric_polytope(3, 8, seed=1)))
-    def test_chi_hat_blocks_keep_every_bit(self, body):
-        Xi = np.random.default_rng(2).normal(scale=3.0, size=(400, body.dim))
-        with block_workers(1):
-            one = gl.chi_hat_many(body, Xi)
-        with block_workers(3):
-            many = gl.chi_hat_many(body, Xi)
-        np.testing.assert_array_equal(one, many)
-
-    def test_public_functions_stay_on_the_calling_thread(self, five_cap_measure, unit_disk):
+    def test_public_functions_stay_on_the_calling_thread(self, five_cap_measure, unit_disk,
+                                                         unit_square, square_measure):
         # Span tracers wrap the public functions and keep one span stack per process.
         calls = []
 
@@ -249,8 +207,9 @@ class TestBlockPool:
         mesh = gl.triangulate_boundary(unit_disk, 8192)
         ang = np.arctan2(mesh.normals[:, 1], mesh.normals[:, 0])
         piece = gl.from_mesh(mesh.restrict((ang > 0) & (ang < math.pi / 2)))
-        hexagon = gl.regular_polygon_body(6)
-        with block_workers(2), pytest.MonkeyPatch.context() as mp:
+        polytope = gl.random_symmetric_polytope(3, 8, seed=1)
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
             for mod in (gl, bodies, measures, goodness, correlation, distances, spectra):
                 for name, obj in list(vars(mod).items()):
                     if name.startswith("_"):
@@ -263,11 +222,13 @@ class TestBlockPool:
                                 mp.setattr(obj, meth, spy(meth, fn))
             gl.goodness_profile(five_cap_measure, 200.0, [200.0, 250.0], 16384)
             gl.decay_scan(piece, [[1.0, 0.0]], 0.3, [10.0, 40.0])
-            gl.chi_hat_many(hexagon, np.ones((400, 2)))
-            assert measures._POOL is not None   # the blocks did leave the calling thread
+            gl.polytope_bound_audit(unit_square, square_measure, 50.0)
+            gl.chi_hat_many(polytope, np.ones((400, 3)))
         names = {name for name, _ in calls}
-        assert {"goodness_profile", "decay_scan", "ft_many", "chi_hat_many"} <= names
+        assert {"goodness_profile", "decay_scan", "ft_many", "polytope_bound_audit",
+                "wiener_atom_mass", "chi_hat_many"} <= names
         assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert threading.active_count() == threads
 
 
 def circle_cloud(seed, atoms, radius):
@@ -294,22 +255,22 @@ def radius_for_orders(orders, r):
 @contextmanager
 def ring_paths():
     """Which path each ring took: _circle_ring's returns (True when it evaluated the ring)
-    and the row counts of every _run_blocks call."""
-    seen = {"circle": [], "blocks": []}
-    circle, run_blocks = measures._circle_ring, measures._run_blocks
+    and the row counts of every _dense_rows call."""
+    seen = {"circle": [], "dense": []}
+    circle, dense_rows = measures._circle_ring, measures._dense_rows
 
     def spy_circle(*args):
         out = circle(*args)
         seen["circle"].append(out is not None)
         return out
 
-    def spy_blocks(block, rows, *args):
-        seen["blocks"].append(rows)
-        return run_blocks(block, rows, *args)
+    def spy_dense(positions, weights, freqs):
+        seen["dense"].append(len(freqs))
+        return dense_rows(positions, weights, freqs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_circle_ring", spy_circle)
-        mp.setattr(measures, "_run_blocks", spy_blocks)
+        mp.setattr(measures, "_dense_rows", spy_dense)
         yield seen
 
 
@@ -356,7 +317,7 @@ class TestCircleRing:
         with ring_paths() as seen:
             got = gl.ft_many(mu, Xi)
         assert seen["circle"] == [False]
-        assert seen["blocks"] == [1000 if fault == "row off the ring" else 500]
+        assert seen["dense"] == [1000 if fault == "row off the ring" else 500]
         ref = oracles.dense_expsum(mu.positions, mu.weights, Xi)
         assert np.max(np.abs(got - ref)) <= kernel_bound(mu, 300.0)
 
@@ -432,6 +393,11 @@ class TestProjection:
     def test_rejects_zero_or_non_finite_direction(self, circle_measure, eta):
         with pytest.raises(BadInputError, match="unit vector"):
             gl.project_measure(circle_measure, eta)
+
+    @pytest.mark.parametrize("bins", [0, -2])
+    def test_rejects_bins_below_one(self, square_measure, bins):
+        with pytest.raises(BadInputError, match="bins >= 1"):
+            gl.project_measure(square_measure, [1.0, 0.0], bins)
 
     @given(seed=st.integers(0, 10 ** 6), t=st.floats(-8, 8, allow_nan=False),
            angle=st.floats(0, 2 * math.pi))
@@ -519,6 +485,17 @@ class TestDecay:
         with pytest.raises(BadInputError, match="zero or non-finite"):
             gl.decay_scan(seg, [[1.0, 0.0], theta], 0.3, [10.0])
 
+    def test_rejects_directions_of_another_dimension(self):
+        seg = gl.segment_measure([0, 0], [0, 1], 1.0, 64, normal=[1.0, 0.0])
+        with pytest.raises(BadInputError, match="measure's dimension"):
+            gl.decay_scan(seg, [[1.0, 0.0, 0.0]], 0.3, [10.0])
+
+    @pytest.mark.parametrize("eta", BAD_DIRECTIONS)
+    def test_profile_rejects_zero_or_non_finite_direction(self, eta):
+        seg = gl.segment_measure([0, 0], [0, 1], 1.0, 64, normal=[1.0, 0.0])
+        with pytest.raises(BadInputError, match="zero or non-finite"):
+            gl.ft_profile(seg, eta, [1.0, 7.0])
+
 
 class TestProjectionDistance:
     def test_identical_measures_give_zero(self, circle_measure):
@@ -549,6 +526,11 @@ class TestProjectionDistance:
         heavy = gl.AtomicMeasure(circle_measure.positions, circle_measure.weights * 5)
         with pytest.raises(BadInputError):
             gl.polytopal_projection_distance(circle_measure, heavy, np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bins", [0, -2])
+    def test_bins_below_one_rejected(self, square_measure, bins):
+        with pytest.raises(BadInputError, match="bins >= 1"):
+            gl.polytopal_projection_distance(square_measure, square_measure, [[1.0, 0.0]], bins)
 
 
 class TestMeasureBasics:
