@@ -263,7 +263,11 @@ def _cmd_wiener(manifest, outdir, log):
     eta = _directions(manifest, "eta", body.dim)
     T = float(_need(manifest, "T")[0])
     samples = manifest.params.get("samples")
-    val = measures.wiener_atom_mass(mu, eta, T, int(samples) if samples else None)
+    try:   # wiener_atom_mass refuses a count that is not a positive integer
+        samples = float(samples) if samples else None
+    except ValueError:
+        raise BadInputError(f"--samples must be a number, not {samples!r}") from None
+    val = measures.wiener_atom_mass(mu, eta, T, samples)
     _write_csv(outdir / "wiener.csv", ["T", "value", "sqrt_value"],
                [[T, val, math.sqrt(max(val, 0.0))]])
     log.add("wiener value", val)

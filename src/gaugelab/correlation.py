@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BadInputError, BudgetExceededError, read_json, write_json
-from .measures import AtomicMeasure, _block_times, _phase_cycles
+from .measures import AtomicMeasure, _phase_table
 
 _PAD = 2  # zero-padding factor for the frequency grid (kills torus wrap-around)
 SPECTRUM_BUDGET_BYTES = 1 << 28  # cap on one padded complex spectrum, 16 (_PAD m)^d bytes
@@ -325,12 +325,9 @@ def _scratch(slot, shape):
 
 def _power_table(s, out):
     """out[k, p] = z_p^k with z_p = exp(-2 pi i s_p) at the fftfreq integers k of the rows
-    of out: z^0..z^half from the block factors of _block_times, z^-k as conj(z^k)."""
+    of out: z^0..z^half by _phase_table, z^-k as conj(z^k)."""
     half = out.shape[0] // 2
-    coarse, fine = (np.exp(-2j * np.pi * _phase_cycles(ts, s))
-                    for ts in _block_times(0.0, 1.0, half + 1))
-    np.multiply(coarse[:, None, :], fine[None, :, :],
-                out=out[:coarse.shape[0] * fine.shape[0]].reshape(coarse.shape[0], *fine.shape))
+    _phase_table(0.0, 1.0, half + 1, s, out=out)
     np.conjugate(out[half - 1:0:-1], out=out[half + 1:])
     np.conjugate(out[half], out=out[half])
     return out

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from gaugelab.bodies import Ellipsoid, HPolytope, RadialBody
+from gaugelab.measures import _block_times
 
 
 def membership(body, x, t):
@@ -148,6 +149,25 @@ def separable_sigma_hat(sigma, t, mp, h, dim):
         E.append(np.exp(-2j * np.pi * (cycles - np.rint(cycles)).astype(float)))
     spec = {1: "j,jk->k", 2: "j,jk,jl->kl", 3: "j,jk,jl,jm->klm"}[dim]
     return np.einsum(spec, sigma.weights, *E)
+
+
+def _cycles(ts, s):
+    """t s over the outer product of ts and s, reduced mod 1 in the precision of s."""
+    p = np.outer(ts, s)
+    p -= np.rint(p)
+    return p.astype(float, copy=False)
+
+
+def hand_built_power_table(s, out):
+    """correlation._power_table built by hand: the coarse x fine broadcast product of the
+    block factors of _block_times in the first rows of out, then z^-k as conj(z^k)."""
+    half = out.shape[0] // 2
+    coarse, fine = (np.exp(-2j * np.pi * _cycles(ts, s)) for ts in _block_times(0.0, 1.0, half + 1))
+    np.multiply(coarse[:, None, :], fine[None, :, :],
+                out=out[:coarse.shape[0] * fine.shape[0]].reshape(coarse.shape[0], *fine.shape))
+    np.conjugate(out[half - 1:0:-1], out=out[half + 1:])
+    np.conjugate(out[half], out=out[half])
+    return out
 
 
 def cell_transform(f, Xi):

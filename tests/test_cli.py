@@ -316,5 +316,13 @@ class TestExitCodes:
                           "--resolution", 512, "--out", out)) == 2
         assert not (out / "run.log").exists()
 
+    @pytest.mark.parametrize("samples", ["2.5", "0", "nan", "many"])
+    def test_wiener_samples_not_a_positive_integer_is_bad_input(self, workdir, samples):
+        out = workdir / f"wiener-{samples}"
+        assert main(_args("wiener", "--body", workdir / "hexagon.json", "--eta", "1,0",
+                          "--T", 10, "--samples", samples, "--resolution", 256,
+                          "--out", out)) == 2
+        assert not (out / "run.log").exists()
+
     def test_unknown_command_usage(self):
         assert main([]) == 2

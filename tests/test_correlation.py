@@ -494,6 +494,15 @@ class TestPairedSigmaHat:
         direct = np.exp(-2j * np.pi * (cycles - np.rint(cycles)).astype(float))
         assert np.max(np.abs(out - direct)) <= 16 * EPS
 
+    @pytest.mark.parametrize("mp", [2, 4, 6, 10, 96, 512, 4096])
+    def test_power_table_keeps_the_hand_built_bits(self, mp):
+        rng = np.random.default_rng(mp)
+        for s in (rng.uniform(-2.0, 2.0, size=37), rng.uniform(-2.0, 2.0, size=37) / 3,
+                  rng.uniform(-2.0, 2.0, size=37).astype(np.longdouble) / 3):
+            got, ref = (np.full((mp, s.size), np.nan, dtype=complex) for _ in range(2))
+            np.testing.assert_array_equal(_power_table(s, got),
+                                          oracles.hand_built_power_table(s, ref))
+
     def test_symmetry_check_and_kernel_share_one_pairing(self, blob_set, circle_sigma):
         sigma = gl.AtomicMeasure(circle_sigma.positions, circle_sigma.weights)
         gl.split_integrals(blob_set, sigma, 0.4, 0.05)

@@ -53,6 +53,16 @@ class TestGoodnessProfile:
         with pytest.raises(BadInputError, match="angular resolution"):
             gl.goodness_profile(mu, 5.0, [5.0], n)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [2.5, 1024.5, math.nan, math.inf])
+    def test_non_integral_angular_resolution_rejected(self, dim, n):
+        # np.arange(2.5) would give 3 directions, reported at the spacing of 2.5
+        mu = gl.point_mass(np.full(dim, 0.5))
+        with pytest.raises(BadInputError, match="integral angular resolution"):
+            gl.goodness_profile(mu, 5.0, [5.0], n)
+        with pytest.raises(BadInputError, match="integral angular resolution"):
+            _sphere_directions(dim, n)
+
 
 class TestHalfRing:
     @pytest.mark.parametrize("dim,n,rows", [(1, 4096, 1), (2, 1000, 500), (2, 999, 999),

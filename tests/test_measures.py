@@ -69,6 +69,12 @@ class TestTransform:
         lhs = abs(gl.ft_measure(mu, xi1) - gl.ft_measure(mu, xi2))
         assert lhs <= mu.lipschitz_bound * np.linalg.norm(xi1 - xi2) * (1 + 1e-9) + 1e-12
 
+    def test_many_rejects_rows_of_another_dimension(self):
+        mu = random_measure(6)
+        for Xi in (np.ones((4, 3)), np.ones(3), np.ones((4, 1)), np.ones((2, 2, 2))):
+            with pytest.raises(BadInputError, match="measure's dimension"):
+                gl.ft_many(mu, Xi)
+
     def test_scan_records_certificate(self):
         mu = random_measure(5)
         vals = gl.ft_many(mu, np.eye(2))
@@ -149,12 +155,59 @@ class TestKernelsAgainstOracle:
         assert gl.wiener_atom_mass(square_measure, eta, 200.0) == pytest.approx(
             oracle_wiener(square_measure, eta, 200.0, samples), rel=1e-12)
 
+    @pytest.mark.parametrize("t0, dt, n", [(0.0, 1.0, 8001), (0.0, 1.0, 35609),
+                                           (-200.0, 0.05, 8001), (3.0, -0.7, 40000)])
+    def test_progression_sum_matches_long_double(self, t0, dt, n):
+        # up to the ~35600 Bessel orders of the rho = 5600 ring, whose s = phi / 2 pi
+        rng = np.random.default_rng(n)
+        s, w = rng.uniform(-0.5, 0.5, size=240), rng.uniform(-1.0, 1.0, size=240)
+        got = measures._progression_sum(s, w, t0, dt, n)
+        ts = np.longdouble(t0) + np.arange(n, dtype=np.longdouble) * np.longdouble(dt)
+        ref = np.concatenate([oracles.longdouble_expsum(s[:, None], w, ts[k:k + 4096, None])
+                              for k in range(0, n, 4096)])
+        T = max(abs(t0), abs(t0 + (n - 1) * dt))
+        assert np.max(np.abs(got - ref)) <= kernel_bound(gl.AtomicMeasure(s[:, None], w), T)
+
     def test_single_sample_ray_is_its_start(self):
         mu = random_measure(3)
         eta = np.array([0.6, 0.8])
         got = _ray_transform(mu, eta, 2.5, 0.1, 1)
         assert got.shape == (1,)
         assert abs(got[0] - gl.ft_measure(mu, 2.5 * eta)) <= kernel_bound(mu, 2.5)
+
+
+@contextmanager
+def progression_atoms():
+    """The atom count of every _progression_sum call."""
+    seen, kernel = [], measures._progression_sum
+
+    def spy(s, weights, *args):
+        seen.append(len(s))
+        return kernel(s, weights, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_progression_sum", spy)
+        yield seen
+
+
+class TestFoldedWiener:
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3), atoms=st.integers(1, 300),
+           T=st.floats(0.1, 500.0), origin=st.booleans(),
+           samples=st.sampled_from(SAMPLE_COUNTS + (1001, 1000)))
+    @settings(max_examples=40, deadline=None)
+    def test_symmetric_clouds_fold_their_pairs(self, seed, dim, atoms, T, origin, samples):
+        mu, eta, rng = signed_cloud(seed, dim, atoms, 1.0)
+        even = mu.symmetrized()
+        if origin:   # an atom that is its own mirror
+            even = gl.AtomicMeasure(np.vstack([even.positions, np.zeros(dim)]),
+                                    np.append(even.weights, rng.uniform(-1.0, 1.0)))
+        with progression_atoms() as seen:
+            folded = gl.wiener_atom_mass(even, eta, T, samples)
+            plain = gl.wiener_atom_mass(mu, eta, T, samples)
+        assert mu._pairs_up() is None
+        assert seen == [atoms + origin, atoms]   # one term per pair, every atom of mu
+        assert folded == pytest.approx(oracle_wiener(even, eta, T, samples), rel=1e-12)
+        assert plain == pytest.approx(oracle_wiener(mu, eta, T, samples), rel=1e-12)
 
 
 class TestBlockPool:
@@ -394,6 +447,11 @@ class TestProjection:
         with pytest.raises(BadInputError, match="unit vector"):
             gl.project_measure(circle_measure, eta)
 
+    @pytest.mark.parametrize("eta", [[1.0, 0.0, 0.0], [[1.0, 0.0]]])
+    def test_rejects_direction_of_another_dimension(self, square_measure, eta):
+        with pytest.raises(BadInputError, match="measure's dimension"):
+            gl.project_measure(square_measure, eta)
+
     @pytest.mark.parametrize("bins", [0, -2])
     def test_rejects_bins_below_one(self, square_measure, bins):
         with pytest.raises(BadInputError, match="bins >= 1"):
@@ -440,6 +498,20 @@ class TestWiener:
     def test_rejects_zero_or_non_finite_direction(self, circle_measure, eta):
         with pytest.raises(BadInputError, match="zero or non-finite"):
             gl.wiener_atom_mass(circle_measure, eta, 10.0)
+
+    @pytest.mark.parametrize("eta", [[1.0, 0.0, 0.0], [1.0], [[1.0, 0.0]]])
+    def test_rejects_direction_of_another_dimension(self, circle_measure, eta):
+        with pytest.raises(BadInputError, match="measure's dimension"):
+            gl.wiener_atom_mass(circle_measure, eta, 10.0)
+
+    @pytest.mark.parametrize("samples", [2.5, 1000.5, math.nan, math.inf, -3])
+    def test_rejects_samples_that_are_not_a_positive_integer(self, circle_measure, samples):
+        with pytest.raises(BadInputError, match="positive integer"):
+            gl.wiener_atom_mass(circle_measure, [1.0, 0.0], 10.0, samples)
+
+    def test_integral_float_samples_are_that_count(self, square_measure):
+        assert (gl.wiener_atom_mass(square_measure, [1.0, 0.0], 10.0, 1001.0)
+                == gl.wiener_atom_mass(square_measure, [1.0, 0.0], 10.0, 1001))
 
 
 class TestDecay:
@@ -494,6 +566,13 @@ class TestDecay:
     def test_profile_rejects_zero_or_non_finite_direction(self, eta):
         seg = gl.segment_measure([0, 0], [0, 1], 1.0, 64, normal=[1.0, 0.0])
         with pytest.raises(BadInputError, match="zero or non-finite"):
+            gl.ft_profile(seg, eta, [1.0, 7.0])
+
+
+    @pytest.mark.parametrize("eta", [[1.0, 0.0, 0.0], [1.0], [[1.0, 0.0]]])
+    def test_profile_rejects_direction_of_another_dimension(self, eta):
+        seg = gl.segment_measure([0, 0], [0, 1], 1.0, 64, normal=[1.0, 0.0])
+        with pytest.raises(BadInputError, match="measure's dimension"):
             gl.ft_profile(seg, eta, [1.0, 7.0])
 
 
