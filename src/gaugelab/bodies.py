@@ -627,9 +627,6 @@ class CapFamily:
         dots = np.clip(normals @ self.directions.T, -1.0, 1.0)
         return np.arccos(dots).T < self.r_cap
 
-    def masses(self, mesh: BoundaryMesh):
-        return self.membership(mesh.normals) @ mesh.weights
-
 
 # -- module-level operations ----------------------------------------------------
 

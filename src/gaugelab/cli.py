@@ -16,7 +16,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +38,115 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_vector(text):
+# -- parameters ------------------------------------------------------------------
+# A reader turns a flag string or a JSON value into one typed parameter, or raises
+# TypeError or ValueError, which _read reports as bad input naming the key.  An integer
+# may be given as a float or string of integral value; a pair as `a,b` or [a, b]; a grid
+# as `start,stop,count` with count >= 1; a lattice as `Zd` with d >= 1.
+
+
+def _finite(value):
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(value)
+    return x
+
+
+def _integer(value):
+    x = _finite(value)
+    if not x.is_integer():
+        raise ValueError(value)
+    return value if type(value) is int else int(x)
+
+
+def _pair(value):
+    a, b = map(_finite, value.split(",") if isinstance(value, str) else value)
+    return a, b
+
+
+def _grid(value):
+    start, stop, count = str(value).split(",")
+    count = _integer(count)
+    if count < 1:
+        raise ValueError(value)
+    return np.linspace(_finite(start), _finite(stop), count)
+
+
+def _lattice(value):
+    if not str(value).upper().startswith("Z") or int(value[1:]) < 1:
+        raise ValueError(value)
+    return int(value[1:])
+
+
+def _vector(value):
+    return np.array([float(v) for v in str(value).split(",")], dtype=float)
+
+
+def _vectors(value):
+    return [_vector(part) for part in str(value).split(";")]
+
+
+def _read(key, reader, value):
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
-    except ValueError:
-        raise BadInputError(f"cannot parse vector {text!r}") from None
+        return reader(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadInputError(f"cannot read --{key} from {value!r}") from None
 
 
-def _directions(manifest, key, dim):
-    """The `;`-separated vectors of --key as unit rows; bad input unless each is nonzero
-    and has the body's dimension.  project and wiener take one vector, divided by its
-    vector norm, which can round apart from the row norm of _unit_rows in the last bit."""
-    rows = [_parse_vector(part) for part in str(_need(manifest, key)[0]).split(";")]
+# _PARAMS[command][key] is (reader, default) for each parameter of the command, where the
+# default ... makes the key required.  _FILE marks an input-file flag, which the manifest
+# keeps in its own field (body, points, indicator), not in its params.
+_FILE = None
+_MESH = {"body": _FILE, "resolution": (_integer, 4096)}
+_LATTICE = {"body": _FILE, "points": _FILE, "lattice": (_lattice, None),
+            "range": (_pair, (-10.0, 10.0)), "spacing": (_finite, 1.0)}
+_PARAMS = {
+    "body": {"body": _FILE, "resolution": (_integer, 1024)},
+    "gauge": {"body": _FILE, "point": (_vector, None), "points": _FILE},
+    "distset": {**_LATTICE, "tmax": (_finite, ...)},
+    "gaps": {"distances": (str, ...), "eps": (_finite, ...), "t0": (_finite, 0.0),
+             "tmax": (_finite, None)},
+    "ftscan": {**_MESH, "eta": (_vectors, ...), "tgrid": (_grid, ...)},
+    "project": {**_MESH, "eta": (_vectors, ...), "bins": (_integer, measures.DEFAULT_BINS)},
+    "wiener": {**_MESH, "eta": (_vectors, ...), "T": (_finite, ...),
+               "samples": (_integer, None)},
+    "decay": {**_MESH, "thetas": (_vectors, ...), "rcap": (_finite, ...),
+              "delta": (_finite, ...), "tgrid": (_grid, ...)},
+    "goodness": {"body": _FILE, "N": (_integer, ...), "rcap": (_finite, ...),
+                 "delta": (_finite, ...), "resolution": (_integer, 16384),
+                 "angular": (_integer, 16384)},
+    "audit": {"body": _FILE, "measure": (str, None), "T": (_finite, ...),
+              "resolution": (_integer, 2048)},
+    "bourgain": {"body": _FILE, "set": _FILE, "eps": (_finite, 0.3), "delta": (_finite, ...),
+                 "grid": (_integer, 256), "resolution": (_integer, 512),
+                 "shells": (_vector, None)},
+    "zeros": {"body": _FILE, "window": (_pair, ...), "steps": (_integer, ...)},
+    "spectrum": {**_LATTICE, "R": (_finite, ...), "ortho_tol": (_finite, None)},
+}
+
+
+def _params(manifest):
+    """The parameters of manifest.command, read and with their defaults filled in; bad
+    input on a key the command does not declare, an unreadable value or a missing one."""
+    table = _PARAMS[manifest.command]
+    if "body" in table and not manifest.body:
+        raise BadInputError(f"command {manifest.command!r} needs --body")
+    typed = {key: spec[1] for key, spec in table.items() if spec is not _FILE}
+    for key, value in manifest.params.items():
+        if table.get(key) is _FILE:   # an undeclared key or a file flag
+            raise BadInputError(f"command {manifest.command!r} takes no parameter {key!r}")
+        typed[key] = _read(key, table[key][0], value)
+    for key, value in typed.items():
+        if value is ...:
+            raise BadInputError(f"command {manifest.command!r} needs --{key}")
+    return typed
+
+
+def _directions(manifest, p, key, dim):
+    """The vectors of --key as unit rows; bad input unless each is nonzero and has the
+    body's dimension.  project and wiener take one vector, divided by its vector norm,
+    which can round apart from the row norm of _unit_rows in the last bit."""
+    rows = p[key]
     if any(row.size != dim for row in rows):
         raise BadInputError(f"--{key} needs vectors of length {dim}")
     units, _ = measures._unit_rows(np.stack(rows), f"--{key}")
@@ -58,16 +155,6 @@ def _directions(manifest, key, dim):
     if len(rows) > 1:
         raise BadInputError(f"{manifest.command} takes one --{key} vector")
     return rows[0] / np.linalg.norm(rows[0])
-
-
-def _parse_grid(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise BadInputError("grid spec must be start,stop,count")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1:
-        raise BadInputError("grid count must be >= 1")
-    return np.linspace(a, b, n)
 
 
 @dataclass
@@ -83,20 +170,18 @@ class ExperimentManifest:
     params: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {"command": self.command, "out": self.out, "seed": self.seed,
-                "body": self.body, "points": self.points,
-                "indicator": self.indicator, "params": dict(self.params)}
+        return asdict(self)
 
     @staticmethod
     def from_file(path):
         spec = errors.read_json(path, "manifest")
-        if spec.get("command") not in COMMANDS:
-            raise BadInputError(f"unknown command {spec.get('command')!r}")
+        if not isinstance(spec, dict) or not isinstance(spec.get("params", {}), dict):
+            raise BadInputError(f"manifest {path} must be a JSON object with object params")
         return ExperimentManifest(
-            command=spec["command"], out=spec.get("out", "."),
-            seed=int(spec.get("seed", 0)), body=spec.get("body"),
+            command=spec.get("command"), out=spec.get("out", "."),
+            seed=_read("seed", _integer, spec.get("seed", 0)), body=spec.get("body"),
             points=spec.get("points"), indicator=spec.get("indicator"),
-            params=dict(spec.get("params", {})))
+            params=spec.get("params", {}))
 
 
 class _RunLog:
@@ -116,35 +201,18 @@ class _RunLog:
         (outdir / "run.log").write_text("\n".join(self.lines) + "\n")
 
 
-def _need(manifest, *keys):
-    for key in keys:
-        if key not in manifest.params:
-            raise BadInputError(f"command {manifest.command!r} needs --{key}")
-    return [manifest.params[k] for k in keys]
-
-
-def _load_body(manifest):
-    if not manifest.body:
-        raise BadInputError(f"command {manifest.command!r} needs --body")
-    return bodies.load_body(manifest.body)
-
-
-def _boundary_measure(manifest, body, log):
-    resolution = int(manifest.params.get("resolution", 4096))
-    mesh = bodies.triangulate_boundary(body, resolution)
+def _boundary_measure(p, body, log):
+    mesh = bodies.triangulate_boundary(body, p["resolution"])
     log.add("mesh nodes", len(mesh))
     log.add("mesh mass", mesh.total_mass)
-    normalize = bool(manifest.params.get("normalize", True))
-    return measures.from_mesh(mesh, normalize=normalize), mesh
+    return measures.from_mesh(mesh, normalize=True), mesh
 
 
 # -- command handlers -----------------------------------------------------------
 
 
-def _cmd_body(manifest, outdir, log):
-    body = _load_body(manifest)
-    resolution = int(manifest.params.get("resolution", 1024))
-    mesh = bodies.triangulate_boundary(body, resolution)
+def _cmd_body(manifest, p, body, outdir, log):
+    mesh = bodies.triangulate_boundary(body, p["resolution"])
     log.add("dim", body.dim)
     log.add("scale", body.scale)
     log.add("inner radius", body.inner_radius())
@@ -153,15 +221,14 @@ def _cmd_body(manifest, outdir, log):
     log.add("surface mass", mesh.total_mass)
     d = body.dim
     header = [f"x{i}" for i in range(d)] + [f"n{i}" for i in range(d)] + ["w"]
-    rows = [list(p) + list(n) + [w] for p, n, w in
+    rows = [list(x) + list(n) + [w] for x, n, w in
             zip(mesh.positions, mesh.normals, mesh.weights)]
     _write_csv(outdir / "mesh.csv", header, rows)
 
 
-def _cmd_gauge(manifest, outdir, log):
-    body = _load_body(manifest)
-    if "point" in manifest.params:
-        pts = _parse_vector(manifest.params["point"])[None, :]
+def _cmd_gauge(manifest, p, body, outdir, log):
+    if p["point"] is not None:
+        pts = p["point"][None, :]
     elif manifest.points:
         pts = distances.PointSet.load_csv(manifest.points).points
     else:
@@ -170,7 +237,7 @@ def _cmd_gauge(manifest, outdir, log):
     dg = body.dual_gauge_many(pts)
     header = [f"x{i}" for i in range(body.dim)] + ["gauge", "dual_gauge"]
     _write_csv(outdir / "gauge.csv", header,
-               [list(p) + [gv, dv] for p, gv, dv in zip(pts, g, dg)])
+               [list(x) + [gv, dv] for x, gv, dv in zip(pts, g, dg)])
     log.add("points", len(pts))
 
 
@@ -179,25 +246,17 @@ def _write_distances(outdir, report):
     _write_csv(outdir / "gaps.csv", ["start", "length"], report.gaps)
 
 
-def _points_from_manifest(manifest):
+def _points_from_manifest(manifest, p):
     if manifest.points:
         return distances.PointSet.load_csv(manifest.points)
-    lattice = manifest.params.get("lattice")
-    if lattice:
-        if not lattice.upper().startswith("Z"):
-            raise BadInputError("lattice spec must look like Z2 or Z3")
-        dim = int(lattice[1:])
-        lo, hi = manifest.params.get("range", (-10.0, 10.0))
-        spacing = float(manifest.params.get("spacing", 1.0))
-        return distances.lattice_points(dim, float(lo), float(hi), spacing)
+    if p["lattice"] is not None:
+        return distances.lattice_points(p["lattice"], *p["range"], p["spacing"])
     raise BadInputError("need --points or --lattice")
 
 
-def _cmd_distset(manifest, outdir, log):
-    body = _load_body(manifest)
-    pts = _points_from_manifest(manifest)
-    (t_max,) = _need(manifest, "tmax")
-    report = distances.distance_set(pts, body, float(t_max))
+def _cmd_distset(manifest, p, body, outdir, log):
+    pts = _points_from_manifest(manifest, p)
+    report = distances.distance_set(pts, body, p["tmax"])
     _write_distances(outdir, report)
     log.add("points", len(pts))
     log.add("distinct distances", len(report.distances))
@@ -205,91 +264,71 @@ def _cmd_distset(manifest, outdir, log):
     log.add("separated", report.separated)
     (outdir / "summary.txt").write_text(
         f"{len(pts)} points give {len(report.distances)} distinct distances up to "
-        f"{_fmt(float(t_max))}; {len(report.gaps)} gaps; separated="
+        f"{_fmt(p['tmax'])}; {len(report.gaps)} gaps; separated="
         f"{report.separated} (witness {_fmt(report.separation_witness)})\n")
 
 
-def _cmd_gaps(manifest, outdir, log):
-    path = manifest.params.get("distances")
-    if not path:
-        raise BadInputError("gaps needs --distances (a distances.csv)")
-    vals = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
-    eps = float(_need(manifest, "eps")[0])
-    t0 = float(manifest.params.get("t0", 0.0))
-    t_max = float(manifest.params.get("tmax", vals.max() if vals.size else 0.0))
-    report = distances.GapReport.from_values(vals, t_max, t0=t0)
-    count, found = distances.gap_scan(report, eps, t0)
+def _cmd_gaps(manifest, p, body, outdir, log):
+    vals = errors.read_csv(p["distances"], "distances").ravel()
+    t_max = p["tmax"]
+    if t_max is None:
+        t_max = float(vals.max()) if vals.size else 0.0
+    report = distances.GapReport.from_values(vals, t_max, t0=p["t0"])
+    count, found = distances.gap_scan(report, p["eps"], p["t0"])
     _write_csv(outdir / "gapscan.csv", ["start", "length"], found)
     log.add("gap count", count)
 
 
-def _cmd_ftscan(manifest, outdir, log):
-    body = _load_body(manifest)
-    mu, _ = _boundary_measure(manifest, body, log)
-    etas = _directions(manifest, "eta", body.dim)
-    t_grid = _parse_grid(str(_need(manifest, "tgrid")[0]))
+def _cmd_ftscan(manifest, p, body, outdir, log):
+    mu, _ = _boundary_measure(p, body, log)
+    etas = _directions(manifest, p, "eta", body.dim)
+    t_grid = p["tgrid"]
     points = (t_grid[None, :, None] * etas[:, None, :]).reshape(-1, body.dim)
     vals = measures.ft_many(mu, points)
     if np.any(np.abs(vals) > mu.abs_mass * (1 + 1e-12) + 1e-15):
         raise BadInputError("transform values exceed the total mass bound")
     rows = []
-    for k in range(etas.shape[0]):
-        for i, t in enumerate(t_grid):
-            v = vals[k * t_grid.size + i]
+    for k, along_eta in enumerate(vals.reshape(len(etas), t_grid.size)):
+        for t, v in zip(t_grid, along_eta):
             rows.append([t, k, v.real, v.imag, abs(v)])
     _write_csv(outdir / "ftscan.csv", ["t", "eta_index", "re", "im", "abs"], rows)
     log.add("directions", len(etas))
     log.add("lipschitz bound", mu.lipschitz_bound)
 
 
-def _cmd_project(manifest, outdir, log):
-    body = _load_body(manifest)
-    mu, _ = _boundary_measure(manifest, body, log)
-    eta = _directions(manifest, "eta", body.dim)
-    bins = int(manifest.params.get("bins", measures.DEFAULT_BINS))
-    line = measures.project_measure(mu, eta, bins)
+def _cmd_project(manifest, p, body, outdir, log):
+    mu, _ = _boundary_measure(p, body, log)
+    eta = _directions(manifest, p, "eta", body.dim)
+    line = measures.project_measure(mu, eta, p["bins"])
     _write_csv(outdir / "atoms.csv", ["location", "mass"],
                list(zip(line.atom_positions, line.atom_masses)))
-    rows = [[line.bin_edges[i], line.bin_edges[i + 1], line.bin_masses[i]]
-            for i in range(line.bin_masses.size)]
-    _write_csv(outdir / "density.csv", ["bin_lo", "bin_hi", "mass"], rows)
+    _write_csv(outdir / "density.csv", ["bin_lo", "bin_hi", "mass"],
+               list(zip(line.bin_edges[:-1], line.bin_edges[1:], line.bin_masses)))
     log.add("atom mass", float(np.sum(line.atom_masses)))
     log.add("density mass", float(np.sum(line.bin_masses)))
 
 
-def _cmd_wiener(manifest, outdir, log):
-    body = _load_body(manifest)
-    mu, _ = _boundary_measure(manifest, body, log)
-    eta = _directions(manifest, "eta", body.dim)
-    T = float(_need(manifest, "T")[0])
-    samples = manifest.params.get("samples")
-    try:   # wiener_atom_mass refuses a count that is not a positive integer
-        samples = float(samples) if samples else None
-    except ValueError:
-        raise BadInputError(f"--samples must be a number, not {samples!r}") from None
-    val = measures.wiener_atom_mass(mu, eta, T, samples)
+def _cmd_wiener(manifest, p, body, outdir, log):
+    mu, _ = _boundary_measure(p, body, log)
+    eta = _directions(manifest, p, "eta", body.dim)
+    val = measures.wiener_atom_mass(mu, eta, p["T"], p["samples"])
     _write_csv(outdir / "wiener.csv", ["T", "value", "sqrt_value"],
-               [[T, val, math.sqrt(max(val, 0.0))]])
+               [[p["T"], val, math.sqrt(max(val, 0.0))]])
     log.add("wiener value", val)
 
 
-def _cmd_decay(manifest, outdir, log):
-    body = _load_body(manifest)
-    _, mesh = _boundary_measure(manifest, body, log)
-    thetas = _directions(manifest, "thetas", body.dim)
-    r_cap = float(_need(manifest, "rcap")[0])
-    delta = float(_need(manifest, "delta")[0])
-    t_grid = _parse_grid(str(_need(manifest, "tgrid")[0]))
+def _cmd_decay(manifest, p, body, outdir, log):
+    _, mesh = _boundary_measure(p, body, log)
+    thetas = _directions(manifest, p, "thetas", body.dim)
     dots = np.clip(mesh.normals @ thetas.T, -1, 1)
-    sel = np.min(np.arccos(dots), axis=1) < r_cap
+    sel = np.min(np.arccos(dots), axis=1) < p["rcap"]
     if not np.any(sel):
         raise HypothesisViolationError("no boundary mass under the requested caps")
     piece = measures.from_mesh(mesh.restrict(sel))
-    result = measures.decay_scan(piece, thetas, delta, t_grid, return_table=True)
+    result = measures.decay_scan(piece, thetas, p["delta"], p["tgrid"], return_table=True)
     rows = []
-    for i, t in enumerate(result.t_grid):
-        for k in range(result.etas.shape[0]):
-            v = result.table[i, k]
+    for t, at_t in zip(result.t_grid, result.table):
+        for k, v in enumerate(at_t):
             rows.append([t, k, v.real, v.imag, abs(v)])
     _write_csv(outdir / "decay.csv", ["t", "eta_index", "re", "im", "abs"], rows)
     _write_csv(outdir / "envelope.csv", ["t", "sup_abs", "cert_err"],
@@ -298,28 +337,18 @@ def _cmd_decay(manifest, outdir, log):
     log.add("admissible directions", result.etas.shape[0])
 
 
-def _upper_half_caps(n_caps, r_cap):
-    ang = (np.arange(n_caps) + 0.5) * np.pi / n_caps
-    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return bodies.CapFamily(dirs, r_cap)
-
-
-def _cmd_goodness(manifest, outdir, log):
-    body = _load_body(manifest)
+def _cmd_goodness(manifest, p, body, outdir, log):
     if body.dim != 2:
         raise BadInputError("the goodness command auto-places caps in the plane only")
-    n_caps = int(_need(manifest, "N")[0])
-    r_cap = float(_need(manifest, "rcap")[0])
-    delta = float(_need(manifest, "delta")[0])
-    resolution = int(manifest.params.get("resolution", 16384))
-    mesh = bodies.triangulate_boundary(body, resolution)
-    caps = _upper_half_caps(n_caps, r_cap)
+    n_caps = p["N"]
+    mesh = bodies.triangulate_boundary(body, p["resolution"])
+    ang = (np.arange(n_caps) + 0.5) * np.pi / n_caps   # caps centred on the upper half circle
+    caps = bodies.CapFamily(np.stack([np.cos(ang), np.sin(ang)], axis=1), p["rcap"])
     mu = goodness.construct_good_measure(body, mesh, caps)
-    R, report = goodness.stabilized_goodness(
-        mu, r_cap, angular_resolution=int(manifest.params.get("angular", 16384)))
+    R, report = goodness.stabilized_goodness(mu, p["rcap"], angular_resolution=p["angular"])
     _write_csv(outdir / "goodness.csv", ["shell_radius", "sup_est", "cert_err"],
                report.rows())
-    bound = 1.0 / n_caps + delta
+    bound = 1.0 / n_caps + p["delta"]
     floor = 1.0 / (math.sqrt(2.0) * n_caps)
     log.add("caps", n_caps)
     log.add("delta0", caps.delta0)
@@ -334,17 +363,15 @@ def _cmd_goodness(manifest, outdir, log):
         f"ok={report.eps_hat <= bound}\n")
 
 
-def _cmd_audit(manifest, outdir, log):
-    body = _load_body(manifest)
+def _cmd_audit(manifest, p, body, outdir, log):
     if not isinstance(body, bodies.HPolytope):
         raise BadInputError("audit needs an H-polytope body")
-    T = float(_need(manifest, "T")[0])
-    if manifest.params.get("measure"):
-        mu = measures.load_measure(manifest.params["measure"])
+    if p["measure"]:
+        mu = measures.load_measure(p["measure"])
     else:
-        mesh = bodies.triangulate_boundary(body, int(manifest.params.get("resolution", 2048)))
+        mesh = bodies.triangulate_boundary(body, p["resolution"])
         mu = measures.from_mesh(mesh, normalize=True)
-    result = goodness.polytope_bound_audit(body, mu, T)
+    result = goodness.polytope_bound_audit(body, mu, p["T"])
     _write_csv(outdir / "audit.csv",
                ["N", "best_mass", "wiener", "sqrt_wiener", "pair_bound",
                 "goodness_floor", "passed"],
@@ -357,27 +384,21 @@ def _cmd_audit(manifest, outdir, log):
     log.add("goodness floor", result.goodness_floor)
 
 
-def _cmd_bourgain(manifest, outdir, log):
-    body = _load_body(manifest)
-    delta = float(_need(manifest, "delta")[0])
-    grid = int(manifest.params.get("grid", 256))
+def _cmd_bourgain(manifest, p, body, outdir, log):
+    delta = p["delta"]
     if manifest.indicator:
         f = correlation.load_indicator(manifest.indicator)
     else:
-        eps_frac = float(manifest.params.get("eps", 0.3))
         consts_vol = correlation.BourgainConstants(body.dim).omega_d
-        f = correlation.random_indicator(body.dim, grid, eps_frac * consts_vol,
+        f = correlation.random_indicator(body.dim, p["grid"], p["eps"] * consts_vol,
                                          manifest.seed)
-    mesh = bodies.triangulate_boundary(body, int(manifest.params.get("resolution", 512)))
+    mesh = bodies.triangulate_boundary(body, p["resolution"])
     sigma = measures.from_mesh(mesh, normalize=True)
-    if not sigma.is_symmetric():
-        raise BadInputError("boundary measure is not symmetric; "
-                            "the frequency-side correlation needs a real transform")
     consts = correlation.BourgainConstants(f.dim)
     plan = correlation.LacunaryPlan.geometric(delta, 1.0 / delta, d=f.dim, eps=f.measure)
     sigma_report = None
-    if manifest.params.get("shells"):
-        shells = _parse_vector(str(manifest.params["shells"]))
+    if p["shells"] is not None:
+        shells = p["shells"]
         sigma_report = goodness.goodness_profile(sigma, float(np.min(shells)), shells)
         log.add("sigma goodness R", sigma_report.R)
         log.add("sigma eps_hat", sigma_report.eps_hat)
@@ -402,13 +423,9 @@ def _cmd_bourgain(manifest, outdir, log):
         raise HypothesisViolationError(result.verdict)
 
 
-def _cmd_zeros(manifest, outdir, log):
-    body = _load_body(manifest)
-    window = _parse_vector(str(_need(manifest, "window")[0]))
-    steps = int(_need(manifest, "steps")[0])
-    ledger = spectra.radial_zero_scan(body, (window[0], window[1]), steps)
-    spacings = np.concatenate([[math.nan], ledger.spacings]) if ledger.zeros.size \
-        else np.empty(0)
+def _cmd_zeros(manifest, p, body, outdir, log):
+    ledger = spectra.radial_zero_scan(body, p["window"], p["steps"])
+    spacings = np.concatenate([[math.nan], ledger.spacings])   # zip stops at the zeros
     _write_csv(outdir / "zeros.csv", ["zero_radius", "spacing"],
                list(zip(ledger.zeros, spacings)))
     mean, dev = ledger.tail_spacing()
@@ -418,13 +435,9 @@ def _cmd_zeros(manifest, outdir, log):
     log.add("approximate profile", ledger.approximate)
 
 
-def _cmd_spectrum(manifest, outdir, log):
-    body = _load_body(manifest)
-    pts = _points_from_manifest(manifest)
-    R = float(_need(manifest, "R")[0])
-    tol = manifest.params.get("ortho_tol")
-    result = spectra.spectrum_gap_pipeline(pts, body, R,
-                                           ortho_tol=float(tol) if tol else None)
+def _cmd_spectrum(manifest, p, body, outdir, log):
+    pts = _points_from_manifest(manifest, p)
+    result = spectra.spectrum_gap_pipeline(pts, body, p["R"], ortho_tol=p["ortho_tol"])
     result.sparsified.save_csv(outdir / "sparsified.csv")
     _write_distances(outdir, result.report)
     log.add("input points", len(pts))
@@ -450,11 +463,13 @@ def run(manifest: ExperimentManifest) -> int:
     """Execute a manifest; returns the process exit code."""
     if manifest.command not in _HANDLERS:
         raise BadInputError(f"unknown command {manifest.command!r}")
+    p = _params(manifest)
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)
     log = _RunLog(manifest)
     errors.write_json(outdir / "manifest.json", manifest.to_dict(), indent=2)
-    _HANDLERS[manifest.command](manifest, outdir, log)
+    body = bodies.load_body(manifest.body) if "body" in _PARAMS[manifest.command] else None
+    _HANDLERS[manifest.command](manifest, p, body, outdir, log)
     log.write(outdir)
     return 0
 
@@ -465,41 +480,22 @@ def _build_parser():
         description="Gauge-norm and boundary-measure numerics, batch mode")
     parser.add_argument("--manifest", help="run a saved manifest JSON instead of flags")
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, *flags):
+    for name, table in _PARAMS.items():
         p = sub.add_parser(name)
         p.add_argument("--out", default=".")
         p.add_argument("--seed", type=int, default=0)
-        for flag in flags:
-            p.add_argument(flag)
-        return p
-
-    add("body", "--body", "--resolution")
-    add("gauge", "--body", "--point", "--points")
-    p = add("distset", "--body", "--points", "--lattice", "--tmax", "--spacing")
-    p.add_argument("--range", nargs=2, type=float)
-    add("gaps", "--distances", "--eps", "--t0", "--tmax")
-    add("ftscan", "--body", "--eta", "--tgrid", "--resolution")
-    add("project", "--body", "--eta", "--bins", "--resolution")
-    add("wiener", "--body", "--eta", "--T", "--samples", "--resolution")
-    add("decay", "--body", "--thetas", "--rcap", "--delta", "--tgrid", "--resolution")
-    add("goodness", "--body", "--N", "--rcap", "--delta", "--resolution", "--angular")
-    add("audit", "--body", "--measure", "--T", "--resolution")
-    add("bourgain", "--body", "--set", "--eps", "--delta", "--grid", "--resolution",
-        "--shells")
-    add("zeros", "--body", "--window", "--steps")
-    p = add("spectrum", "--body", "--points", "--lattice", "--R", "--ortho_tol", "--spacing")
-    p.add_argument("--range", nargs=2, type=float)
+        for key in table:
+            if key == "range":
+                p.add_argument("--range", nargs=2, type=float)
+            else:
+                p.add_argument(f"--{key}")
     return parser
 
 
 def _manifest_from_args(args) -> ExperimentManifest:
-    params = {}
-    skip = {"command", "manifest", "out", "seed", "body", "points", "set"}
-    for key, val in vars(args).items():
-        if key in skip or val is None:
-            continue
-        params[key] = val
+    table = _PARAMS[args.command]   # out, seed and the file flags are manifest fields
+    params = {key: val for key, val in vars(args).items()
+              if val is not None and table.get(key) is not _FILE}
     return ExperimentManifest(
         command=args.command, out=args.out, seed=args.seed,
         body=getattr(args, "body", None), points=getattr(args, "points", None),
@@ -512,9 +508,8 @@ _NEGATIVE_LIST = re.compile(r"-[\d.][\w.+-]*[,;][\w.+,;-]*")
 def main(argv=None) -> int:
     args = []   # argparse reads a value like -1,0 as a flag: pass it on as --flag=-1,0
     for arg in sys.argv[1:] if argv is None else argv:
-        flag = args[-1] if args and args[-1].startswith("--") and "=" not in args[-1] else None
-        if flag and _NEGATIVE_LIST.fullmatch(arg):
-            args[-1] = f"{flag}={arg}"
+        if args and re.fullmatch(r"--\w+", args[-1]) and _NEGATIVE_LIST.fullmatch(arg):
+            args[-1] += f"={arg}"
         else:
             args.append(arg)
     parser = _build_parser()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bodies import ConvexBody
 from .correlation import SPECTRUM_BUDGET_BYTES
-from .errors import BadInputError, BudgetExceededError
+from .errors import BadInputError, BudgetExceededError, read_csv
 
 MERGE_TOL = 1e-9        # distances closer than this count as one value
 DUP_TOL = 1e-12         # duplicate-point tolerance inside a PointSet
@@ -63,11 +63,7 @@ class PointSet:
 
     @staticmethod
     def load_csv(path):
-        try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise BadInputError(f"cannot read point set {path}: {exc}") from None
-        return PointSet(data)
+        return PointSet(read_csv(path, "point set"))
 
 
 def lattice_points(dim: int, lo: float, hi: float, spacing: float = 1.0) -> PointSet:

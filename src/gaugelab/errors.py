@@ -1,10 +1,12 @@
-"""Exception hierarchy shared by all modules, and the JSON file reader and writer.
+"""Exception hierarchy shared by all modules, the JSON and CSV readers and the JSON writer.
 
 The CLI maps these onto process exit codes: bad input -> 2,
 hypothesis violation -> 3, numeric budget exceeded -> 4.
 """
 
 import json
+
+import numpy as np
 
 
 class GaugeLabError(Exception):
@@ -34,6 +36,14 @@ def read_json(path, what):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
+        raise BadInputError(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_csv(path, what):
+    """The rows after the header of the CSV file at path; bad input naming `what` if unread."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
         raise BadInputError(f"cannot read {what} {path}: {exc}") from None
 
 

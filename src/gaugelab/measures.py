@@ -331,8 +331,7 @@ def _circle_ring(positions, weights, freqs):
 
 def ft_measure(mu: AtomicMeasure, xi) -> complex:
     """Transform value sum_j w_j exp(-2 pi i <x_j, xi>) at a single frequency."""
-    xi = np.asarray(xi, dtype=float).reshape(1, -1)
-    return complex(_expsum(mu.positions, mu.weights, xi)[0])
+    return complex(ft_many(mu, np.reshape(xi, (1, -1)))[0])
 
 
 def ft_many(mu: AtomicMeasure, Xi) -> np.ndarray:
@@ -472,8 +471,8 @@ def wiener_atom_mass(mu: AtomicMeasure, eta, T: float, samples: int | None = Non
     t >= 0 only and mirrored: the weights are real, so |ft(mu)(-t eta)| =
     |ft(mu)(t eta)|.
     """
-    if T <= 0:
-        raise BadInputError("T must be positive")
+    if not 0 < T < math.inf:
+        raise BadInputError(f"T must be positive and finite, not {T}")
     eta = _direction(eta, mu.dim, "ray direction")
     if samples is None:
         samples = int(math.ceil(40 * T * max(mu.support_radius, 0.025))) + 1
@@ -590,6 +589,8 @@ def polytopal_projection_distance(mu_d: AtomicMeasure, mu_p: AtomicMeasure,
     if abs(mu_d.total_mass - mu_p.total_mass) > 0.25 * max(mu_d.total_mass, mu_p.total_mass):
         raise BadInputError("measures must have comparable total mass")
     eta_set = np.atleast_2d(np.asarray(eta_set, dtype=float))
+    if eta_set.shape[1] != mu_d.dim or mu_p.dim != mu_d.dim:
+        raise BadInputError(f"directions and measures must share the dimension {mu_d.dim}")
     _unit_rows(eta_set, "projection directions")
     worst = 0.0
     for eta in eta_set:

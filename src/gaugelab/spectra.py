@@ -224,8 +224,7 @@ class ZeroLedger:
         return (mean / 2.0) % math.pi
 
 
-def radial_zero_scan(body: ConvexBody, window, steps: int,
-                     resolution: int = 4096, xtol: float = 1e-10) -> ZeroLedger:
+def radial_zero_scan(body: ConvexBody, window, steps: int) -> ZeroLedger:
     """Bracket and bisect zeros of the radial indicator-transform profile.
 
     Exact closed profiles are used for balls and the 1d box; other bodies
@@ -241,7 +240,7 @@ def radial_zero_scan(body: ConvexBody, window, steps: int,
         e1 = np.eye(body.dim)[0]
 
         def profile(r):
-            return chi_hat_many(body, np.outer(r, e1), resolution)
+            return chi_hat_many(body, np.outer(r, e1), 4096)
 
     rs = np.linspace(a, b, int(steps))
     vals = profile(rs)
@@ -252,7 +251,7 @@ def radial_zero_scan(body: ConvexBody, window, steps: int,
     # depend on the rows evaluated with it, so each bracket takes the steps it would alone.
     live = np.arange(i.size)
     for _ in range(200):
-        live = live[hi[live] - lo[live] > xtol]
+        live = live[hi[live] - lo[live] > 1e-10]
         if live.size == 0:
             break
         mid = 0.5 * (lo[live] + hi[live])

@@ -248,6 +248,32 @@ class TestDeterminismAndLog:
         assert run(loaded) == 0
 
 
+# Runs that the CLI refuses while reading their parameters: as flags after the command and
+# its body, or as a saved manifest.
+MALFORMED = {
+    "zeros-window-one-value": ("zeros", "circle.json", "--window", "3", "--steps", 100),
+    "zeros-steps-fraction": ("zeros", "circle.json", "--window", "0.5,6", "--steps", 2.5),
+    "ftscan-tgrid-count": ("ftscan", "circle.json", "--eta", "1,0", "--tgrid", "1,2,x"),
+    "distset-lattice": ("distset", "cube.json", "--lattice", "Zx", "--tmax", 4),
+    "distset-tmax": ("distset", "cube.json", "--lattice", "Z2", "--tmax", "abc"),
+    "project-bins-fraction": ("project", "circle.json", "--eta", "1,0", "--bins", 2.5),
+    "goodness-angular-fraction": ("goodness", "circle.json", "--N", 3, "--rcap", 0.1,
+                                  "--delta", 0.05, "--angular", 2.5),
+    "wiener-T": ("wiener", "circle.json", "--eta", "1,0", "--T", "abc"),
+    "audit-T-overflow": ("audit", "hexagon.json", "--T", "1e400"),
+    "bourgain-delta": ("bourgain", "circle.json", "--delta", "x"),
+    "spectrum-ortho-tol": ("spectrum", "cube.json", "--lattice", "Z2", "--R", 2,
+                           "--ortho_tol", "x"),
+    "manifest-seed": {"command": "body", "body": "circle.json", "seed": "x"},
+    "manifest-bins-fraction": {"command": "project", "body": "circle.json",
+                               "params": {"eta": "1,0", "bins": 2.5}},
+    "manifest-undeclared-key": {"command": "body", "body": "circle.json",
+                                "params": {"normalise": "false"}},
+    "manifest-resolution-fraction": {"command": "body", "body": "circle.json",
+                                     "params": {"resolution": 2048.5}},
+}
+
+
 class TestExitCodes:
     def test_bad_body_file(self, workdir):
         assert main(_args("gauge", "--body", workdir / "missing.json",
@@ -323,6 +349,27 @@ class TestExitCodes:
                           "--T", 10, "--samples", samples, "--resolution", 256,
                           "--out", out)) == 2
         assert not (out / "run.log").exists()
+
+    @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_parameter_is_bad_input(self, workdir, argv):
+        out = workdir / "refused"
+        if isinstance(argv, dict):   # a saved manifest
+            path = workdir / "manifest.json"
+            path.write_text(json.dumps({**argv, "body": str(workdir / argv["body"]),
+                                        "out": str(out)}))
+            argv = ("--manifest", path)
+        else:
+            argv = (argv[0], "--body", workdir / argv[1], *argv[2:], "--out", out)
+        assert main(_args(*argv)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [None, "value\n1.0\nx\n"], ids=["missing", "malformed"])
+    def test_missing_or_malformed_distances_file_is_bad_input(self, workdir, text):
+        path = workdir / "distances.csv"
+        if text is not None:
+            path.write_text(text)
+        assert main(_args("gaps", "--distances", path, "--eps", 1,
+                          "--out", workdir / "gaps")) == 2
 
     def test_unknown_command_usage(self):
         assert main([]) == 2

@@ -75,6 +75,11 @@ class TestTransform:
             with pytest.raises(BadInputError, match="measure's dimension"):
                 gl.ft_many(mu, Xi)
 
+    @pytest.mark.parametrize("xi", [[1.0, 0.0, 0.0], [1.0]])
+    def test_single_frequency_of_another_dimension_is_refused(self, xi):
+        with pytest.raises(BadInputError, match="measure's dimension"):
+            gl.ft_measure(random_measure(6), xi)
+
     def test_scan_records_certificate(self):
         mu = random_measure(5)
         vals = gl.ft_many(mu, np.eye(2))
@@ -494,6 +499,11 @@ class TestWiener:
         with pytest.raises(BadInputError):
             gl.wiener_atom_mass(circle_measure, [1.0, 0.0], 1.0, samples=0)
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_rejects_T_that_is_not_finite(self, circle_measure, T):
+        with pytest.raises(BadInputError, match="positive and finite"):
+            gl.wiener_atom_mass(circle_measure, [1.0, 0.0], T)
+
     @pytest.mark.parametrize("eta", BAD_DIRECTIONS)
     def test_rejects_zero_or_non_finite_direction(self, circle_measure, eta):
         with pytest.raises(BadInputError, match="zero or non-finite"):
@@ -600,6 +610,11 @@ class TestProjectionDistance:
     def test_zero_direction_rejected(self, circle_measure):
         with pytest.raises(BadInputError, match="projection directions"):
             gl.polytopal_projection_distance(circle_measure, circle_measure, [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("etas", [[[1.0, 0.0, 0.0]], [[1.0]]])
+    def test_directions_of_another_dimension_rejected(self, circle_measure, etas):
+        with pytest.raises(BadInputError, match="dimension 2"):
+            gl.polytopal_projection_distance(circle_measure, circle_measure, etas)
 
     def test_incomparable_masses_rejected(self, circle_measure):
         heavy = gl.AtomicMeasure(circle_measure.positions, circle_measure.weights * 5)

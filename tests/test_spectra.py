@@ -155,7 +155,7 @@ class TestPolarNodesOncePerBody:
                             lambda b, Xi, res: calls.append(len(Xi)) or many(b, Xi, res))
         ledger = gl.radial_zero_scan(gl.regular_polygon_body(6), (0.5, 6.0), 400)
         # the grid, then one call per bisection step for all live brackets together:
-        # 28 halvings take a grid step of 5.5/399 below xtol = 1e-10
+        # 28 halvings take a grid step of 5.5/399 below the bracket width 1e-10
         assert calls[0] == 400 and max(calls[1:]) == len(ledger.zeros)
         assert len(calls) == 1 + 28
 
@@ -323,7 +323,7 @@ class TestZeroScan:
         calls = []
         monkeypatch.setattr(spectra, "_radial_profile_fn", lambda b: lambda r: calls.append(
             len(np.atleast_1d(r))) or (np.asarray(r) - 1.25) * (np.asarray(r) - 2.3))
-        led = gl.radial_zero_scan(unit_disk, (0.5, 2.5), 5, xtol=1e-10)
+        led = gl.radial_zero_scan(unit_disk, (0.5, 2.5), 5)
         # 1.25 is the first midpoint of [1, 1.5]; 2.3 takes the full bisection of [2, 2.5]
         assert led.zeros[0] == 1.25 and led.zeros[1] == pytest.approx(2.3, abs=1e-10)
         np.testing.assert_array_equal(led.brackets, [[1.0, 1.5], [2.0, 2.5]])
