@@ -70,8 +70,9 @@ class BoundaryMesh(AtomicMeasure):
 class ConvexBody:
     """Base class for 0-symmetric convex bodies.
 
-    Subclasses provide gauge_many / dual_gauge_many / contains_many, the
-    inner/outer radius certificates, and _mesh, the 2d and 3d boundary mesh.
+    Subclasses provide gauge_many / dual_gauge_many, the inner/outer radius
+    certificates, and _mesh, the 2d and 3d boundary mesh.  Membership x in t*K is
+    gauge_many(X) <= t.
     """
 
     dim: int
@@ -89,10 +90,6 @@ class ConvexBody:
         raise NotImplementedError
 
     def dual_gauge_many(self, Xi) -> np.ndarray:
-        raise NotImplementedError
-
-    def contains_many(self, X, t=1.0) -> np.ndarray:
-        """Membership x in t*K through the variant's defining inequalities."""
         raise NotImplementedError
 
     def polar_nodes(self, resolution: int):
@@ -232,10 +229,6 @@ class HPolytope(ConvexBody):
     def dual_gauge_many(self, Xi):
         return np.max(self._by_facet(Xi, self.vertices), axis=0)
 
-    def contains_many(self, X, t=1.0):
-        bounds = (t * self.offsets + 1e-15)[:, None]
-        return np.all(self._by_facet(X, self.normals) <= bounds, axis=0)
-
     @property
     def vertices(self):
         if self._vertices is None:
@@ -355,10 +348,6 @@ class Ellipsoid(ConvexBody):
         Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
         return np.sqrt(np.sum((Xi * self.axes[None, :]) ** 2, axis=1))
 
-    def contains_many(self, X, t=1.0):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.sum((X / self.axes[None, :]) ** 2, axis=1) <= t * t + 1e-15
-
     def inner_radius(self):
         return float(np.min(self.axes))
 
@@ -457,9 +446,6 @@ class RadialBody(ConvexBody):
         bdry = (self._radial_interp(phi)[:, None]
                 * np.stack([np.cos(phi), np.sin(phi)], axis=1))
         return np.max(Xi @ bdry.T, axis=1)
-
-    def contains_many(self, X, t=1.0):
-        return self.gauge_many(X) <= t + 1e-15
 
     def inner_radius(self):
         if self.kind == "superellipsoid":

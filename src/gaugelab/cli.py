@@ -177,11 +177,15 @@ class ExperimentManifest:
         spec = errors.read_json(path, "manifest")
         if not isinstance(spec, dict) or not isinstance(spec.get("params", {}), dict):
             raise BadInputError(f"manifest {path} must be a JSON object with object params")
-        return ExperimentManifest(
-            command=spec.get("command"), out=spec.get("out", "."),
-            seed=_read("seed", _integer, spec.get("seed", 0)), body=spec.get("body"),
-            points=spec.get("points"), indicator=spec.get("indicator"),
-            params=spec.get("params", {}))
+        fields = {key: spec.get(key) for key in ("command", "out", "body", "points", "indicator")}
+        for key, value in fields.items():
+            if not isinstance(value, (str, type(None))):
+                raise BadInputError(f"manifest field {key!r} must be a string or null")
+        if fields["out"] is None:
+            fields["out"] = "."
+        return ExperimentManifest(**fields,
+                                  seed=_read("seed", _integer, spec.get("seed", 0)),
+                                  params=spec.get("params", {}))
 
 
 class _RunLog:
@@ -233,6 +237,8 @@ def _cmd_gauge(manifest, p, body, outdir, log):
         pts = distances.PointSet.load_csv(manifest.points).points
     else:
         raise BadInputError("gauge needs --point or --points")
+    if pts.shape[1] != body.dim:
+        raise BadInputError(f"gauge needs points of dimension {body.dim}")
     g = body.gauge_many(pts)
     dg = body.dual_gauge_many(pts)
     header = [f"x{i}" for i in range(body.dim)] + ["gauge", "dual_gauge"]
@@ -403,10 +409,8 @@ def _cmd_bourgain(manifest, p, body, outdir, log):
         log.add("sigma goodness R", sigma_report.R)
         log.add("sigma eps_hat", sigma_report.eps_hat)
     result = correlation.lacunary_search(f, sigma, plan, goodness=sigma_report)
-    rows = [[j, t, i1, i2, i3, "" if direct is None else direct, verdict]
-            for (j, t, i1, i2, i3, direct, verdict) in result.rows]
     _write_csv(outdir / "bourgain.csv",
-               ["j", "t_j", "I1", "I2", "I3", "direct", "verdict"], rows)
+               ["j", "t_j", "I1", "I2", "I3", "direct", "verdict"], result.rows)
     log.add("set measure", f.measure)
     log.add("omega_d", consts.omega_d)
     log.add("theta", consts.theta)

@@ -438,8 +438,7 @@ class LacunarySearchResult:
 
 
 def lacunary_search(f: GridIndicator, sigma: AtomicMeasure, plan: LacunaryPlan,
-                    goodness=None, budget: int = 64,
-                    compute_direct: bool = True) -> LacunarySearchResult:
+                    goodness=None) -> LacunarySearchResult:
     """Scan the lacunary sequence from j0 for a t with a positive correlation.
 
     Accepts the first j where the band split certifies I1 - |I2| - |I3| > 0
@@ -476,14 +475,13 @@ def lacunary_search(f: GridIndicator, sigma: AtomicMeasure, plan: LacunaryPlan,
     stop = len(plan)
     if plan.j_bound is not None:
         stop = min(stop, plan.j_bound)
-    stop = min(stop, start + budget)
     rows = []
     for j in range(start, stop):
         t = float(plan.t[j])
         split = split_integrals(f, sigma, t, plan.delta)
         lower = split.lower_bound
-        direct = direct_correlation(f, sigma, t) if compute_direct else None
-        ok = lower > 0 and (direct is None or direct > 0)
+        direct = direct_correlation(f, sigma, t)
+        ok = lower > 0 and direct > 0
         verdict = "positive" if ok else "indecisive"
         rows.append((j + 1, t, split.i1, split.i2, split.i3, direct, verdict))
         if ok:

@@ -67,8 +67,15 @@ class PointSet:
 
 
 def lattice_points(dim: int, lo: float, hi: float, spacing: float = 1.0) -> PointSet:
-    """Scaled integer lattice restricted to the box [lo, hi]^dim."""
-    ax = np.arange(math.ceil(lo / spacing), math.floor(hi / spacing) + 1) * spacing
+    """Scaled integer lattice restricted to the box [lo, hi]^dim; bad input unless the
+    spacing is positive, over budget when its coordinates would pass SPECTRUM_BUDGET_BYTES."""
+    if not spacing > 0:
+        raise BadInputError(f"lattice spacing must be positive, not {spacing}")
+    q_lo, q_hi = lo / spacing, hi / spacing   # floats: a quotient past the range is inf
+    if not q_hi - q_lo + 1 <= (SPECTRUM_BUDGET_BYTES / (8 * dim)) ** (1 / dim):
+        raise BudgetExceededError(f"a Z{dim} box {q_hi - q_lo + 1:.3g} points wide exceeds "
+                                  f"{SPECTRUM_BUDGET_BYTES >> 20} MiB")
+    ax = np.arange(math.ceil(q_lo), math.floor(q_hi) + 1) * spacing
     grids = np.meshgrid(*([ax] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     return PointSet(pts)
@@ -182,6 +189,8 @@ def distance_set(points: PointSet, body: ConvexBody, t_max: float,
 def _distance_values(points: PointSet, body: ConvexBody, dual: bool) -> np.ndarray:
     """0 (for a nonempty set) and the gauge of every p_i - p_j, i < j: of each distinct
     difference once where _lag_vectors applies, else of every pair."""
+    if points.dim != body.dim:
+        raise BadInputError(f"points of dimension {points.dim} for a body of dimension {body.dim}")
     lags = _lag_vectors(points.points) if len(points) > 1 else None
     fn, rows = (body.dual_gauge_many if dual else body.gauge_many), 1 << 18  # as pairwise blocks
     vals = (_pairwise_gauge(points.points, body, dual) if lags is None

@@ -55,19 +55,6 @@ def ball_indicator_profile(d: int, r) -> np.ndarray:
     return out
 
 
-def _radial_profile_fn(body):
-    """Closed-form radial profile r -> chi_hat(body, r*e1) when available."""
-    box = _is_axis_box(body)
-    if box is not None and body.dim == 1:
-        a = box[0]
-        return lambda r: 2 * a * np.sinc(2 * a * np.asarray(r, dtype=float))
-    if isinstance(body, Ellipsoid) and body.is_ball(1e-9):
-        a = float(body.axes[0])
-        d = body.dim
-        return lambda r: a ** d * ball_indicator_profile(d, a * np.asarray(r, dtype=float))
-    return None
-
-
 def chi_hat(body: ConvexBody, xi, resolution: int = 4096) -> float:
     """Transform of the body's indicator at xi (real, by 0-symmetry).
 
@@ -75,10 +62,7 @@ def chi_hat(body: ConvexBody, xi, resolution: int = 4096) -> float:
     `resolution`; other bodies integrate the polar slices: the radial integral in closed
     form against `resolution` midpoint angles (planar) or icosphere patches (in 3d).
     """
-    xi = np.asarray(xi, dtype=float).ravel()
-    if xi.shape[0] != body.dim:
-        raise BadInputError("frequency dimension mismatch")
-    return float(chi_hat_many(body, xi[None, :], resolution)[0])
+    return float(chi_hat_many(body, np.asarray(xi, dtype=float).ravel(), resolution)[0])
 
 
 def _radial_slice_1(q, work=None):
@@ -166,6 +150,8 @@ def _chi_hat_polygon(body, Xi):
 def chi_hat_many(body: ConvexBody, Xi, resolution: int = 4096) -> np.ndarray:
     """chi_hat over the rows of Xi; bodies on the polar quadrature share one node set."""
     Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+    if Xi.ndim != 2 or Xi.shape[1] != body.dim:
+        raise BadInputError(f"frequency rows must have the body's dimension {body.dim}")
     box = _is_axis_box(body)
     if box is not None:
         return np.prod(2 * box[None, :] * np.sinc(2 * box[None, :] * Xi), axis=1)
@@ -225,22 +211,19 @@ class ZeroLedger:
 
 
 def radial_zero_scan(body: ConvexBody, window, steps: int) -> ZeroLedger:
-    """Bracket and bisect zeros of the radial indicator-transform profile.
+    """Bracket and bisect zeros of the radial indicator-transform profile chi_hat(body, r e1).
 
-    Exact closed profiles are used for balls and the 1d box; other bodies
-    are scanned along e1 and flagged approximate.  A window without sign
-    changes returns an empty ledger.
+    Balls and the 1d box are radial, so their profile is exact; other bodies are flagged
+    approximate.  A window without sign changes returns an empty ledger.
     """
     a, b = float(window[0]), float(window[1])
     if not (0 < a < b) or steps < 2:
         raise BadInputError("need 0 < a < b and steps >= 2")
-    profile = _radial_profile_fn(body)
-    approximate = profile is None  # balls and the 1d box have closed radial profiles
-    if approximate:
-        e1 = np.eye(body.dim)[0]
+    approximate = not (body.dim == 1 or isinstance(body, Ellipsoid) and body.is_ball(1e-9))
+    e1 = np.eye(body.dim)[0]
 
-        def profile(r):
-            return chi_hat_many(body, np.outer(r, e1), 4096)
+    def profile(r):
+        return chi_hat_many(body, np.outer(r, e1), 4096)
 
     rs = np.linspace(a, b, int(steps))
     vals = profile(rs)

@@ -12,7 +12,8 @@ Output, one line each: `inputs/FILE SHA256`, then per run
 `== NAME exit CODE: LAST STDERR LINE` and `NAME/FILE SHA256` for each file the
 run wrote.  Two checkouts, or two runs of one, compare with diff.  The exit
 status is 1 when some run ends in an exit code that the CLI does not define
-(an uncaught exception).  Only the standard library is used here.
+(an uncaught exception), when a run not named bad-* exits non-zero, or when a
+bad-* run exits 0.  Only the standard library is used here.
 """
 
 import hashlib
@@ -41,7 +42,7 @@ def main(workdir):
     subprocess.run([sys.executable, str(HERE / "inputs.py"), "inputs"], cwd=work, env=env,
                    check=True)
     print("\n".join(digests(work, "inputs")))
-    crashed = []
+    failed = []
     for spec in sorted(HERE.glob("*.json")):
         argv = json.loads(spec.read_text()).get("argv") or ["--manifest", str(spec)]
         proc = subprocess.run([sys.executable, "-m", "gaugelab.cli", *argv], cwd=work, env=env,
@@ -51,9 +52,11 @@ def main(workdir):
         if (work / spec.stem).is_dir():
             print("\n".join(digests(work, spec.stem)))
         if proc.returncode not in (0, 2, 3, 4):
-            crashed.append(spec.stem)
-    if crashed:
-        sys.exit(f"runs ended by an uncaught exception: {', '.join(crashed)}")
+            failed.append(f"{spec.stem} (uncaught exception)")
+        elif (proc.returncode == 0) == spec.stem.startswith("bad-"):
+            failed.append(f"{spec.stem} (exit {proc.returncode})")
+    if failed:
+        sys.exit(f"runs that ended in the wrong exit code: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

@@ -446,6 +446,19 @@ def loop_thicken(points, body, s, per_point, seed=0):
     return PointSet(np.vstack(out))
 
 
+def interval_profile(a, r):
+    """chi_hat of [-a, a] at r, the closed radial profile 2a sinc(2a r) once kept by the
+    zero scan."""
+    return 2 * a * np.sinc(2 * a * np.asarray(r, dtype=float))
+
+
+def ball_profile(a, d, r):
+    """chi_hat of the radius-a d-ball at r e1, the closed radial profile a^d B_d(a r) once
+    kept by the zero scan, B_d the unit-ball profile."""
+    from gaugelab.spectra import ball_indicator_profile
+    return a ** d * ball_indicator_profile(d, a * np.asarray(r, dtype=float))
+
+
 def fresh_polar_chi_hat(body, xi, resolution=4096):
     """chi_hat by polar slices as first written, nodes and radii rebuilt for this xi,
     with the phases, the radial slices and the sum in long double."""
@@ -500,12 +513,6 @@ def old_hpolytope_dual_gauge(body, Xi):
     """HPolytope.dual_gauge_many as first written: point-major over the vertices."""
     Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
     return np.max(Xi @ body.vertices.T, axis=1)
-
-
-def old_hpolytope_contains(body, X, t=1.0):
-    """HPolytope.contains_many as first written: point-major over the facets."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.all(X @ body.normals.T <= t * body.offsets[None, :] + 1e-15, axis=1)
 
 
 def unscaled_random_polygon(pairs, seed):

@@ -149,19 +149,9 @@ class TestFacetMajorReduction:
         assert np.array_equal(body.gauge_many(X), oracles.old_hpolytope_gauge(body, X))
         assert np.array_equal(body.dual_gauge_many(X), oracles.old_hpolytope_dual_gauge(body, X))
 
-    @given(t=st.floats(0.0, 3.0), **body_args)
-    @settings(max_examples=60, deadline=None)
-    def test_contains_bitwise(self, seed, dim, pairs, n, t):
-        body = facet_body(seed, dim, pairs)
-        X = probe_points(body, seed, n)
-        got = body.contains_many(X, t)
-        assert got.dtype == bool
-        assert np.array_equal(got, oracles.old_hpolytope_contains(body, X, t))
-
     def test_single_point_and_empty_shapes(self, half_cube):
         assert half_cube.gauge_many([1.0, 0.0]).shape == (1,)
         assert half_cube.dual_gauge_many(np.empty((0, 2))).shape == (0,)
-        assert half_cube.contains_many(np.empty((0, 2))).shape == (0,)
 
 
 class TestMeshes:

@@ -371,5 +371,49 @@ class TestExitCodes:
         assert main(_args("gaps", "--distances", path, "--eps", 1,
                           "--out", workdir / "gaps")) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("gauge", "cube.json", "--points", "points3.csv"),
+        ("gauge", "cube.json", "--point", "1,2,3"),
+        ("distset", "cube.json", "--points", "points3.csv", "--tmax", 4),
+        ("spectrum", "cube.json", "--points", "points3.csv", "--R", 2),
+        ("spectrum", "superellipse.json", "--points", "points3.csv", "--R", 2,
+         "--ortho_tol", 1),
+    ], ids=["gauge-points", "gauge-point", "distset", "spectrum", "spectrum-ortho-tol"])
+    def test_points_of_another_dimension_are_bad_input(self, workdir, argv):
+        gl.PointSet(np.random.default_rng(3).uniform(-2, 2, size=(40, 3))).save_csv(
+            workdir / "points3.csv")
+        gl.save_body(gl.RadialBody(p=4.0, axes=[0.9, 0.7]), workdir / "superellipse.json")
+        command, body, *rest = argv
+        assert main(_args(command, "--body", workdir / body, *[
+            workdir / a if str(a).endswith(".csv") else a for a in rest],
+            "--out", workdir / "refused")) == 2
+
+    @pytest.mark.parametrize("lattice, spacing, code", [
+        ("Z2", "0", 2), ("Z2", "-1", 2), ("Z30", "1", 4), ("Z2", "1e-300", 4)])
+    def test_lattice_box_refused(self, workdir, lattice, spacing, code):
+        assert main(_args("distset", "--body", workdir / "cube.json", "--lattice", lattice,
+                          f"--spacing={spacing}", "--tmax", 1, "--out", workdir / "x")) == code
+
+    @pytest.mark.parametrize("field, value", [("out", 5), ("body", 5), ("points", 5),
+                                              ("indicator", 5), ("command", ["gauge"])],
+                             ids=["out", "body", "points", "indicator", "command"])
+    def test_manifest_field_that_is_not_a_string_is_bad_input(self, workdir, monkeypatch,
+                                                              field, value):
+        monkeypatch.chdir(workdir)
+        path = workdir / "manifest.json"
+        path.write_text(json.dumps({"command": "gauge", "out": "refused", "body": "cube.json",
+                                    "params": {"point": "1,0"}, field: value}))
+        assert main(["--manifest", str(path)]) == 2
+        assert not (workdir / "refused").exists() and not (workdir / "5").exists()
+
+    def test_manifest_null_fields_take_their_defaults(self, workdir, monkeypatch):
+        monkeypatch.chdir(workdir)
+        path = workdir / "manifest.json"
+        path.write_text(json.dumps({"command": "gauge", "out": None, "body": "cube.json",
+                                    "points": None, "indicator": None,
+                                    "params": {"point": "1,0"}}))
+        assert main(["--manifest", str(path)]) == 0
+        assert (workdir / "gauge.csv").exists()
+
     def test_unknown_command_usage(self):
         assert main([]) == 2

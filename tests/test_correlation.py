@@ -256,13 +256,14 @@ class TestLacunarySearch:
         assert any("goodness hypothesis" in msg for msg in res.diagnostics)
 
     def test_exhausted_scan_reports_violation(self):
-        # an empty set cannot be searched; a too-short plan reports its verdict
+        # the 0.8-wide disk has no two points 0.9 apart: the one-term plan finds no scale
         f = gl.indicator_from_balls(2, 128, [[0.0, 0.0]], [0.4])
         sigma = gl.point_mass([1.0, 0.0]).symmetrized()
-        plan = gl.LacunaryPlan(np.array([0.9, 0.45 / 2]), 0.05, 20.0)
-        res = gl.lacunary_search(f, sigma, plan, budget=1, compute_direct=False)
-        if not res.found:
-            assert "HYPOTHESIS-VIOLATION" in res.verdict
+        res = gl.lacunary_search(f, sigma, gl.LacunaryPlan([0.9], 0.05, 13.0))
+        assert not res.found and res.j_star is None
+        assert [row[5] for row in res.rows] == [0.0]
+        assert "HYPOTHESIS-VIOLATION" in res.verdict
+        assert res.diagnostics[-1] == "sequence exhausted"
 
     def test_rows_record_each_scanned_index(self, circle_sigma):
         f = gl.random_indicator(2, 128, 0.3 * math.pi, seed=7)

@@ -181,6 +181,24 @@ class TestLagVectors:
         monkeypatch.setattr(distances, "SPECTRUM_BUDGET_BYTES", 33 * 33 * distances._LAG_CELL_BYTES - 1)
         assert distances._lag_vectors(lat.points) is None
 
+    @pytest.mark.parametrize("dim, lo, hi, spacing", [
+        (30, -10, 10, 1.0), (2, -10, 10, 1e-300), (1, -10, 10, 1e-310), (2, 1e300, 1e300, 1e-300)])
+    def test_lattice_box_over_budget_refused_before_allocation(self, dim, lo, hi, spacing):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            with pytest.raises(gl.BudgetExceededError):
+                gl.lattice_points(dim, lo, hi, spacing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan])
+    def test_lattice_spacing_must_be_positive(self, spacing):
+        with pytest.raises(BadInputError, match="spacing must be positive"):
+            gl.lattice_points(2, -10, 10, spacing)
+
 
 class TestGapScan:
     def test_lattice_unit_gaps(self, half_cube):

@@ -86,6 +86,40 @@ class TestChiHat:
             gl.chi_hat(cube, xi), abs=1e-4)
 
 
+class TestRadialProfiles:
+    """Along e1, chi_hat_many meets the closed radial profiles of the interval and the balls."""
+
+    R = np.linspace(0.01, 12.0, 2400)
+
+    def along_e1(self, body):
+        return gl.chi_hat_many(body, np.outer(self.R, np.eye(body.dim)[0]))
+
+    def test_interval_bitwise(self):
+        for a in (0.8, 1.0, 0.35):
+            got = self.along_e1(gl.cube_body(1, a))
+            assert np.array_equal(got, oracles.interval_profile(a, self.R))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unit_balls_bitwise(self, d):
+        assert np.array_equal(self.along_e1(gl.ball_body(d)), oracles.ball_profile(1.0, d, self.R))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_balls_of_radius_07_keep_every_sign(self, d):
+        got, ref = self.along_e1(gl.ball_body(d, 0.7)), oracles.ball_profile(0.7, d, self.R)
+        assert np.array_equal(np.sign(got), np.sign(ref))
+        assert np.any(got < 0) and np.any(got > 0)
+
+    @pytest.mark.parametrize("body, Xi", [
+        (gl.cube_body(2, 0.5), [[0.3]]), (gl.regular_polygon_body(6), [[0.3, 0.1, 0.2]]),
+        (gl.ball_body(3), np.ones((4, 2))), (gl.cube_body(1, 1.0), np.ones((2, 2, 1))),
+        (gl.RadialBody(p=3, axes=[1.0, 0.7]), [[0.3, 0.1, 0.2]])])
+    def test_rows_of_another_dimension_are_refused(self, body, Xi):
+        with pytest.raises(BadInputError, match="body's dimension"):
+            gl.chi_hat_many(body, Xi)
+        with pytest.raises(BadInputError, match="body's dimension"):
+            gl.chi_hat(body, np.ones(body.dim + 1))
+
+
 class TestPolarNodesOncePerBody:
     BODIES = (gl.regular_polygon_body(6), gl.random_symmetric_polytope(2, 6, seed=3),
               gl.RadialBody(p=3, axes=[1.0, 0.7, 0.5]))
@@ -139,9 +173,6 @@ class TestPolarNodesOncePerBody:
         # one row per call: every bracket then bisects on its own
         monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi, res: np.concatenate(
             [many(b, xi[None, :], res) for xi in Xi]))
-        fn = spectra._radial_profile_fn
-        monkeypatch.setattr(spectra, "_radial_profile_fn", lambda b: None if fn(b) is None
-                            else (lambda r: np.concatenate([fn(b)(np.atleast_1d(v)) for v in r])))
         alone = gl.radial_zero_scan(body, (0.5, 6.0), 400)
         assert len(ledger.zeros) > 0
         np.testing.assert_array_equal(ledger.zeros, alone.zeros)
@@ -291,7 +322,7 @@ class TestZeroScan:
 
     def test_disk_tail_spacing(self, unit_disk):
         led = gl.radial_zero_scan(unit_disk, (0.5, 10.0), 4000)
-        assert led.zeros[0] == pytest.approx(0.609835, abs=1e-5)
+        assert led.zeros[0] == pytest.approx(0.609835, abs=1e-5) and not led.approximate
         mean, dev = led.tail_spacing()
         assert mean == pytest.approx(0.5, abs=0.01)
         assert dev <= 0.02 * mean
@@ -321,8 +352,8 @@ class TestZeroScan:
     def test_exact_hit_ends_its_bracket(self, unit_disk, monkeypatch):
         import gaugelab.spectra as spectra
         calls = []
-        monkeypatch.setattr(spectra, "_radial_profile_fn", lambda b: lambda r: calls.append(
-            len(np.atleast_1d(r))) or (np.asarray(r) - 1.25) * (np.asarray(r) - 2.3))
+        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi, res: calls.append(
+            len(Xi)) or (Xi[:, 0] - 1.25) * (Xi[:, 0] - 2.3))
         led = gl.radial_zero_scan(unit_disk, (0.5, 2.5), 5)
         # 1.25 is the first midpoint of [1, 1.5]; 2.3 takes the full bisection of [2, 2.5]
         assert led.zeros[0] == 1.25 and led.zeros[1] == pytest.approx(2.3, abs=1e-10)
