@@ -22,20 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bodies, correlation, distances, errors, goodness, measures, spectra
-from .errors import BadInputError, BudgetExceededError, HypothesisViolationError
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+from .errors import BadInputError, BudgetExceededError, HypothesisViolationError, fmt, write_csv
 
 
 # -- parameters ------------------------------------------------------------------
@@ -196,10 +183,10 @@ class _RunLog:
             if val is not None:
                 self.lines.append(f"{key}: {val}")
         for key in sorted(manifest.params):
-            self.lines.append(f"param {key}: {_fmt(manifest.params[key])}")
+            self.lines.append(f"param {key}: {fmt(manifest.params[key])}")
 
     def add(self, key, value):
-        self.lines.append(f"{key}: {_fmt(value)}")
+        self.lines.append(f"{key}: {fmt(value)}")
 
     def write(self, outdir: Path):
         (outdir / "run.log").write_text("\n".join(self.lines) + "\n")
@@ -227,7 +214,7 @@ def _cmd_body(manifest, p, body, outdir, log):
     header = [f"x{i}" for i in range(d)] + [f"n{i}" for i in range(d)] + ["w"]
     rows = [list(x) + list(n) + [w] for x, n, w in
             zip(mesh.positions, mesh.normals, mesh.weights)]
-    _write_csv(outdir / "mesh.csv", header, rows)
+    write_csv(outdir / "mesh.csv", header, rows)
 
 
 def _cmd_gauge(manifest, p, body, outdir, log):
@@ -242,14 +229,14 @@ def _cmd_gauge(manifest, p, body, outdir, log):
     g = body.gauge_many(pts)
     dg = body.dual_gauge_many(pts)
     header = [f"x{i}" for i in range(body.dim)] + ["gauge", "dual_gauge"]
-    _write_csv(outdir / "gauge.csv", header,
-               [list(x) + [gv, dv] for x, gv, dv in zip(pts, g, dg)])
+    write_csv(outdir / "gauge.csv", header,
+              [list(x) + [gv, dv] for x, gv, dv in zip(pts, g, dg)])
     log.add("points", len(pts))
 
 
 def _write_distances(outdir, report):
-    _write_csv(outdir / "distances.csv", ["value"], [[v] for v in report.distances])
-    _write_csv(outdir / "gaps.csv", ["start", "length"], report.gaps)
+    write_csv(outdir / "distances.csv", ["value"], [[v] for v in report.distances])
+    write_csv(outdir / "gaps.csv", ["start", "length"], report.gaps)
 
 
 def _points_from_manifest(manifest, p):
@@ -270,8 +257,8 @@ def _cmd_distset(manifest, p, body, outdir, log):
     log.add("separated", report.separated)
     (outdir / "summary.txt").write_text(
         f"{len(pts)} points give {len(report.distances)} distinct distances up to "
-        f"{_fmt(p['tmax'])}; {len(report.gaps)} gaps; separated="
-        f"{report.separated} (witness {_fmt(report.separation_witness)})\n")
+        f"{fmt(p['tmax'])}; {len(report.gaps)} gaps; separated="
+        f"{report.separated} (witness {fmt(report.separation_witness)})\n")
 
 
 def _cmd_gaps(manifest, p, body, outdir, log):
@@ -279,9 +266,9 @@ def _cmd_gaps(manifest, p, body, outdir, log):
     t_max = p["tmax"]
     if t_max is None:
         t_max = float(vals.max()) if vals.size else 0.0
-    report = distances.GapReport.from_values(vals, t_max, t0=p["t0"])
+    report = distances.GapReport.from_values(vals, t_max)
     count, found = distances.gap_scan(report, p["eps"], p["t0"])
-    _write_csv(outdir / "gapscan.csv", ["start", "length"], found)
+    write_csv(outdir / "gapscan.csv", ["start", "length"], found)
     log.add("gap count", count)
 
 
@@ -297,7 +284,7 @@ def _cmd_ftscan(manifest, p, body, outdir, log):
     for k, along_eta in enumerate(vals.reshape(len(etas), t_grid.size)):
         for t, v in zip(t_grid, along_eta):
             rows.append([t, k, v.real, v.imag, abs(v)])
-    _write_csv(outdir / "ftscan.csv", ["t", "eta_index", "re", "im", "abs"], rows)
+    write_csv(outdir / "ftscan.csv", ["t", "eta_index", "re", "im", "abs"], rows)
     log.add("directions", len(etas))
     log.add("lipschitz bound", mu.lipschitz_bound)
 
@@ -306,10 +293,10 @@ def _cmd_project(manifest, p, body, outdir, log):
     mu, _ = _boundary_measure(p, body, log)
     eta = _directions(manifest, p, "eta", body.dim)
     line = measures.project_measure(mu, eta, p["bins"])
-    _write_csv(outdir / "atoms.csv", ["location", "mass"],
-               list(zip(line.atom_positions, line.atom_masses)))
-    _write_csv(outdir / "density.csv", ["bin_lo", "bin_hi", "mass"],
-               list(zip(line.bin_edges[:-1], line.bin_edges[1:], line.bin_masses)))
+    write_csv(outdir / "atoms.csv", ["location", "mass"],
+              list(zip(line.atom_positions, line.atom_masses)))
+    write_csv(outdir / "density.csv", ["bin_lo", "bin_hi", "mass"],
+              list(zip(line.bin_edges[:-1], line.bin_edges[1:], line.bin_masses)))
     log.add("atom mass", float(np.sum(line.atom_masses)))
     log.add("density mass", float(np.sum(line.bin_masses)))
 
@@ -318,8 +305,8 @@ def _cmd_wiener(manifest, p, body, outdir, log):
     mu, _ = _boundary_measure(p, body, log)
     eta = _directions(manifest, p, "eta", body.dim)
     val = measures.wiener_atom_mass(mu, eta, p["T"], p["samples"])
-    _write_csv(outdir / "wiener.csv", ["T", "value", "sqrt_value"],
-               [[p["T"], val, math.sqrt(max(val, 0.0))]])
+    write_csv(outdir / "wiener.csv", ["T", "value", "sqrt_value"],
+              [[p["T"], val, math.sqrt(max(val, 0.0))]])
     log.add("wiener value", val)
 
 
@@ -336,9 +323,9 @@ def _cmd_decay(manifest, p, body, outdir, log):
     for t, at_t in zip(result.t_grid, result.table):
         for k, v in enumerate(at_t):
             rows.append([t, k, v.real, v.imag, abs(v)])
-    _write_csv(outdir / "decay.csv", ["t", "eta_index", "re", "im", "abs"], rows)
-    _write_csv(outdir / "envelope.csv", ["t", "sup_abs", "cert_err"],
-               list(zip(result.t_grid, result.envelope, result.cert_errors)))
+    write_csv(outdir / "decay.csv", ["t", "eta_index", "re", "im", "abs"], rows)
+    write_csv(outdir / "envelope.csv", ["t", "sup_abs", "cert_err"],
+              list(zip(result.t_grid, result.envelope, result.cert_errors)))
     log.add("piece mass", piece.total_mass)
     log.add("admissible directions", result.etas.shape[0])
 
@@ -352,8 +339,8 @@ def _cmd_goodness(manifest, p, body, outdir, log):
     caps = bodies.CapFamily(np.stack([np.cos(ang), np.sin(ang)], axis=1), p["rcap"])
     mu = goodness.construct_good_measure(body, mesh, caps)
     R, report = goodness.stabilized_goodness(mu, p["rcap"], angular_resolution=p["angular"])
-    _write_csv(outdir / "goodness.csv", ["shell_radius", "sup_est", "cert_err"],
-               report.rows())
+    write_csv(outdir / "goodness.csv", ["shell_radius", "sup_est", "cert_err"],
+              report.rows())
     bound = 1.0 / n_caps + p["delta"]
     floor = 1.0 / (math.sqrt(2.0) * n_caps)
     log.add("caps", n_caps)
@@ -364,8 +351,8 @@ def _cmd_goodness(manifest, p, body, outdir, log):
     log.add("lower_bound_1_over_sqrt2N", floor)
     log.add("within target", report.eps_hat <= bound)
     (outdir / "summary.txt").write_text(
-        f"N={n_caps} R={_fmt(R)} eps_hat={_fmt(report.eps_hat)} "
-        f"target={_fmt(bound)} lower_bound_1_over_sqrt2N={_fmt(floor)} "
+        f"N={n_caps} R={fmt(R)} eps_hat={fmt(report.eps_hat)} "
+        f"target={fmt(bound)} lower_bound_1_over_sqrt2N={fmt(floor)} "
         f"ok={report.eps_hat <= bound}\n")
 
 
@@ -378,12 +365,12 @@ def _cmd_audit(manifest, p, body, outdir, log):
         mesh = bodies.triangulate_boundary(body, p["resolution"])
         mu = measures.from_mesh(mesh, normalize=True)
     result = goodness.polytope_bound_audit(body, mu, p["T"])
-    _write_csv(outdir / "audit.csv",
-               ["N", "best_mass", "wiener", "sqrt_wiener", "pair_bound",
-                "goodness_floor", "passed"],
-               [[result.n_directions, result.best_pair_mass, result.wiener_value,
-                 result.wiener_sqrt, result.pair_lower_bound,
-                 result.goodness_floor, result.passed]])
+    write_csv(outdir / "audit.csv",
+              ["N", "best_mass", "wiener", "sqrt_wiener", "pair_bound",
+               "goodness_floor", "passed"],
+              [[result.n_directions, result.best_pair_mass, result.wiener_value,
+                result.wiener_sqrt, result.pair_lower_bound,
+                result.goodness_floor, result.passed]])
     log.add("N", result.n_directions)
     log.add("best pair mass", result.best_pair_mass)
     log.add("sqrt wiener", result.wiener_sqrt)
@@ -409,8 +396,8 @@ def _cmd_bourgain(manifest, p, body, outdir, log):
         log.add("sigma goodness R", sigma_report.R)
         log.add("sigma eps_hat", sigma_report.eps_hat)
     result = correlation.lacunary_search(f, sigma, plan, goodness=sigma_report)
-    _write_csv(outdir / "bourgain.csv",
-               ["j", "t_j", "I1", "I2", "I3", "direct", "verdict"], result.rows)
+    write_csv(outdir / "bourgain.csv",
+              ["j", "t_j", "I1", "I2", "I3", "direct", "verdict"], result.rows)
     log.add("set measure", f.measure)
     log.add("omega_d", consts.omega_d)
     log.add("theta", consts.theta)
@@ -430,8 +417,8 @@ def _cmd_bourgain(manifest, p, body, outdir, log):
 def _cmd_zeros(manifest, p, body, outdir, log):
     ledger = spectra.radial_zero_scan(body, p["window"], p["steps"])
     spacings = np.concatenate([[math.nan], ledger.spacings])   # zip stops at the zeros
-    _write_csv(outdir / "zeros.csv", ["zero_radius", "spacing"],
-               list(zip(ledger.zeros, spacings)))
+    write_csv(outdir / "zeros.csv", ["zero_radius", "spacing"],
+              list(zip(ledger.zeros, spacings)))
     mean, dev = ledger.tail_spacing()
     log.add("zeros found", ledger.zeros.size)
     log.add("tail spacing mean", mean)

@@ -118,12 +118,19 @@ def indicator_from_cells(dim, m, cell_list) -> GridIndicator:
     return GridIndicator(dim, m, cells)
 
 
+def _grid_rows(axes):
+    """Points of the grid axes[0] x axes[1] x ... in any dimension, one row each, C order."""
+    sizes = [len(a) for a in axes]
+    rows = np.empty((math.prod(sizes), len(axes)))
+    for k, a in enumerate(axes):
+        rows[:, k] = np.tile(np.repeat(a, math.prod(sizes[k + 1:])), math.prod(sizes[:k]))
+    return rows
+
+
 def _cell_centers(dim, m):
     """Centers of the m^d grid cells, one row per cell in C order."""
     _check_grid(dim, m)
-    ax = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
-    grids = np.meshgrid(*([ax] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return _grid_rows([-1.0 + (np.arange(m) + 0.5) * (2.0 / m)] * dim)
 
 
 def indicator_from_balls(dim, m, centers, radii) -> GridIndicator:

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody
-from .correlation import SPECTRUM_BUDGET_BYTES
-from .errors import BadInputError, BudgetExceededError, read_csv
+from .correlation import SPECTRUM_BUDGET_BYTES, _grid_rows
+from .errors import BadInputError, BudgetExceededError, read_csv, write_csv
 
 MERGE_TOL = 1e-9        # distances closer than this count as one value
 DUP_TOL = 1e-12         # duplicate-point tolerance inside a PointSet
 _LAG_PAIRS_PER_CELL = 8  # lag grids of more cells than pairs / 8 take every pair: faster there
 _LAG_CELL_BYTES = 48    # peak bytes a lag-grid cell takes in _lag_vectors, all arrays live
+_PAIR_BLOCK = 512       # points a side of one block of pairs in _differences
+_LAG_BLOCK = 1 << 18    # lags in one block of _differences, as many as a block of pairs
 
 
 class PointSet:
@@ -55,11 +57,7 @@ class PointSet:
         return PointSet(self.points * float(c))
 
     def save_csv(self, path):
-        header = ",".join(f"x{i}" for i in range(self.dim))
-        rows = [header]
-        rows += [",".join(f"{v:.17g}" for v in p) for p in self.points]
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_csv(path, [f"x{i}" for i in range(self.dim)], self.points)
 
     @staticmethod
     def load_csv(path):
@@ -76,9 +74,7 @@ def lattice_points(dim: int, lo: float, hi: float, spacing: float = 1.0) -> Poin
         raise BudgetExceededError(f"a Z{dim} box {q_hi - q_lo + 1:.3g} points wide exceeds "
                                   f"{SPECTRUM_BUDGET_BYTES >> 20} MiB")
     ax = np.arange(math.ceil(q_lo), math.floor(q_hi) + 1) * spacing
-    grids = np.meshgrid(*([ax] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return PointSet(pts)
+    return PointSet(_grid_rows([ax] * dim))
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ class GapReport:
 
     distances: np.ndarray
     gaps: list          # (start, length) pairs, disjoint and sorted
-    t0: float
+    t0: float           # unread and 0.0 from from_values; perfbench builds GapReport by position
     t_max: float
     merge_tol: float
 
@@ -98,8 +94,7 @@ class GapReport:
         object.__setattr__(self, "gaps", list(self.gaps))
 
     @classmethod
-    def from_values(cls, values, t_max: float, merge_tol: float = MERGE_TOL,
-                    t0: float = 0.0) -> "GapReport":
+    def from_values(cls, values, t_max: float, merge_tol: float = MERGE_TOL) -> "GapReport":
         """Merge values up to t_max sequentially at merge_tol; the gaps are the empty
         intervals between consecutive merged values and from the last one to t_max."""
         values = np.asarray(values, dtype=float)
@@ -114,7 +109,7 @@ class GapReport:
                 if b - a > merge_tol]
         if dists.size and t_max - dists[-1] > merge_tol:
             gaps.append((float(dists[-1]), float(t_max - dists[-1])))
-        return cls(dists, gaps, float(t0), float(t_max), merge_tol)
+        return cls(dists, gaps, 0.0, float(t_max), merge_tol)
 
     @property
     def separation_witness(self):
@@ -126,23 +121,6 @@ class GapReport:
     @property
     def separated(self):
         return self.separation_witness >= 10 * self.merge_tol
-
-
-def _pairwise_gauge(points, body: ConvexBody, dual: bool, chunk: int = 512):
-    n = points.shape[0]
-    fn = body.dual_gauge_many if dual else body.gauge_many
-    out = []
-    for i in range(0, n, chunk):
-        block = points[i:i + chunk]
-        for j0 in range(i, n, chunk):
-            other = points[j0:j0 + chunk]
-            diffs = block[:, None, :] - other[None, :, :]
-            vals = fn(diffs.reshape(-1, points.shape[1])).reshape(len(block), len(other))
-            # only a diagonal block holds pairs with i >= j
-            out.append(vals[np.triu_indices(len(block), 1)] if j0 == i else vals.ravel())
-    if out:
-        return np.concatenate(out)
-    return np.empty(0)
 
 
 def _lag_vectors(points):
@@ -187,15 +165,29 @@ def distance_set(points: PointSet, body: ConvexBody, t_max: float,
 
 
 def _distance_values(points: PointSet, body: ConvexBody, dual: bool) -> np.ndarray:
-    """0 (for a nonempty set) and the gauge of every p_i - p_j, i < j: of each distinct
-    difference once where _lag_vectors applies, else of every pair."""
+    """0 (for a nonempty set) and the gauge of each difference that _differences yields."""
     if points.dim != body.dim:
         raise BadInputError(f"points of dimension {points.dim} for a body of dimension {body.dim}")
-    lags = _lag_vectors(points.points) if len(points) > 1 else None
-    fn, rows = (body.dual_gauge_many if dual else body.gauge_many), 1 << 18  # as pairwise blocks
-    vals = (_pairwise_gauge(points.points, body, dual) if lags is None
-            else np.concatenate([fn(lags[s:s + rows]) for s in range(0, len(lags), rows)]))
-    return np.concatenate([[0.0], vals]) if len(points) >= 1 else vals
+    fn = body.dual_gauge_many if dual else body.gauge_many
+    return np.concatenate([np.zeros(min(len(points), 1))]
+                          + [fn(block) for block in _differences(points.points)])
+
+
+def _differences(points):
+    """The differences p_i - p_j, i < j, of the rows of points, in blocks: each distinct
+    difference once, _LAG_BLOCK rows a block, where _lag_vectors applies, else every pair,
+    in blocks of _PAIR_BLOCK x _PAIR_BLOCK points (the pairs i < j only on the diagonal)."""
+    lags = _lag_vectors(points) if len(points) > 1 else None
+    if lags is not None:
+        for s in range(0, len(lags), _LAG_BLOCK):
+            yield lags[s:s + _LAG_BLOCK]
+        return
+    for i in range(0, len(points) - 1, _PAIR_BLOCK):  # a last block of one point has no pair
+        block = points[i:i + _PAIR_BLOCK]
+        upper = np.triu_indices(len(block), 1)
+        for j in range(i, len(points), _PAIR_BLOCK):
+            diffs = block[:, None, :] - points[None, j:j + _PAIR_BLOCK, :]
+            yield diffs[upper] if j == i else diffs.reshape(-1, points.shape[1])
 
 
 def gap_scan(report: GapReport, eps: float, t0: float = 0.0):
@@ -222,8 +214,7 @@ def well_distributed_radius(points: PointSet, probe_lo, probe_hi):
         step = r / 4.0
         axes = [np.arange(lo[k], hi[k] - r + step * 1e-9, step) for k in range(points.dim)]
         axes = [np.append(a, hi[k] - r) for k, a in enumerate(axes)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        corners = np.stack([g.ravel() for g in grids], axis=1)
+        corners = _grid_rows(axes)
         for s in range(0, corners.shape[0], 1024):
             blk = corners[s:s + 1024]
             inside = np.all((pts[None, :, :] >= blk[:, None, :] - 1e-12)

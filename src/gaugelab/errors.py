@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, the JSON and CSV readers and the JSON writer.
+"""Exception hierarchy shared by all modules, and the JSON and CSV readers and writers.
 
 The CLI maps these onto process exit codes: bad input -> 2,
 hypothesis violation -> 3, numeric budget exceeded -> 4.
@@ -52,3 +52,15 @@ def write_json(path, spec, indent=None):
     with open(path, "w") as fh:
         json.dump(spec, fh, indent=indent, sort_keys=True)
         fh.write("\n")
+
+
+def fmt(x) -> str:
+    """x as the CSV files and run.log write it: a float to 17 significant digits."""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
+def write_csv(path, header, rows):
+    """A header line of the column names, then one line of fmt values per row."""
+    lines = [",".join(header)] + [",".join(map(fmt, row)) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .bodies import ConvexBody, Ellipsoid, HPolytope
-from .distances import GapReport, PointSet, _distance_values, _lag_vectors, sparsify
+from .distances import GapReport, PointSet, _differences, _distance_values, sparsify
 from .errors import BadInputError, HypothesisViolationError
 
 _POLAR_BLOCK = 1 << 18  # cap on rows * nodes (edges) per block in _chi_hat_polar (_polygon)
@@ -253,15 +253,9 @@ def radial_zero_scan(body: ConvexBody, window, steps: int) -> ZeroLedger:
 
 def orthogonality_residual(points: PointSet, body: ConvexBody) -> float:
     """max over distinct pairs of |chi_hat(body, difference)| (0 for < 2 points): over the
-    distinct differences p_j - p_i, i < j, where _lag_vectors applies, else over every pair."""
-    n = len(points)
-    if n < 2:
-        return 0.0
-    diffs = _lag_vectors(points.points)
-    if diffs is None:
-        i, j = np.triu_indices(n, 1)
-        diffs = points.points[i] - points.points[j]
-    return float(np.max(np.abs(chi_hat_many(body, -diffs))))
+    differences p_j - p_i, i < j, block by block as _differences yields their negatives."""
+    return max((float(np.max(np.abs(chi_hat_many(body, -block))))
+                for block in _differences(points.points)), default=0.0)
 
 
 @dataclass(frozen=True)

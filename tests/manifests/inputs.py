@@ -60,6 +60,9 @@ def main(out):
     gl.PointSet(k.reshape(-1, 2) @ dual).save_csv(out / "hexagon-dual.csv")
     values = np.round(rng.uniform(0, 6, size=60), 2)
     (out / "values.csv").write_text("value\n" + "".join(f"{v:.17g}\n" for v in values))
+    # off every grid and over 1024 points, so the pair walk crosses its 512-point blocks
+    big = np.random.default_rng(11).uniform(-30, 30, size=(1100, 2))
+    gl.PointSet(big).save_csv(out / "points2-1100.csv")
 
 
 if __name__ == "__main__":

@@ -222,10 +222,13 @@ def all_pairs_spectrum_report(points, body, R):
 def sequential_merge_distance_set(points, body, t_max, merge_tol=1e-9, dual=False):
     """Distance set as first written: every pair gauged, and the sequential merge walks
     every sorted value.  dual=True is its twin under the dual gauge."""
-    from gaugelab.distances import GapReport, _pairwise_gauge
-    vals = _pairwise_gauge(points.points, body, dual)
-    if len(points) >= 1:
-        vals = np.concatenate([[0.0], vals])
+    from gaugelab.distances import GapReport
+    fn = body.dual_gauge_many if dual else body.gauge_many
+    i, j = np.triu_indices(len(points), 1)
+    vals = [np.zeros(min(len(points), 1))]
+    for s in range(0, len(i), 1 << 18):  # the pairs in slices, so big sets stay small
+        vals.append(fn(points.points[i[s:s + (1 << 18)]] - points.points[j[s:s + (1 << 18)]]))
+    vals = np.concatenate(vals)
     vals = np.sort(vals[vals <= t_max + merge_tol])
     merged = []
     for v in vals:

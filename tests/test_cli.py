@@ -394,6 +394,12 @@ class TestExitCodes:
         assert main(_args("distset", "--body", workdir / "cube.json", "--lattice", lattice,
                           f"--spacing={spacing}", "--tmax", 1, "--out", workdir / "x")) == code
 
+    def test_lattice_of_more_than_64_dimensions_meets_the_dimension_check(self, workdir, capsys):
+        # one point per axis: the box passes the size cap, and the 65-d rows are built
+        assert main(_args("distset", "--body", workdir / "cube.json", "--lattice", "Z65",
+                          "--range", 0, 0.1, "--tmax", 1, "--out", workdir / "x")) == 2
+        assert "points of dimension 65 for a body of dimension 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [("out", 5), ("body", 5), ("points", 5),
                                               ("indicator", 5), ("command", ["gauge"])],
                              ids=["out", "body", "points", "indicator", "command"])

@@ -294,6 +294,19 @@ class TestGridIndicator:
         with pytest.raises(BadInputError):
             gl.GridIndicator(4, 8, np.zeros((8,) * 4, dtype=bool))
 
+    @pytest.mark.parametrize("sizes", [(7,), (0,), (3, 5), (4, 0), (2, 3, 4), (1, 6, 1)])
+    def test_grid_rows_are_the_meshgrid_rows(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        axes = [rng.normal(size=k) for k in sizes]
+        want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        got = correlation._grid_rows(axes)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_grid_rows_in_more_dimensions_than_an_array_has_axes(self):
+        axes = [np.array([0.5]), np.array([1.0, 2.0])] + [np.zeros(1)] * 70
+        want = np.c_[[[0.5], [0.5]], [[1.0], [2.0]], np.zeros((2, 70))]
+        np.testing.assert_array_equal(correlation._grid_rows(axes), want)
+
     @pytest.mark.parametrize("dim, m, target", [(1, 64, 0.8), (2, 128, 0.3 * math.pi),
                                                 (2, 256, 1.0), (3, 32, 0.3)])
     def test_running_mask_matches_rebuilt_union(self, dim, m, target):

@@ -142,7 +142,7 @@ class TestLagVectors:
             want = {(id(b), dual): oracles.sequential_merge_distance_set(pts, b, 9.0, dual=dual)
                     for b in LAG_BODIES[dim] for dual in (False, True)}
             with monkeypatch.context() as m:
-                m.setattr(distances, "_pairwise_gauge", None)  # a call would raise
+                m.setattr(distances, "_PAIR_BLOCK", None)  # the pair walk would raise
                 for b in LAG_BODIES[dim]:
                     for dual in (False, True):
                         assert_same_report(gl.distance_set(pts, b, 9.0, dual=dual),

@@ -369,6 +369,13 @@ class TestZeroScan:
         assert led.approximate
 
 
+def jittered_grid(n):
+    """The first n of 34 x 34 integer points each moved by up to 0.2 per axis: off every
+    grid, and each alone in its even cube at R = 0.5, so sparsify keeps all of them."""
+    k = np.stack(np.meshgrid(np.arange(34), np.arange(34), indexing="ij"), axis=-1).reshape(-1, 2)
+    return gl.PointSet(k[:n] + np.random.default_rng(n).uniform(-0.2, 0.2, (n, 2)))
+
+
 class TestOrthogonality:
     def test_lattice_is_a_cube_spectrum(self, half_cube):
         lat = gl.lattice_points(2, -5, 5)
@@ -385,10 +392,14 @@ class TestOrthogonality:
 
     @pytest.mark.parametrize("case,seed", [("hexagon on Z^2", 0), ("hexagon dual lattice", 0),
                                            ("polygon on Z^2 / 2", 0)]
-                             + [("polygon off the grid", seed) for seed in range(4)])
+                             + [("polygon off the grid", seed) for seed in range(4)]
+                             + [(case, 0) for case in ("polygon on 1025 points",
+                                                       "polygon on 1156 points",
+                                                       "box on 1156 points",
+                                                       "ellipse on 1156 points")])
     def test_distinct_differences_keep_every_bit(self, case, seed):
-        # lag vectors give each difference p_j - p_i, i < j, once; the max over them is the
-        # max over every pair, bit for bit
+        # lag vectors give each difference p_j - p_i, i < j, once, and the pair walk gives
+        # every pair block by block; the max over them is the max over every pair, bit for bit
         hexagon, polygon = gl.regular_polygon_body(6), gl.random_symmetric_polytope(2, 7, 5)
         rng = np.random.default_rng(seed)
         tiles = 2 * hexagon.offsets[:2, None] * hexagon.normals[:2]
@@ -399,10 +410,27 @@ class TestOrthogonality:
                                                           @ np.linalg.inv(tiles).T), False),
             "polygon on Z^2 / 2": (polygon, gl.lattice_points(2, -5, 5, 0.5), True),
             "polygon off the grid": (polygon, gl.PointSet(rng.uniform(-6, 6, (200, 2))), False),
+            # past 1024 points: 1025 end in a pair block of one point, 1156 in one of 132
+            "polygon on 1025 points": (polygon, jittered_grid(1025), False),
+            "polygon on 1156 points": (polygon, jittered_grid(1156), False),
+            "box on 1156 points": (gl.cube_body(2, 0.5), jittered_grid(1156), False),
+            "ellipse on 1156 points": (gl.Ellipsoid([0.9, 0.6]), jittered_grid(1156), False),
         }[case]
         assert (distances._lag_vectors(pts.points) is not None) == lags
         assert (gl.orthogonality_residual(pts, body)
                 == oracles.pairwise_orthogonality_residual(pts, body))
+
+    def test_pair_walk_peak_stays_bounded(self):
+        import tracemalloc
+        hexagon = gl.regular_polygon_body(6)
+        pts = gl.PointSet(np.random.default_rng(2).uniform(-30, 30, (1500, 2)))
+        tracemalloc.start()
+        try:
+            gl.orthogonality_residual(pts, hexagon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 << 20   # one 512 x 512 block at a time; all 1.1M at once take ~78 MiB
 
 
 class TestSpectrumPipeline:
@@ -432,7 +460,9 @@ class TestSpectrumPipeline:
         assert len(result.report.distances) == len(brute)
 
     @pytest.mark.parametrize("case", ["hexagon on Z^2", "square on Z^2 / 2", "disk on Z^2",
-                                      "polygon off the grid", "cube on Z^3"])
+                                      "polygon off the grid", "cube on Z^3",
+                                      "polygon on 1156 points", "box on 1156 points",
+                                      "ellipse on 1156 points"])
     def test_report_matches_every_pair(self, case):
         # t_max from the distinct differences equals the max over all n^2 of them
         rng = np.random.default_rng(8)
@@ -443,6 +473,11 @@ class TestSpectrumPipeline:
             "polygon off the grid": (gl.random_symmetric_polytope(2, 7, 5),
                                      gl.PointSet(rng.uniform(-9, 9, (400, 2))), 0.7),
             "cube on Z^3": (gl.cube_body(3, 0.5), gl.lattice_points(3, -4, 4), 1.0),
+            # all 1156 kept, so the dual gauge walks pair blocks of 512 points
+            "polygon on 1156 points": (gl.random_symmetric_polytope(2, 7, 5),
+                                       jittered_grid(1156), 0.5),
+            "box on 1156 points": (gl.cube_body(2, 0.5), jittered_grid(1156), 0.5),
+            "ellipse on 1156 points": (gl.Ellipsoid([0.9, 0.6]), jittered_grid(1156), 0.5),
         }[case]
         got = gl.spectrum_gap_pipeline(pts, body, R).report
         want = oracles.all_pairs_spectrum_report(pts, body, R)
