@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, combinations, islice
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from .errors import BadInputError, read_json, write_json
+from .errors import BadInputError, BudgetExceededError, read_json, write_json
 from .measures import AtomicMeasure, _sphere_directions, _unit_rows
 
 PAIR_TOL = 1e-9        # +/- facet pairing match tolerance
 CLAMP_TOL = 1e-12      # inner products may overshoot [-1, 1] by at most this
 VERTEX_TOL = 1e-9      # vertex-on-facet incidence tolerance
+VERTEX_WORK = 1 << 28  # cap on the C(n, d) * n facet checks of vertex enumeration
+_VERTEX_BLOCK = 1 << 16  # cap on the facet checks of one block of vertex enumeration
 
 
 def geodesic_distance(u, v):
@@ -237,20 +239,38 @@ class HPolytope(ConvexBody):
         return self._vertices
 
     def _enumerate_vertices(self):
-        if self.dim == 1:
+        """Every vertex once, in lexicographic order.
+
+        Each d-subset of the n facet equations with |det| > 1e-12 is solved, in blocks of
+        at most _VERTEX_BLOCK facet checks.  A solution inside every half-space up to
+        1e-12 max(1, |x|_inf) is a vertex (VERTEX_TOL would keep a corner clipped by
+        1e-9), kept unless within VERTEX_TOL of a vertex already kept.  Over budget,
+        before any block, when the C(n, d) * n facet checks pass VERTEX_WORK: up to 813
+        planar or 201 spatial facets run, in ~0.8 s or ~1.5 s at the cap on 2 vCPUs."""
+        n, d = self.normals.shape
+        if d == 1:
             h = float(np.min(self.offsets))
             return np.array([[-h], [h]])
-        halfspaces = np.hstack([self.normals, -self.offsets[:, None]])
-        hs = HalfspaceIntersection(halfspaces, np.zeros(self.dim))
-        verts = hs.intersections
-        # Qhull may repeat vertices; merge within tolerance.
-        order = np.lexsort(verts.T[::-1])
-        verts = verts[order]
-        keep = [0]
-        for i in range(1, len(verts)):
-            if np.max(np.abs(verts[i] - verts[keep[-1]])) > VERTEX_TOL:
-                keep.append(i)
-        return verts[keep]
+        if math.comb(n, d) * n > VERTEX_WORK:
+            raise BudgetExceededError(f"vertex enumeration over C({n}, {d}) facet subsets "
+                                      f"exceeds {VERTEX_WORK} facet checks")
+        subsets, rows = combinations(range(n), d), max(1, _VERTEX_BLOCK // n)
+        found = [np.empty((0, d))]
+        while len(idx := np.fromiter(chain.from_iterable(islice(subsets, rows)),
+                                     dtype=np.intp).reshape(-1, d)):
+            a, b = self.normals[idx], self.offsets[idx]
+            solvable = np.abs(np.linalg.det(a)) > 1e-12
+            x = np.linalg.solve(a[solvable], b[solvable][:, :, None])[:, :, 0]
+            excess = np.max(x @ self.normals.T - self.offsets, axis=1)
+            found.append(x[excess <= 1e-12 * np.maximum(1.0, np.max(np.abs(x), axis=1))])
+        found = np.concatenate(found)
+        verts = np.empty((0, d))
+        for v in found[np.lexsort(found.T[::-1])]:
+            if np.all(np.max(np.abs(verts - v), axis=1) > VERTEX_TOL):
+                verts = np.vstack([verts, v])
+        if not len(verts):
+            raise BadInputError(f"facet normals do not span R^{d}: the polytope is unbounded")
+        return verts
 
     def inner_radius(self):
         return float(np.min(self.offsets))
@@ -536,6 +556,14 @@ def _spherical_triangle_areas(a, b, c):
     return 2.0 * np.arctan2(num, den)
 
 
+# The icosahedron's faces as qhull lists them for the vertices of _icosphere_patches,
+# row for row, so its subdivisions keep every bit of the hull-built meshes.
+_ICOSAHEDRON_FACES = np.array([
+    [4, 0, 8], [3, 7, 2], [3, 0, 2], [3, 0, 8], [5, 7, 2], [5, 9, 6], [5, 9, 7], [11, 9, 6],
+    [11, 4, 6], [11, 4, 8], [1, 0, 2], [1, 4, 0], [1, 4, 6], [1, 5, 6], [1, 5, 2], [10, 3, 8],
+    [10, 9, 7], [10, 3, 7], [10, 11, 9], [10, 11, 8]])
+
+
 def _icosphere_patches(resolution):
     """Unit patch centers and solid angles of the finest subdivided icosahedron with at
     most `resolution` faces (the icosahedron itself when resolution < 80).
@@ -547,7 +575,7 @@ def _icosphere_patches(resolution):
     verts = np.array([v for a, b in [(1, t), (-1, t), (1, -t), (-1, -t)]
                       for v in [(0, a, b), (a, b, 0), (b, 0, a)]], dtype=float)
     verts /= np.linalg.norm(verts, axis=1)[:, None]
-    faces = ConvexHull(verts).simplices
+    faces = _ICOSAHEDRON_FACES.copy()
     a, b, c = (verts[faces[:, k]] for k in range(3))
     inward = np.vecdot(np.cross(b - a, c - a), a + b + c) < 0
     faces[inward] = faces[inward][:, [0, 2, 1]]  # orient all faces outward

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bodies import ConvexBody, Ellipsoid, HPolytope
 from .distances import GapReport, PointSet, _differences, _distance_values, sparsify
@@ -45,6 +44,8 @@ def _is_axis_box(body):
 
 def ball_indicator_profile(d: int, r) -> np.ndarray:
     """Radial transform of the unit d-ball: |xi|^{-d/2} J_{d/2}(2 pi |xi|)."""
+    from scipy import special   # imported here: scipy.special would double `import gaugelab`
+
     r = np.asarray(r, dtype=float)
     out = np.empty(r.shape)
     omega = math.pi ** (d / 2) / math.gamma(d / 2 + 1)

@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from gaugelab.bodies import Ellipsoid, HPolytope, RadialBody
 from gaugelab.measures import _block_times
@@ -281,6 +281,20 @@ def longdouble_radial_slice(dim, a, c):
     else:
         out[~small] = ab ** 2 * sn / cb + 2 * ab * cs / cb ** 2 - 2 * sn / cb ** 3
     return out
+
+
+def qhull_vertices(body):
+    """HPolytope vertices as first enumerated: qhull's halfspace intersection about the
+    origin, lexsorted, each kept unless within VERTEX_TOL of the last one kept."""
+    from gaugelab.bodies import VERTEX_TOL
+    halfspaces = np.hstack([body.normals, -body.offsets[:, None]])
+    verts = HalfspaceIntersection(halfspaces, np.zeros(body.dim)).intersections
+    verts = verts[np.lexsort(verts.T[::-1])]
+    keep = [0]
+    for i in range(1, len(verts)):
+        if np.max(np.abs(verts[i] - verts[keep[-1]])) > VERTEX_TOL:
+            keep.append(i)
+    return verts[keep]
 
 
 @lru_cache(maxsize=8)

@@ -1,14 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gaugelab as gl
 from gaugelab import bodies
-from gaugelab.errors import BadInputError
+from gaugelab.errors import BadInputError, BudgetExceededError
 
 import oracles
 
@@ -407,6 +408,94 @@ class TestFacetPairing:
             with pytest.raises(BadInputError) as new:
                 gl.HPolytope(normals, offsets)
             assert str(new.value) == str(old.value)
+
+
+def clipped_body(seed, dim, pairs, clip):
+    """A seeded H-polytope, redundant facets allowed, with offsets in [0.5, 1.5]: in the
+    plane 2 + min(pairs, 37) facet pairs at jittered even angles (no two normals within
+    0.1 pi / pairs), in 3d the axis pairs and min(pairs, 9) random ones.  Unless clip is
+    None, one pair more cuts a vertex v (and -v) back by clip, along the mean normal u of
+    the facets through v (an example is rejected where u repeats a normal): clip 0 puts
+    d + 1 facets through v, clip 1.5e-9 leaves near-coincident corners."""
+    rng = np.random.default_rng(seed)
+    if dim == 2:
+        k = 2 + min(pairs, 37)
+        ang = (np.arange(k) + rng.uniform(0.05, 0.95, size=k)) * np.pi / k
+        n = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    else:
+        n = np.vstack([np.eye(3), rng.normal(size=(min(pairs, 9), 3))])
+        n /= np.linalg.norm(n, axis=1)[:, None]
+    h = rng.uniform(0.5, 1.5, size=n.shape[0])
+    body = gl.HPolytope(np.vstack([n, -n]), np.concatenate([h, h]))
+    if clip is None:
+        return body
+    verts = oracles.qhull_vertices(body)
+    v = verts[rng.integers(len(verts))]
+    u = np.sum(body.normals[np.abs(body.normals @ v - body.offsets) <= 1e-9], axis=0)
+    u /= np.linalg.norm(u)
+    assume(np.max(np.abs(n @ u)) < 1 - 1e-8)   # a facet left out at v may be normal to u
+    n, h = np.vstack([n, u]), np.append(h, u @ v - clip)
+    return gl.HPolytope(np.vstack([n, -n]), np.concatenate([h, h]))
+
+
+def assert_qhull_vertices(body):
+    """body.vertices, lexsorted, are qhull's within 1e-12, each matched to the nearest:
+    degenerate vertices round apart by 1e-16, which can swap lexicographic neighbours."""
+    got, want = body.vertices, oracles.qhull_vertices(body)
+    assert got.shape == want.shape
+    assert np.array_equal(got, got[np.lexsort(got.T[::-1])])
+    gap = np.max(np.abs(got[:, None, :] - want[None, :, :]), axis=2)
+    assert np.max(np.min(gap, axis=1)) <= 1e-12
+
+
+class TestVertexEnumeration:
+    """The stacked-solve vertex enumeration against qhull's halfspace intersection."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+           pairs=st.integers(0, 37), clip=st.sampled_from([None, 0.0, 1.5e-9, 1e-6, 0.1]))
+    @settings(max_examples=80, deadline=None)
+    def test_vertices_match_qhull(self, seed, dim, pairs, clip):
+        assert_qhull_vertices(clipped_body(seed, dim, pairs, clip))
+
+    def test_the_largest_bodies_match_qhull(self):
+        for body in (gl.regular_polygon_body(80), gl.random_symmetric_polytope(2, 40, 0),
+                     gl.random_symmetric_polytope(3, 13, 0), gl.cube_body(3),
+                     gl.HPolytope([[a, b, c] for a in (1, -1) for b in (1, -1)
+                                   for c in (1, -1)], [1.0] * 8)):   # 4 facets per vertex
+            assert_qhull_vertices(body)
+
+    def test_icosahedron_faces_are_the_hull_simplices(self):
+        from scipy.spatial import ConvexHull
+        t = (1 + 5 ** 0.5) / 2
+        verts = np.array([v for a, b in [(1, t), (-1, t), (1, -t), (-1, -t)]
+                          for v in [(0, a, b), (a, b, 0), (b, 0, a)]], dtype=float)
+        verts /= np.linalg.norm(verts, axis=1)[:, None]
+        assert np.array_equal(bodies._ICOSAHEDRON_FACES, ConvexHull(verts).simplices)
+
+    @pytest.mark.parametrize("dim, facets", [(2, 814), (3, 202), (4, 94)])
+    def test_work_over_the_cap_refused_before_any_block(self, dim, facets):
+        # the smallest facet counts whose C(n, d) * n facet checks pass VERTEX_WORK
+        assert math.comb(facets - 2, dim) * (facets - 2) <= bodies.VERTEX_WORK
+        assert math.comb(facets, dim) * facets > bodies.VERTEX_WORK
+        if dim == 2:
+            body = gl.regular_polygon_body(facets)
+        else:
+            v = np.random.default_rng(3).normal(size=(facets // 2, dim))
+            body = gl.HPolytope(np.vstack([v, -v]), np.ones(facets))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="facet checks"):
+                body.vertices
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_normals_that_do_not_span_are_unbounded(self):
+        body = gl.HPolytope([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                             [0.0, -1.0, 0.0]], [1.0] * 4)
+        with pytest.raises(BadInputError, match="unbounded"):
+            body.vertices
 
 
 class TestMeshIsMeasure:

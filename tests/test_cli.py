@@ -316,6 +316,22 @@ class TestExitCodes:
         assert code == 4
         assert peak < 1 << 20
 
+    def test_polytope_over_the_vertex_cap_refused_before_allocation(self, workdir):
+        # C(94, 4) * 94 facet checks pass VERTEX_WORK.  A 3d body over the cap has 202
+        # facets, whose n x n pairing check alone takes ~1.2 MiB before the vertices.
+        import tracemalloc
+        v = np.random.default_rng(1).normal(size=(47, 4))
+        gl.save_body(gl.HPolytope(np.vstack([v, -v]), np.full(94, 2.0)), workdir / "p4.json")
+        tracemalloc.start()
+        try:
+            code = main(_args("gauge", "--body", workdir / "p4.json", "--point", "1,1,1,1",
+                              "--out", workdir / "x6"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("command, key, extra", [
         ("ftscan", "--eta", ("--tgrid", "0,1,3")),
         ("project", "--eta", ()),

@@ -216,6 +216,9 @@ class TestFoldedWiener:
     @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3), atoms=st.integers(1, 300),
            T=st.floats(0.1, 500.0), origin=st.booleans(),
            samples=st.sampled_from(SAMPLE_COUNTS + (1001, 1000)))
+    # |F|^2 = 0.24 over 521 weights of mass 120: against a long-double sum the library is
+    # off by 1.1e-12 relative and the oracle by 3.7e-12, inside wiener_bound (1.3e-9)
+    @example(seed=70470, dim=1, atoms=260, T=499.0, origin=True, samples=2)
     @settings(max_examples=40, deadline=None)
     def test_symmetric_clouds_fold_their_pairs(self, seed, dim, atoms, T, origin, samples):
         mu, eta, rng = signed_cloud(seed, dim, atoms, 1.0)
@@ -228,8 +231,8 @@ class TestFoldedWiener:
             plain = gl.wiener_atom_mass(mu, eta, T, samples)
         assert mu._pairs_up() is None
         assert seen == [atoms + origin, atoms]   # one term per pair, every atom of mu
-        assert folded == pytest.approx(oracle_wiener(even, eta, T, samples), rel=1e-12)
-        assert plain == pytest.approx(oracle_wiener(mu, eta, T, samples), rel=1e-12)
+        for m, got in ((even, folded), (mu, plain)):
+            assert abs(got - oracle_wiener(m, eta, T, samples)) <= wiener_bound(m, eta, T, samples)
 
 
 class TestBlockPool:

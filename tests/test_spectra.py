@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,3 +502,22 @@ class TestSpectrumPipeline:
         assert len(result.sparsified) == 0
         assert result.report.distances.size == 0
         assert result.report.gaps == []
+
+
+def test_import_leaves_scipy_spatial_and_special_unloaded():
+    # scipy.special loads on the first ball_indicator_profile call, and only then
+    code = ("import json, sys, gaugelab\n"
+            "loaded = [m for m in sys.modules if m.split('.')[:2] in (['scipy', 'spatial'],"
+            " ['scipy', 'special'])]\n"
+            "print(json.dumps(loaded))\n"
+            "print(json.dumps(gaugelab.ball_indicator_profile(2, [0.0, 0.3, 2.5]).tolist()))\n"
+            "print('scipy.special' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(gl.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, profile, special_after = proc.stdout.splitlines()
+    assert json.loads(loaded) == []
+    assert json.loads(profile) == gl.ball_indicator_profile(2, [0.0, 0.3, 2.5]).tolist()
+    assert special_after == "True"
