@@ -27,6 +27,7 @@ CLAMP_TOL = 1e-12      # inner products may overshoot [-1, 1] by at most this
 VERTEX_TOL = 1e-9      # vertex-on-facet incidence tolerance
 VERTEX_WORK = 1 << 28  # cap on the C(n, d) * n facet checks of vertex enumeration
 _VERTEX_BLOCK = 1 << 16  # cap on the facet checks of one block of vertex enumeration
+_PAIR_BLOCK = 1 << 16  # cap on the normal dots of one block of facet pairing
 
 
 def geodesic_distance(u, v):
@@ -187,19 +188,24 @@ class HPolytope(ConvexBody):
     def _antipodes(normals, offsets):
         """Index of the most nearly opposite normal of each facet; bad input, naming the
         first facet at fault, when a normal repeats or a facet has no opposite normal
-        with an equal offset."""
-        dots = normals @ normals.T
-        repeated = np.count_nonzero(dots > 1.0 - PAIR_TOL, axis=1) > 1
-        opposite = (dots < -1.0 + PAIR_TOL) & (np.abs(offsets[None, :] - offsets[:, None])
-                                               <= PAIR_TOL * np.maximum(1.0, offsets)[:, None])
-        bad = repeated | ~np.any(opposite, axis=1)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            if repeated[i]:
-                raise BadInputError(f"duplicate facet normal at index {i}")
-            raise BadInputError(
-                f"facet {i} has no matching opposite facet; body must be 0-symmetric")
-        return np.argmin(dots, axis=1)
+        with an equal offset.  Facets are checked in row blocks of at most _PAIR_BLOCK
+        normal dots, so n facets never take n x n matrices."""
+        n, rows = len(normals), max(1, _PAIR_BLOCK // len(normals))
+        antipode = np.empty(n, dtype=np.intp)
+        for b in range(0, n, rows):
+            dots, own = normals[b:b + rows] @ normals.T, offsets[b:b + rows, None]
+            repeated = np.count_nonzero(dots > 1.0 - PAIR_TOL, axis=1) > 1
+            opposite = (dots < -1.0 + PAIR_TOL) & (np.abs(offsets[None, :] - own)
+                                                   <= PAIR_TOL * np.maximum(1.0, own))
+            bad = repeated | ~np.any(opposite, axis=1)
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                if repeated[i]:
+                    raise BadInputError(f"duplicate facet normal at index {b + i}")
+                raise BadInputError(
+                    f"facet {b + i} has no matching opposite facet; body must be 0-symmetric")
+            antipode[b:b + rows] = np.argmin(dots, axis=1)
+        return antipode
 
     @property
     def n_facets(self):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import BadInputError, BudgetExceededError, read_json, write_json
 from .measures import AtomicMeasure, _phase_table
 
 _PAD = 2  # zero-padding factor for the frequency grid (kills torus wrap-around)
-SPECTRUM_BUDGET_BYTES = 1 << 28  # cap on one padded complex spectrum, 16 (_PAD m)^d bytes
+SPECTRUM_BUDGET_BYTES = 1 << 28  # cap on 16 (_PAD m)^d bytes, the full padded complex spectrum
 _GEMM_BLOCK = 1 << 20  # cap on the table elements of one block of pairs in _sigma_hat_on_grid
 _LACUNARY_RATIO = 0.49  # t_{j+1} / t_j of a geometric plan, under the 1/2 a plan needs
 _SCRATCH = threading.local()  # per-thread work buffers of _sigma_hat_on_grid, kept between calls
@@ -65,31 +66,30 @@ class GridIndicator:
         return -1.0 + (idx + 0.5) * self.h
 
     def _abs_fft_squared(self):
-        """|F|^2 of the cell array zero-padded to (_PAD m)^d."""
+        """|F|^2 of the cell array zero-padded to (_PAD m)^d, last axis k = 0..m (rfftn)."""
         if "abs2" not in self._cache:
-            arr = np.zeros((_PAD * self.m,) * self.dim)
-            arr[(slice(0, self.m),) * self.dim] = self.cells
-            self._cache["abs2"] = np.abs(np.fft.fftn(arr)) ** 2
+            spec = np.fft.rfftn(self.cells, s=(_PAD * self.m,) * self.dim, axes=range(self.dim))
+            self._cache["abs2"] = np.abs(spec) ** 2
         return self._cache["abs2"]
 
     def _power_spectrum(self):
-        """(|ft(f)|^2 * dxi, |xi| radii) on the padded frequency grid, with the total
+        """(weighted |ft(f)|^2 * dxi, |xi| radii) at the points of _radius_order, with the total
         spectral mass and its part beyond 0.9 of the Nyquist radius 1/(2h)."""
         if "power" not in self._cache:
-            mp = _PAD * self.m
-            dxi = (1.0 / (mp * self.h)) ** self.dim
-            power = self._abs_fft_squared() * self.h ** (2 * self.dim) * dxi
-            axes = np.meshgrid(*[np.fft.fftfreq(mp, d=self.h)] * self.dim,
-                               indexing="ij", sparse=True)
-            radii = np.sqrt(sum(g ** 2 for g in axes))
-            tail = float(np.sum(power[radii > 0.9 * (0.5 / self.h)]))
+            dxi = (1.0 / (_PAD * self.m * self.h)) ** self.dim
+            order, radii, weight = _radius_order(self.dim, self.m)
+            rows = np.ix_(*_half_grid_axes(self.dim, self.m))
+            power = (self._abs_fft_squared()[rows].ravel()[order] * self.h ** (2 * self.dim)
+                     * dxi * weight)
+            tail = float(np.sum(power[np.searchsorted(radii, 0.9 * (0.5 / self.h), "right"):]))
             self._cache["power"] = (power, radii, float(np.sum(power)), tail)
         return self._cache["power"]
 
     def _autocorrelation(self):
         """A(k) = sum_i c_i c_{i+k} at lag k mod _PAD m, |k| <= m - 1 (exact integers)."""
         if "autocorr" not in self._cache:
-            acf = np.fft.ifftn(self._abs_fft_squared()).real
+            mp = _PAD * self.m
+            acf = np.fft.irfftn(self._abs_fft_squared(), s=(mp,) * self.dim, axes=range(self.dim))
             self._cache["autocorr"] = np.rint(acf).astype(np.int64)
         return self._cache["autocorr"]
 
@@ -99,7 +99,8 @@ class GridIndicator:
 
 
 def _check_grid(dim, m):
-    """Refuse, before allocating, a bad grid or one whose padded spectrum is over budget."""
+    """Refuse, before allocating, a bad grid or one whose full padded spectrum (twice the
+    half grid kept) is over budget."""
     if dim not in (1, 2, 3):
         raise BadInputError("grids support dimensions 1..3")
     if m < 2:
@@ -116,6 +117,35 @@ def indicator_from_cells(dim, m, cell_list) -> GridIndicator:
     if idx.size:
         cells[tuple(idx[:, k] for k in range(dim))] = True
     return GridIndicator(dim, m, cells)
+
+
+def _half_grid_axes(dim, m):
+    """The integers k of each axis of the half grid xi = k / (_PAD m h): the last axis holds
+    0..m; with more axes the first holds 0..m then -1..-m, and a middle one the fftfreq
+    integers then +m.  Each point k with 0 < k_d < m also stands for -k, the rest of the
+    full grid (both transforms are even, and |F|^2 has period _PAD m)."""
+    middle = np.r_[(np.arange(_PAD * m) + m) % (_PAD * m) - m, m]
+    return ([np.r_[:m + 1, -1:-m - 1:-1]] + [middle] * (dim - 2))[:dim - 1] + [np.arange(m + 1)]
+
+
+@lru_cache(maxsize=4)
+def _radius_order(dim, m):
+    """(flat indices, radii, weights) of the half grid's points in radius order, read-only and
+    shared by every set of this grid.  A weight counts the full grid's points k (lead axes
+    -m..m - 1) that a point stands for: itself, unless a lead k_a = +m or k_d = m, and -k,
+    if 0 < k_d and no lead k_a = -m; points of weight 0 are left out.  Radii are formed as
+    on the full grid, so each point falls in its band bit for bit."""
+    freqs = np.fft.fftfreq(_PAD * m, d=2.0 / m)
+    *lead, last = np.meshgrid(*_half_grid_axes(dim, m), indexing="ij", sparse=True)
+    radii = np.sqrt(sum(freqs[k] ** 2 for k in lead) + freqs[last] ** 2).ravel()
+    weight = (1 * (sum(k == m for k in lead) == 0) * (last < m)
+              + (sum(k == -m for k in lead) == 0) * (last > 0)).ravel()
+    keep = np.flatnonzero(weight)
+    order = keep[np.argsort(radii[keep], kind="stable")]
+    out = order, radii[order], weight[order].astype(np.uint8)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _grid_rows(axes):
@@ -331,41 +361,53 @@ def _scratch(slot, shape):
 
 
 def _power_table(s, out):
-    """out[k, p] = z_p^k with z_p = exp(-2 pi i s_p) at the fftfreq integers k of the rows
-    of out: z^0..z^half by _phase_table, z^-k as conj(z^k)."""
-    half = out.shape[0] // 2
-    _phase_table(0.0, 1.0, half + 1, s, out=out)
-    np.conjugate(out[half - 1:0:-1], out=out[half + 1:])
-    np.conjugate(out[half], out=out[half])
+    """out[k, p] = z_p^k with z_p = exp(-2 pi i s_p) at the fftfreq integers k of the first
+    2 (len(out) // 2) rows of out: z^0..z^h by _phase_table, z^-k as conj(z^k), so row h is
+    z^-h.  An odd last row takes z^+h."""
+    h = out.shape[0] // 2
+    _phase_table(0.0, 1.0, h + 1, s, out=out)
+    if out.shape[0] % 2:
+        out[2 * h] = out[h]
+    np.conjugate(out[h - 1:0:-1], out=out[h + 1:2 * h])
+    np.conjugate(out[h], out=out[h])
     return out
 
 
 def _sigma_hat_on_grid(sigma: AtomicMeasure, t: float, mp: int, h: float, dim: int):
-    """Re ft(sigma)(t xi) of a symmetric sigma on the padded grid xi = k / (mp h), and a
-    bound on its distance from the exact real part.
+    """Re ft(sigma)(t xi) of a symmetric sigma on the half grid xi = k / (mp h) of
+    _half_grid_axes, and a bound on its distance from the exact real part.
 
     Each pair (i, j) of sigma._pairs_up() adds (w_i + w_j) cos(2 pi t <x_i, xi>) (w_i alone
     if i == j), within |w_j| 2 pi t |x_i + x_j| |xi| of its share of Re ft(sigma).  With the
     power tables E_a[k, p] = z^k of z = exp(-2 pi i t x_{p,a} / (mp h)), phase in long double,
-    the cosine is Re prod_a E_a: per block of pairs, one real matrix product of the (re, im)
-    view of the Khatri-Rao rows of E_0..E_{dim-2} (ones in 1-d), weighted by (w, -w),
-    against the view of E_{dim-1}."""
+    the cosine is Re prod_a E_a: z^0..z^(mp/2) of _phase_table on the first and last axes,
+    _power_table on a middle one.  In 1-d that is one matrix-vector product per block of
+    pairs.  Otherwise, with R the Khatri-Rao rows of the tables after the first, it is
+    P -+ Q at +-k_0 for P = (w Re E_0) Re R^T and Q = (w Im E_0) Im R^T: two real matrix
+    products over k_0 = 0..mp/2, half the rows of the full grid's first axis."""
     i, j = sigma._pairs_up()
     x = sigma.positions[i]
     w = sigma.weights[i] + np.where(i == j, 0.0, sigma.weights[j])
     residue = np.sum(np.abs(sigma.weights[j]) * np.linalg.norm(x + sigma.positions[j], axis=1))
     s = x.astype(np.longdouble) * (np.longdouble(t) / (np.longdouble(mp) * np.longdouble(h)))
-    step = max(1, _GEMM_BLOCK // mp ** max(1, dim - 1))
+    step, half = max(1, _GEMM_BLOCK // mp ** max(1, dim - 1)), mp // 2
     for b in range(0, max(len(w), 1), step):
-        n = min(step, len(w) - b)
-        tab = [_power_table(s[b:b + n, ax], _scratch(ax, (mp, n))) for ax in range(dim)]
-        lead = (np.ones((1, n), dtype=complex) if dim == 1 else tab[0] if dim == 2 else
-                np.multiply(tab[0][:, None], tab[1][None], out=_scratch(3, (mp, mp, n))))
-        lead = lead.reshape(-1, n).view(float)
-        lead *= np.stack([w[b:b + n], -w[b:b + n]], axis=1).ravel()
-        part = lead @ tab[-1].view(float).T
+        n, wb = min(step, len(w) - b), w[b:b + step]
+        tab = [_power_table(s[b:b + n, ax], _scratch(ax, (mp + 1, n))) if 0 < ax < dim - 1
+               else _phase_table(0.0, 1.0, half + 1, s[b:b + n, ax], _scratch(ax, (mp + 1, n)))
+               for ax in range(dim)]
+        if dim == 1:
+            part = tab[0].real @ wb
+        else:
+            R = tab[1] if dim == 2 else np.multiply(
+                tab[1][:, None], tab[2][None], out=_scratch(3, (mp + 1, half + 1, n)))
+            R = R.reshape(-1, n)
+            p = (tab[0].real * wb) @ np.ascontiguousarray(R.real).T
+            q = (tab[0].imag * wb) @ np.ascontiguousarray(R.imag).T
+            part = np.concatenate([p - q, (p + q)[1:]])
         out = part if b == 0 else out + part
-    return out.reshape((mp,) * dim), float(math.pi * t * math.sqrt(dim) / h * residue)
+    shape = (mp + 1,) * (dim - 1) + (half + 1,)
+    return out.reshape(shape), float(math.pi * t * math.sqrt(dim) / h * residue)
 
 
 @dataclass(frozen=True)
@@ -373,8 +415,9 @@ class SplitResult:
     """The three-band split of the frequency-side correlation at one t.
 
     i1 + i2 + i3 equals the full quadrature sum exactly (same grid, disjoint
-    bands).  quad_error is the pairing residue bound of _sigma_hat_on_grid times
-    the total spectral power, plus the tail proxy near the grid Nyquist radius.
+    bands: three runs of the grid points in radius order).  quad_error is the
+    pairing residue bound of _sigma_hat_on_grid times the total spectral
+    power, plus the tail proxy near the grid Nyquist radius.
     """
 
     t: float
@@ -399,7 +442,8 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float,
     The quadrature lives on the zero-padded grid of f's transform, truncated
     at the grid Nyquist radius; the discarded tail is estimated by the
     spectral mass in the outermost decade of radii and reported as part of
-    the high band's error bar.
+    the high band's error bar.  Both transforms are even, so the sum runs
+    over the weighted half grid of _radius_order.
     """
     if t <= 0:
         raise BadInputError("t must be positive")
@@ -411,19 +455,19 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float,
         raise BadInputError("measure must be symmetric (real transform) "
                             "for the frequency-side correlation")
     power, radii, total_power, tail_power = f._power_spectrum()
-    mp = _PAD * f.m
-    shat, residue = _sigma_hat_on_grid(sigma, t, mp, f.h, f.dim)
-    vals = power * shat
-    lo_cut = delta / t
-    hi_cut = 1.0 / (delta * t)
-    band1 = radii <= lo_cut
-    band3 = radii >= hi_cut
-    band2 = ~band1 & ~band3
-    i1 = float(np.sum(vals[band1]))
-    i2 = float(np.sum(vals[band2]))
-    i3 = float(np.sum(vals[band3]))
+    shat, residue = _sigma_hat_on_grid(sigma, t, _PAD * f.m, f.h, f.dim)
+    vals = shat.ravel()[_radius_order(f.dim, f.m)[0]]
+    vals *= power
+    i1, i2, i3 = (float(np.sum(v)) for v in np.split(vals, _band_cuts(radii, t, delta)))
     return SplitResult(float(t), float(delta), i1, i2, i3, i1 + i2 + i3,
                        residue * total_power + tail_power * sigma.abs_mass)
+
+
+def _band_cuts(radii, t, delta):
+    """The end of the low band |xi| <= delta/t and the start of the high band
+    |xi| >= 1/(delta t) in the sorted radii."""
+    return (int(np.searchsorted(radii, delta / t, side="right")),
+            int(np.searchsorted(radii, 1.0 / (delta * t), side="left")))
 
 
 # -- the lacunary search --------------------------------------------------------------

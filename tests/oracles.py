@@ -8,11 +8,13 @@ the defining integrals, and correlations come from exhaustive pair searches.
 import math
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from gaugelab.bodies import Ellipsoid, HPolytope, RadialBody
+from gaugelab.correlation import _half_grid_axes
 from gaugelab.measures import _block_times
 
 
@@ -136,19 +138,47 @@ def dense_direct_correlation(f, sigma, t):
     return total * f.h ** f.dim
 
 
-def separable_sigma_hat(sigma, t, mp, h, dim):
+def separable_sigma_hat(sigma, t, mp, h, dim, half=False):
     """ft(sigma)(t xi) on the grid xi = k / (mp h), k the fftfreq integers, by one einsum
     over per-axis phases.  Each phase t x k / (mp h) is formed in long double and reduced
     mod 1 before its exponential, one entry at a time, so it is exact to ~1e-16 even where
-    a double phase of a few hundred radians is ~1e-13 off."""
-    k = ((np.arange(mp) + mp // 2) % mp - mp // 2).astype(np.longdouble)
+    a double phase of a few hundred radians is ~1e-13 off.  half=True takes the integers k
+    of the positivity machine's half grid, correlation._half_grid_axes, instead."""
+    k = (np.arange(mp) + mp // 2) % mp - mp // 2
+    ks = _half_grid_axes(dim, mp // 2) if half else [k] * dim
     scale = np.longdouble(t) / (np.longdouble(mp) * np.longdouble(h))
     E = []
-    for ax in range(dim):
-        cycles = sigma.positions[:, ax, None].astype(np.longdouble) * scale * k[None, :]
+    for ax, ka in enumerate(ks):
+        cycles = (sigma.positions[:, ax, None].astype(np.longdouble) * scale
+                  * ka.astype(np.longdouble)[None, :])
         E.append(np.exp(-2j * np.pi * (cycles - np.rint(cycles)).astype(float)))
     spec = {1: "j,jk->k", 2: "j,jk,jl->kl", 3: "j,jk,jl,jm->klm"}[dim]
     return np.einsum(spec, sigma.weights, *E)
+
+
+def full_grid_split(f, sigma, t, delta):
+    """split_integrals on the full padded (2m)^d grid, as the machine ran before it kept the
+    half grid: the fftn power spectrum, Re ft(sigma) of separable_sigma_hat over every atom,
+    three boolean band masks, the pairing residue from scan_pairs_up, and the integer
+    autocorrelation from ifftn of the full |F|^2."""
+    mp = 2 * f.m
+    arr = np.zeros((mp,) * f.dim)
+    arr[(slice(0, f.m),) * f.dim] = f.cells
+    abs2 = np.abs(np.fft.fftn(arr)) ** 2
+    power = abs2 * f.h ** (2 * f.dim) * (1.0 / (mp * f.h)) ** f.dim
+    axes = np.meshgrid(*[np.fft.fftfreq(mp, d=f.h)] * f.dim, indexing="ij", sparse=True)
+    radii = np.sqrt(sum(g ** 2 for g in axes))
+    vals = power * separable_sigma_hat(sigma, t, mp, f.h, f.dim).real
+    low, high = radii <= delta / t, radii >= 1.0 / (delta * t)
+    bands = (low, ~low & ~high, high)
+    i1, i2, i3 = (float(np.sum(vals[b])) for b in bands)
+    i, j = scan_pairs_up(sigma)
+    residue = math.pi * t * math.sqrt(f.dim) / f.h * float(np.sum(
+        np.abs(sigma.weights[j]) * np.linalg.norm(sigma.positions[i] + sigma.positions[j], axis=1)))
+    tail = float(np.sum(power[radii > 0.9 * (0.5 / f.h)]))
+    return SimpleNamespace(i1=i1, i2=i2, i3=i3, total=i1 + i2 + i3, bands=bands,
+                           quad_error=residue * float(np.sum(power)) + tail * sigma.abs_mass,
+                           autocorr=np.rint(np.fft.ifftn(abs2).real).astype(np.int64))
 
 
 def _cycles(ts, s):

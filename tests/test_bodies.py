@@ -409,6 +409,25 @@ class TestFacetPairing:
                 gl.HPolytope(normals, offsets)
             assert str(new.value) == str(old.value)
 
+    def test_one_row_blocks_pair_and_raise_as_the_scan(self, monkeypatch):
+        monkeypatch.setattr(bodies, "_PAIR_BLOCK", 1)    # each facet in a block of its own
+        self.test_facet_pairs_match_the_scan()
+        for dim in (2, 3):
+            for fault in ("dropped", "turned", "offset", "repeated"):
+                self.test_bad_pairings_raise_as_the_scan(dim, fault)
+
+    def test_pairing_runs_in_row_blocks(self):
+        # a 4000-gon: one n x n float matrix would be 122 MiB; blocks of 16 rows stay ~2 MiB
+        n = 4000
+        tracemalloc.start()
+        try:
+            body = gl.regular_polygon_body(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 32
+        assert np.array_equal(body._antipode, (np.arange(n) + n // 2) % n)
+
 
 def clipped_body(seed, dim, pairs, clip):
     """A seeded H-polytope, redundant facets allowed, with offsets in [0.5, 1.5]: in the

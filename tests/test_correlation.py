@@ -12,6 +12,8 @@ from gaugelab.errors import BadInputError, BudgetExceededError
 
 import oracles
 
+EPS = np.finfo(float).eps
+
 
 @pytest.fixture(scope="module")
 def circle_sigma(unit_disk):
@@ -220,18 +222,31 @@ class TestSplitIntegrals:
         assert total <= bound
 
     def test_quad_error_from_uncached_power_sums(self, blob_set, circle_sigma):
+        # the sums run over the weighted half grid of the shared radius order, here from a
+        # fresh rfftn of the cells
         f = blob_set
         mp = _PAD * f.m
-        arr = np.zeros((mp,) * f.dim)
-        arr[(slice(0, f.m),) * f.dim] = f.cells
-        power = np.abs(np.fft.fftn(arr)) ** 2 * f.h ** (2 * f.dim) * (1.0 / (mp * f.h)) ** f.dim
-        axes = np.meshgrid(*[np.fft.fftfreq(mp, d=f.h)] * f.dim, indexing="ij", sparse=True)
-        radii = np.sqrt(sum(g ** 2 for g in axes))
+        abs2 = np.abs(np.fft.rfftn(f.cells, s=(mp,) * f.dim, axes=range(f.dim))) ** 2
+        power = abs2 * f.h ** (2 * f.dim) * (1.0 / (mp * f.h)) ** f.dim
+        order, radii, weight = correlation._radius_order(f.dim, f.m)
+        power = power[np.ix_(*correlation._half_grid_axes(f.dim, f.m))].ravel()[order] * weight
         for t in (0.3, 0.45, 0.3):  # the repeat reads the cached sums
             _, residue = _sigma_hat_on_grid(circle_sigma, t, mp, f.h, f.dim)
             want = (residue * float(np.sum(power))
                     + float(np.sum(power[radii > 0.9 * (0.5 / f.h)])) * circle_sigma.abs_mass)
             assert gl.split_integrals(f, circle_sigma, t, 0.05).quad_error == want
+
+    def test_radius_order_shared_by_sets_of_one_grid(self, circle_sigma):
+        f = gl.random_indicator(2, 96, 0.5, seed=1)
+        g = gl.GridIndicator(2, 96, f.cells)
+        for s in (f, g):
+            gl.split_integrals(s, circle_sigma, 0.3, 0.05)
+        order, radii, weight = correlation._radius_order(2, 96)
+        assert f._power_spectrum()[1] is g._power_spectrum()[1] is radii
+        assert not (order.flags.writeable or radii.flags.writeable or weight.flags.writeable)
+        assert np.array_equal(f._power_spectrum()[0], g._power_spectrum()[0])
+        # the weights count the full grid's (2m)^2 points
+        assert int(np.sum(weight)) == (2 * 96) ** 2
 
 
 class TestLacunarySearch:
@@ -378,7 +393,7 @@ class TestFastPathsAgainstOracles:
         sigma = data.draw(atom_clouds(f.dim, st.floats(-1.0, 1.0), True))
         mp = _PAD * f.m
         fast, _ = _sigma_hat_on_grid(sigma, t, mp, f.h, f.dim)
-        ref = oracles.separable_sigma_hat(sigma, t, mp, f.h, f.dim)
+        ref = oracles.separable_sigma_hat(sigma, t, mp, f.h, f.dim, half=True)
         assert fast.shape == ref.shape and fast.dtype == float
         # below the normal range a rounding errs by up to half the smallest subnormal,
         # absolutely, which no relative tolerance covers: a pair rounds 2w cos where the
@@ -394,6 +409,27 @@ class TestFastPathsAgainstOracles:
         sigma = data.draw(atom_clouds(f.dim, st.floats(0.01, 1.0), True))
         sr = gl.split_integrals(f, sigma, t, delta)
         assert sr.i1 + sr.i2 + sr.i3 == sr.total
+
+    @given(data=st.data(), t=scales, delta=st.floats(0.01, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_half_grid_split_matches_full_grid_oracle(self, data, t, delta):
+        f = data.draw(grid_sets())
+        sigma = data.draw(atom_clouds(f.dim, st.floats(0.01, 1.0), True))
+        got = gl.split_integrals(f, sigma, t, delta)
+        ref = oracles.full_grid_split(f, sigma, t, delta)
+        # each band holds the half-grid points whose full-grid point is in the oracle's mask
+        order, radii, _ = correlation._radius_order(f.dim, f.m)
+        rows = np.ix_(*[k % (2 * f.m) for k in correlation._half_grid_axes(f.dim, f.m)])
+        low, mid = correlation._band_cuts(radii, t, delta)
+        band = np.repeat([0, 1, 2], [low, mid - low, len(order) - mid])
+        for k, mask in enumerate(ref.bands):
+            assert np.array_equal(mask[rows].ravel()[order], band == k)
+        assert np.array_equal(f._autocorrelation(), ref.autocorr)
+        # a few ulp of |sigma| per grid point in either sigma-hat, over a total power of |A|,
+        # as in test_phases_stay_exact_at_large_t; seen up to 1.4 EPS |sigma| |A|
+        bound = 16 * (1 + f.dim) * EPS * sigma.abs_mass * f.measure
+        for name in ("i1", "i2", "i3", "total", "quad_error"):
+            assert abs(getattr(got, name) - getattr(ref, name)) <= bound, name
 
     def test_offset_within_rounding_of_a_grid_line_adds_nothing(self):
         # h = 0.1 and 0.3 / h rounds to 3 - 4e-16: lag 2 is marked, lag 3 is not
@@ -411,9 +447,6 @@ class TestFastPathsAgainstOracles:
         assert gl.direct_correlation(blob_set, sigma, 2.3) == 0.0
         assert gl.direct_correlation(blob_set, sigma, 1e300) == 0.0
         assert oracles.dense_direct_correlation(blob_set, sigma, 2.3) == 0.0
-
-
-EPS = np.finfo(float).eps
 
 
 def phase_bound(sigma, t, h, dim):
@@ -451,7 +484,7 @@ class TestPairedSigmaHat:
             if block is not None:   # blocks of one or a few pairs, summed
                 mpatch.setattr(correlation, "_GEMM_BLOCK", block)
             fast, residue = _sigma_hat_on_grid(sigma, t, mp, h, dim)
-        ref = oracles.separable_sigma_hat(sigma, t, mp, h, dim).real
+        ref = oracles.separable_sigma_hat(sigma, t, mp, h, dim, half=True).real
         assert fast.shape == ref.shape
         assert np.max(np.abs(fast - ref)) <= residue + phase_bound(sigma, t, h, dim)
 
@@ -475,7 +508,7 @@ class TestPairedSigmaHat:
         assert residue == pytest.approx(2 * math.pi * t * xi_max * np.sum(
             np.abs(sigma.weights[j]) * np.linalg.norm(pos[i] + pos[j], axis=1)), rel=1e-12)
         assert residue > 0
-        ref = oracles.separable_sigma_hat(sigma, t, mp, h, dim).real
+        ref = oracles.separable_sigma_hat(sigma, t, mp, h, dim, half=True).real
         assert np.max(np.abs(fast - ref)) <= residue + phase_bound(sigma, t, h, dim)
 
     @pytest.mark.parametrize("dim, m", [(1, 48), (2, 48), (3, 24)])
@@ -487,7 +520,7 @@ class TestPairedSigmaHat:
             sigma = gl.AtomicMeasure(rng.uniform(-1, 1, (4, dim)), rng.uniform(-1, 1, 4))
             sigma = sigma.symmetrized()
             fast, _ = _sigma_hat_on_grid(sigma, 8.0, _PAD * m, 2.0 / m, dim)
-            ref = oracles.separable_sigma_hat(sigma, 8.0, _PAD * m, 2.0 / m, dim).real
+            ref = oracles.separable_sigma_hat(sigma, 8.0, _PAD * m, 2.0 / m, dim, half=True).real
             assert np.max(np.abs(fast - ref)) <= 16 * EPS * (1 + dim) * sigma.abs_mass
 
     @pytest.mark.parametrize("mp", [4, 6, 10, 96, 512, 4096])
