@@ -98,15 +98,16 @@ class GapReport:
         """Merge values up to t_max sequentially at merge_tol; the gaps are the empty
         intervals between consecutive merged values and from the last one to t_max."""
         values = np.asarray(values, dtype=float)
-        # An exact repeat never opens a new value, so the sequential merge runs on
-        # the distinct values only.
-        merged = []
-        for v in np.unique(values[values <= t_max + merge_tol]):
-            if not merged or v - merged[-1] > merge_tol:
-                merged.append(float(v))
-        dists = np.asarray(merged)
-        gaps = [(float(a), float(b - a)) for a, b in zip(dists[:-1], dists[1:])
-                if b - a > merge_tol]
+        # An exact repeat never opens a new value, so the merge runs on the distinct values.
+        # A value over merge_tol above its predecessor is so above the last merged one too
+        # (rounding is monotone) and opens a new value; only the others take the loop.
+        u = np.unique(values[values <= t_max + merge_tol])
+        keep, last = np.ones(u.size, dtype=bool), -math.inf
+        for k in (np.flatnonzero(np.diff(u) <= merge_tol) + 1).tolist():
+            last = u[k - 1] if keep[k - 1] else last
+            keep[k] = u[k] - last > merge_tol
+        dists = u[keep]   # consecutive ones more than merge_tol apart: each opens a gap
+        gaps = list(zip(dists[:-1].tolist(), np.diff(dists).tolist()))
         if dists.size and t_max - dists[-1] > merge_tol:
             gaps.append((float(dists[-1]), float(t_max - dists[-1])))
         return cls(dists, gaps, 0.0, float(t_max), merge_tol)

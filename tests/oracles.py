@@ -188,6 +188,13 @@ def _cycles(ts, s):
     return p.astype(float, copy=False)
 
 
+def exp_phase_table(t0, dt, n, s):
+    """measures._phase_table through the complex exponential: np.exp of each block factor's
+    imaginary phase, then the coarse x fine product, first n rows."""
+    coarse, fine = (np.exp(-2j * np.pi * _cycles(ts, s)) for ts in _block_times(t0, dt, n))
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, len(s))[:n]
+
+
 def hand_built_power_table(s, out):
     """correlation._power_table built by hand: the coarse x fine broadcast product of the
     block factors of _block_times in the first rows of out, then z^-k as conj(z^k)."""

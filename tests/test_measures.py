@@ -190,6 +190,20 @@ class TestKernelsAgainstOracle:
         T = max(abs(t0), abs(t0 + (n - 1) * dt))
         assert np.max(np.abs(got - ref)) <= kernel_bound(gl.AtomicMeasure(s[:, None], w), T)
 
+    @given(t0=st.floats(-500.0, 500.0), dt=st.floats(-3.0, 3.0),
+           n=st.sampled_from(SAMPLE_COUNTS + (8001,)), atoms=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1), wide=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_phase_table_keeps_the_exp_bits(self, t0, dt, n, atoms, seed, wide):
+        # cos and sin of the real phase against np.exp of the imaginary one, double and
+        # long-double s
+        s = np.random.default_rng(seed).uniform(-2.0, 2.0, size=atoms)
+        if wide:
+            s = s.astype(np.longdouble) / 3
+        got = measures._phase_table(t0, dt, n, s)
+        np.testing.assert_array_equal(got, oracles.exp_phase_table(t0, dt, n, s))
+        assert got.shape == (n, atoms)
+
     def test_single_sample_ray_is_its_start(self):
         mu = random_measure(3)
         eta = np.array([0.6, 0.8])
@@ -233,6 +247,41 @@ class TestFoldedWiener:
         assert seen == [atoms + origin, atoms]   # one term per pair, every atom of mu
         for m, got in ((even, folded), (mu, plain)):
             assert abs(got - oracle_wiener(m, eta, T, samples)) <= wiener_bound(m, eta, T, samples)
+
+
+class TestMergedProjections:
+    @pytest.mark.parametrize("body, terms", [(gl.cube_body(2, 0.5), 513),
+                                             (gl.regular_polygon_body(6), 1087)])
+    def test_polytope_meshes_sum_each_distinct_projection_once(self, body, terms):
+        # whole facets project to +/-h along a facet normal: 2048 and 2049 pairs
+        mu = gl.from_mesh(gl.triangulate_boundary(body, 4096), normalize=True)
+        eta, T, n = body.facet_pairs()[0][0], 200.0, 401
+        with progression_atoms() as seen:
+            got = _ray_transform(mu, eta, 0.0, T / (n - 1), n)
+        assert seen == [terms]
+        ts = np.linspace(0.0, T, n)
+        ref = oracles.dense_expsum(mu.positions, mu.weights, ts[:, None] * eta[None, :])
+        assert np.max(np.abs(got - ref)) <= kernel_bound(mu, T)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3), atoms=st.integers(1, 150),
+           T=st.floats(0.1, 500.0), samples=st.sampled_from(SAMPLE_COUNTS + (1001,)))
+    @settings(max_examples=40, deadline=None)
+    def test_planted_coincident_projections_merge(self, seed, dim, atoms, T, samples):
+        # each atom mirrored across eta^perp, eta a coordinate axis: <x', eta> = -<x, eta>
+        # exactly, so the two pairs x, -x and x', -x' share |s| and go in as one term
+        mu, _, rng = signed_cloud(seed, dim, atoms, 1.0)
+        axis = int(rng.integers(dim))
+        eta = np.eye(dim)[axis]
+        flip = np.array(mu.positions)
+        flip[:, axis] *= -1
+        even = gl.AtomicMeasure(np.vstack([mu.positions, flip]),
+                                np.concatenate([mu.weights, mu.weights[::-1]])).symmetrized()
+        with progression_atoms() as seen:
+            got = gl.wiener_atom_mass(even, eta, T, samples)
+        assert len(even._pairs_up()[0]) == 2 * atoms
+        assert seen == [len(np.unique(np.abs(mu.positions[:, axis])))]
+        assert abs(got - oracle_wiener(even, eta, T, samples)) <= wiener_bound(even, eta, T,
+                                                                              samples)
 
 
 class TestBlockPool:
