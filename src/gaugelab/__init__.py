@@ -7,11 +7,8 @@ from .bodies import (
     Ellipsoid,
     HPolytope,
     RadialBody,
-    area_measure_cap_mass,
     ball_body,
     cube_body,
-    dual_gauge,
-    gauge,
     geodesic_distance,
     load_body,
     regular_polygon_body,
@@ -28,7 +25,6 @@ from .correlation import (
     indicator_from_balls,
     indicator_from_cells,
     lacunary_search,
-    pigeonhole_bound,
     pigeonhole_count,
     random_indicator,
     split_integrals,
@@ -41,7 +37,6 @@ from .distances import (
     lattice_points,
     sparsify,
     thicken,
-    well_distributed_radius,
 )
 from .errors import (
     BadInputError,
@@ -64,8 +59,6 @@ from .measures import (
     ft_many,
     ft_measure,
     ft_profile,
-    point_mass,
-    polytopal_projection_distance,
     project_measure,
     segment_measure,
     wiener_atom_mass,

@@ -651,28 +651,9 @@ class CapFamily:
 # -- module-level operations ----------------------------------------------------
 
 
-def gauge(body: ConvexBody, x) -> float:
-    """Minkowski functional of the body at x (0 at the origin, 1 on the boundary)."""
-    return body.gauge(x)
-
-
-def dual_gauge(body: ConvexBody, xi) -> float:
-    """Support function of the body at xi, i.e. the gauge of the dual body."""
-    return body.dual_gauge(xi)
-
-
 def triangulate_boundary(body: ConvexBody, resolution: int) -> BoundaryMesh:
     """Boundary quadrature mesh with roughly `resolution` nodes."""
     return body.triangulate(resolution)
-
-
-def area_measure_cap_mass(mesh: BoundaryMesh, theta, r_cap: float) -> float:
-    """Boundary mass whose Gauss image lies strictly inside the open cap at theta."""
-    theta = np.asarray(theta, dtype=float)
-    _unit_rows(theta, "cap direction")
-    theta = theta / np.linalg.norm(theta)
-    dist = geodesic_distance(mesh.normals, theta[None, :])
-    return float(np.sum(mesh.weights[dist < r_cap]))
 
 
 # -- convenience constructors -----------------------------------------------------

@@ -342,18 +342,15 @@ def _cmd_goodness(manifest, p, body, outdir, log):
     write_csv(outdir / "goodness.csv", ["shell_radius", "sup_est", "cert_err"],
               report.rows())
     bound = 1.0 / n_caps + p["delta"]
-    floor = 1.0 / (math.sqrt(2.0) * n_caps)
     log.add("caps", n_caps)
     log.add("delta0", caps.delta0)
     log.add("achieved R", R)
     log.add("eps_hat", report.eps_hat)
     log.add("target 1/N + delta", bound)
-    log.add("lower_bound_1_over_sqrt2N", floor)
     log.add("within target", report.eps_hat <= bound)
     (outdir / "summary.txt").write_text(
         f"N={n_caps} R={fmt(R)} eps_hat={fmt(report.eps_hat)} "
-        f"target={fmt(bound)} lower_bound_1_over_sqrt2N={fmt(floor)} "
-        f"ok={report.eps_hat <= bound}\n")
+        f"target={fmt(bound)} ok={report.eps_hat <= bound}\n")
 
 
 def _cmd_audit(manifest, p, body, outdir, log):

@@ -311,10 +311,6 @@ def pigeonhole_count(x: float, plan: LacunaryPlan) -> int:
     return int(np.count_nonzero((lo < x) & (x < hi)))
 
 
-def pigeonhole_bound(delta: float) -> int:
-    return math.ceil(2.0 / math.log(2.0) * math.log(1.0 / delta))
-
-
 # -- correlations -------------------------------------------------------------------
 
 

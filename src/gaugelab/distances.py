@@ -1,9 +1,8 @@
 """Distance sets of point configurations under a body gauge.
 
 Pairwise distances (each distinct difference once on exact grids), gap detection over an
-interval, the well-distributedness radius of a point set, thickening a set by small copies
-of a body, and the cube-lattice sparsification that keeps at most one point per side-R cube
-centered on the even lattice.
+interval, thickening a set by small copies of a body, and the cube-lattice sparsification
+that keeps at most one point per side-R cube centered on the even lattice.
 """
 
 from __future__ import annotations
@@ -49,12 +48,6 @@ class PointSet:
 
     def __len__(self):
         return self.points.shape[0]
-
-    def translated(self, shift):
-        return PointSet(self.points + np.asarray(shift, dtype=float)[None, :])
-
-    def scaled(self, c):
-        return PointSet(self.points * float(c))
 
     def save_csv(self, path):
         write_csv(path, [f"x{i}" for i in range(self.dim)], self.points)
@@ -197,48 +190,6 @@ def gap_scan(report: GapReport, eps: float, t0: float = 0.0):
         raise BadInputError("eps must be positive")
     found = [(s, l) for (s, l) in report.gaps if s >= t0 - 1e-12 and l >= eps - 1e-12]
     return len(found), found
-
-
-def well_distributed_radius(points: PointSet, probe_lo, probe_hi):
-    """Smallest side r (up to grid resolution r/4) so every r-cube in the probe
-    box contains a point; math.inf when the box side itself fails.  The search
-    halves r from 1/256 of the box side while it passes, then bisects 24 times."""
-    lo = np.asarray(probe_lo, dtype=float)
-    hi = np.asarray(probe_hi, dtype=float)
-    if np.any(hi <= lo):
-        raise BadInputError("probe box must have positive extent")
-    pts = points.points
-    if np.any(lo < pts.min(axis=0) - 1e-9) or np.any(hi > pts.max(axis=0) + 1e-9):
-        raise BadInputError("probe box must lie inside the point set's bounding box")
-
-    def every_cube_hit(r):
-        step = r / 4.0
-        axes = [np.arange(lo[k], hi[k] - r + step * 1e-9, step) for k in range(points.dim)]
-        axes = [np.append(a, hi[k] - r) for k, a in enumerate(axes)]
-        corners = _grid_rows(axes)
-        for s in range(0, corners.shape[0], 1024):
-            blk = corners[s:s + 1024]
-            inside = np.all((pts[None, :, :] >= blk[:, None, :] - 1e-12)
-                            & (pts[None, :, :] <= blk[:, None, :] + r + 1e-12), axis=2)
-            if not np.all(np.any(inside, axis=1)):
-                return False
-        return True
-
-    r_max = float(np.min(hi - lo))
-    if not every_cube_hit(r_max):
-        return math.inf
-    r_lo = r_max / 256.0
-    while r_lo < r_max and every_cube_hit(r_lo):
-        r_max = r_lo
-        r_lo /= 2.0
-    hi_r, lo_r = r_max, r_lo
-    for _ in range(24):
-        mid = 0.5 * (hi_r + lo_r)
-        if every_cube_hit(mid):
-            hi_r = mid
-        else:
-            lo_r = mid
-    return hi_r
 
 
 def thicken(points: PointSet, body: ConvexBody, s: float, per_point: int,

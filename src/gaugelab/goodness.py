@@ -102,14 +102,6 @@ def construct_good_measure(body: ConvexBody, mesh: BoundaryMesh,
                          np.vstack(parts_n))
 
 
-def cap_pieces(mu: AtomicMeasure, caps: CapFamily) -> list[AtomicMeasure]:
-    """Split a cap-built measure back into its per-cap pieces (by normals)."""
-    if mu.normals is None:
-        raise BadInputError("measure carries no normals to split by")
-    member = caps.membership(mu.normals)
-    return [mu.restrict(member[i]) for i in range(len(caps))]
-
-
 def stabilized_goodness(mu: AtomicMeasure, r_cap: float,
                         angular_resolution: int = 16384) -> tuple[float, GoodnessReport]:
     """Doubling search for a frequency cutoff where the profile settles.

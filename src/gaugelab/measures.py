@@ -165,10 +165,6 @@ def from_mesh(mesh, normalize=False) -> AtomicMeasure:
     return mu.normalized() if normalize else mu
 
 
-def point_mass(x, weight=1.0) -> AtomicMeasure:
-    return AtomicMeasure(np.asarray(x, dtype=float)[None, :], [float(weight)])
-
-
 def segment_measure(center, direction, length, nodes, normal=None, mass=None) -> AtomicMeasure:
     """Uniform measure on a straight segment, discretized at midpoint nodes.
 
@@ -395,11 +391,6 @@ class LineMeasure:
     def total_mass(self):
         return float(np.sum(self.atom_masses) + np.sum(self.bin_masses))
 
-    @property
-    def atom_mass_square_sum(self):
-        """Sum of squared point masses, the long-time average of |ft|^2."""
-        return float(np.sum(self.atom_masses ** 2))
-
     def ft(self, t):
         """Transform of the line measure; bins contribute at their midpoints."""
         t = np.asarray(t, dtype=float)
@@ -594,35 +585,3 @@ def decay_scan(mu: AtomicMeasure, thetas, delta: float, t_grid,
         if return_table:
             table[i] = vals
     return DecayScanResult(t_grid, env, certs, etas, table)
-
-
-def polytopal_projection_distance(mu_d: AtomicMeasure, mu_p: AtomicMeasure,
-                                  eta_set, bins: int = DEFAULT_BINS) -> float:
-    """Max over directions of the L1 distance between binned projections.
-
-    Both measures are binned with identical edges spanning the union of the
-    projected supports; refining the polytopal approximation drives the
-    value down.
-    """
-    if bins < 1:
-        raise BadInputError("projection needs bins >= 1")
-    if abs(mu_d.total_mass - mu_p.total_mass) > 0.25 * max(mu_d.total_mass, mu_p.total_mass):
-        raise BadInputError("measures must have comparable total mass")
-    eta_set = np.atleast_2d(np.asarray(eta_set, dtype=float))
-    if eta_set.shape[1] != mu_d.dim or mu_p.dim != mu_d.dim:
-        raise BadInputError(f"directions and measures must share the dimension {mu_d.dim}")
-    _unit_rows(eta_set, "projection directions")
-    worst = 0.0
-    for eta in eta_set:
-        eta = eta / np.linalg.norm(eta)
-        pd = mu_d.positions @ eta
-        pp = mu_p.positions @ eta
-        lo = min(pd.min(), pp.min())
-        hi = max(pd.max(), pp.max())
-        if hi - lo < 1e-15:
-            hi = lo + 1e-15
-        edges = np.linspace(lo, hi, int(bins) + 1)
-        hd, _ = np.histogram(pd, bins=edges, weights=mu_d.weights)
-        hp, _ = np.histogram(pp, bins=edges, weights=mu_p.weights)
-        worst = max(worst, float(np.sum(np.abs(hd - hp))))
-    return worst

@@ -197,19 +197,6 @@ class ZeroLedger:
         mean = float(np.mean(tail))
         return mean, float(np.max(np.abs(tail - mean)))
 
-    def tail_phase(self):
-        """Circular mean of (2 pi z) mod pi over the last _TAIL_ZEROS zeros.
-
-        For a d-ball this settles at (d-1) pi / 4 mod pi, the rescaled phase
-        offset of the oscillatory profile.
-        """
-        z = self.zeros[-_TAIL_ZEROS:]
-        if z.size == 0:
-            return math.nan
-        ang = np.mod(2 * np.pi * z, np.pi) * 2.0
-        mean = math.atan2(float(np.mean(np.sin(ang))), float(np.mean(np.cos(ang))))
-        return (mean / 2.0) % math.pi
-
 
 def radial_zero_scan(body: ConvexBody, window, steps: int) -> ZeroLedger:
     """Bracket and bisect zeros of the radial indicator-transform profile chi_hat(body, r e1).

@@ -478,6 +478,12 @@ def pairwise_cap_delta0(dirs):
     return d0
 
 
+def cap_pieces(mu, caps):
+    """A cap-built measure split back into its per-cap pieces, by the normals of its atoms."""
+    member = caps.membership(mu.normals)
+    return [mu.restrict(member[i]) for i in range(len(caps))]
+
+
 def loop_thicken(points, body, s, per_point, seed=0):
     """thicken as first written, less its argument checks and sampling budget: the output
     stacked center by center in a loop, each center, then its per_point - 1 offsets.  An

@@ -30,30 +30,30 @@ BODIES_2D = [
 
 class TestGauge:
     def test_half_cube_point_on_double_boundary(self, half_cube):
-        assert gl.gauge(half_cube, [1.0, 0.0]) == pytest.approx(2.0, abs=1e-15)
+        assert half_cube.gauge([1.0, 0.0]) == pytest.approx(2.0, abs=1e-15)
 
     def test_unit_ball_euclidean(self, unit_disk):
-        assert gl.gauge(unit_disk, [0.3, 0.4]) == pytest.approx(0.5, abs=1e-15)
+        assert unit_disk.gauge([0.3, 0.4]) == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_hpolytope_formula(self):
         body = gl.random_symmetric_polytope(2, 4, seed=7)
         rng = np.random.default_rng(0)
         for x in rng.normal(size=(20, 2)):
             expect = max(float(th @ x) / h for th, h in zip(body.normals, body.offsets))
-            assert gl.gauge(body, x) == pytest.approx(max(expect, 0.0), abs=1e-14)
+            assert body.gauge(x) == pytest.approx(max(expect, 0.0), abs=1e-14)
 
     def test_against_bisection_oracle(self):
         rng = np.random.default_rng(42)
         for seed in range(4):
             body = gl.random_symmetric_polytope(2, 4 + seed, seed=seed)
             for x in rng.uniform(-3, 3, size=(10, 2)):
-                assert gl.gauge(body, x) == pytest.approx(
+                assert body.gauge(x) == pytest.approx(
                     oracles.bisection_gauge(body, x), abs=1e-9)
 
     def test_zero_iff_origin(self):
         for body in BODIES_2D:
-            assert gl.gauge(body, [0.0, 0.0]) == 0.0
-            assert gl.gauge(body, [1e-9, 0.0]) > 0.0
+            assert body.gauge([0.0, 0.0]) == 0.0
+            assert body.gauge([1e-9, 0.0]) > 0.0
 
     @given(x=coords(2), lam=st.floats(-4, 4, allow_nan=False))
     @settings(max_examples=100, deadline=None)
@@ -75,13 +75,13 @@ class TestGauge:
 
 class TestDualGauge:
     def test_ball_self_dual(self, unit_disk):
-        assert gl.dual_gauge(unit_disk, [3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
+        assert unit_disk.dual_gauge([3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
 
     def test_half_cube_support(self, half_cube):
-        assert gl.dual_gauge(half_cube, [1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+        assert half_cube.dual_gauge([1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_ellipsoid_axis(self):
-        assert gl.dual_gauge(gl.Ellipsoid([2.0, 1.0]), [1.0, 0.0]) == pytest.approx(2.0)
+        assert gl.Ellipsoid([2.0, 1.0]).dual_gauge([1.0, 0.0]) == pytest.approx(2.0)
 
     def test_support_function_definition(self):
         rng = np.random.default_rng(5)
@@ -89,7 +89,7 @@ class TestDualGauge:
             mesh = gl.triangulate_boundary(body, 4096)
             for xi in rng.normal(size=(8, 2)):
                 sampled = float(np.max(mesh.positions @ xi))
-                assert gl.dual_gauge(body, xi) == pytest.approx(sampled, rel=1e-3, abs=1e-6)
+                assert body.dual_gauge(xi) == pytest.approx(sampled, rel=1e-3, abs=1e-6)
 
     def test_polytope_support_matches_lp_oracle(self):
         from scipy.optimize import linprog
@@ -221,25 +221,27 @@ class TestMeshes:
 
 
 class TestAreaMeasure:
+    """Mesh mass by the angle of its normals: the area measure the caps are drawn on."""
+
+    @staticmethod
+    def cap_mass(mesh, angle, r_cap):
+        ang = np.arctan2(mesh.normals[:, 1], mesh.normals[:, 0])
+        return float(np.sum(mesh.weights[np.abs(ang - angle) < r_cap]))
+
     def test_square_facet_cap(self, square_mesh):
-        assert gl.area_measure_cap_mass(square_mesh, [1.0, 0.0], 0.1) == pytest.approx(2.0, abs=1e-9)
+        assert self.cap_mass(square_mesh, 0.0, 0.1) == pytest.approx(2.0, abs=1e-9)
 
     def test_square_diagonal_empty(self, square_mesh):
-        diag = np.array([1.0, 1.0]) / math.sqrt(2)
-        assert gl.area_measure_cap_mass(square_mesh, diag, 0.1) == 0.0
+        assert self.cap_mass(square_mesh, math.pi / 4, 0.1) == 0.0
 
     def test_disk_cap_arc_length(self, circle_mesh):
         for w in (0.1, 0.2, 0.4):
-            got = gl.area_measure_cap_mass(circle_mesh, [1.0, 0.0], w)
-            # brute-force: sum mesh weights with normal angle strictly inside
-            ang = np.arctan2(circle_mesh.normals[:, 1], circle_mesh.normals[:, 0])
-            brute = float(np.sum(circle_mesh.weights[np.abs(ang) < w]))
-            assert got == pytest.approx(brute, abs=1e-12)
+            got = self.cap_mass(circle_mesh, 0.0, w)
             assert got == pytest.approx(2 * w, abs=4 * math.pi / 4096 + 1e-9)
 
-    def test_zero_cap_direction_rejected(self, square_mesh):
+    def test_zero_cap_direction_rejected(self):
         with pytest.raises(BadInputError, match="cap direction"):
-            gl.area_measure_cap_mass(square_mesh, [0.0, 0.0], 0.3)
+            gl.CapFamily([[0.0, 0.0]], 0.3)
 
     def test_nan_direction_has_no_geodesic_distance(self):
         with pytest.raises(BadInputError, match="unit vectors"):

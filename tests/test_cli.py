@@ -150,9 +150,10 @@ class TestCommands:
                           "--rcap", 0.05, "--delta", 0.05, "--resolution", 8192,
                           "--angular", 4096, "--out", out)) == 0
         summary = (out / "summary.txt").read_text()
-        assert "ok=True" in summary
-        eps_hat = float(summary.split("eps_hat=")[1].split()[0])
-        assert eps_hat <= 0.25
+        fields = dict(item.split("=") for item in summary.split())
+        assert list(fields) == ["N", "R", "eps_hat", "target", "ok"]
+        assert fields["ok"] == "True"
+        assert float(fields["eps_hat"]) <= 0.25
 
     def test_audit(self, workdir):
         out = workdir / "audit"

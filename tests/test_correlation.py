@@ -83,7 +83,7 @@ class TestPigeonhole:
         plan = self._plan()
         rng = np.random.default_rng(71)
         xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 5000))
-        cap = gl.pigeonhole_bound(0.1)
+        cap = math.ceil(2 / math.log(2) * math.log(1 / 0.1))
         assert all(gl.pigeonhole_count(x, plan) <= cap for x in xs)
         # the +1 case is real: a power of two in mid-range meets 7 bands
         assert gl.pigeonhole_count(16.0, plan) == cap == 7
@@ -128,7 +128,7 @@ class TestDirectCorrelation:
 class TestSpectralCorrelation:
     def test_point_mass_gives_parseval(self):
         f = gl.random_indicator(2, 256, 0.9, seed=3)
-        sigma = gl.point_mass([0.0, 0.0])
+        sigma = gl.AtomicMeasure([[0.0, 0.0]], [1.0])
         assert gl.split_integrals(f, sigma, 0.7, 0.5).total == pytest.approx(
             f.measure, rel=1e-12)
         assert gl.direct_correlation(f, sigma, 0.7) == pytest.approx(
@@ -273,7 +273,7 @@ class TestLacunarySearch:
     def test_exhausted_scan_reports_violation(self):
         # the 0.8-wide disk has no two points 0.9 apart: the one-term plan finds no scale
         f = gl.indicator_from_balls(2, 128, [[0.0, 0.0]], [0.4])
-        sigma = gl.point_mass([1.0, 0.0]).symmetrized()
+        sigma = gl.AtomicMeasure([[1.0, 0.0]], [1.0]).symmetrized()
         res = gl.lacunary_search(f, sigma, gl.LacunaryPlan([0.9], 0.05, 13.0))
         assert not res.found and res.j_star is None
         assert [row[5] for row in res.rows] == [0.0]

@@ -49,7 +49,7 @@ class TestDistanceSet:
         rng = np.random.default_rng(13)
         pts = gl.PointSet(rng.uniform(-3, 3, size=(40, 2)))
         base = gl.distance_set(pts, half_cube, 50.0).distances
-        shifted = gl.distance_set(pts.translated([2.5, -1.0]), half_cube, 50.0).distances
+        shifted = gl.distance_set(gl.PointSet(pts.points + [2.5, -1.0]), half_cube, 50.0).distances
         mirrored = gl.distance_set(gl.PointSet(-pts.points), half_cube, 50.0).distances
         np.testing.assert_allclose(shifted, base, atol=1e-9)
         np.testing.assert_allclose(mirrored, base, atol=1e-9)
@@ -60,7 +60,7 @@ class TestDistanceSet:
         pts = gl.PointSet([[0.0, 0.0], [1.0, 2.0], [-1.5, 0.5]])
         body = gl.cube_body(2, 0.5)
         base = gl.distance_set(pts, body, 100.0).distances
-        scaled = gl.distance_set(pts.scaled(c), body, 100.0 * c + 1).distances
+        scaled = gl.distance_set(gl.PointSet(pts.points * c), body, 100.0 * c + 1).distances
         np.testing.assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-9)
 
 
@@ -137,7 +137,7 @@ class TestLagVectors:
                                                   (3, -2, 2, 1.0)])
     def test_lattice_boxes_take_the_lag_path(self, dim, lo, hi, spacing, monkeypatch):
         lat = gl.lattice_points(dim, lo, hi, spacing)
-        shifted = lat.translated(np.full(dim, spacing / 2))
+        shifted = gl.PointSet(lat.points + spacing / 2)
         for pts in (lat, shifted):
             want = {(id(b), dual): oracles.sequential_merge_distance_set(pts, b, 9.0, dual=dual)
                     for b in LAG_BODIES[dim] for dual in (False, True)}
@@ -230,43 +230,6 @@ class TestGapScan:
         count, _ = gl.gap_scan(rep, 0.25, 0.0)
         sweep = oracles.interval_gap_sweep(rep.distances, 0.25, 0.0, 4.0, 0.002)
         assert abs(count - sweep) <= 1  # sweep granularity at window edges
-
-
-class TestWellDistributed:
-    def test_unit_lattice(self):
-        lat = gl.lattice_points(2, -6, 6)
-        r = gl.well_distributed_radius(lat, [-3, -3], [3, 3])
-        assert abs(r - 1.0) <= r / 4
-
-    def test_doubled_lattice(self):
-        lat = gl.lattice_points(2, -6, 6, spacing=2.0)
-        r = gl.well_distributed_radius(lat, [-4, -4], [4, 4])
-        assert abs(r - 2.0) <= r / 4
-
-    def test_depleted_lattice_certified_by_finer_oracle(self):
-        rng = np.random.default_rng(99)
-        lat = gl.lattice_points(2, 0, 20)
-        keep = rng.uniform(size=len(lat)) > 0.3
-        pts = gl.PointSet(lat.points[keep])
-        r = gl.well_distributed_radius(pts, [2, 2], [18, 18])
-        assert math.isfinite(r)
-
-        # the r/4-aligned certificate covers arbitrary cubes of side 1.25 r:
-        # verify that exhaustively at a finer sweep step of r/8
-        side = 1.25 * r
-        step = r / 8
-        corners = np.arange(2, 18 - side, step)
-        P = pts.points
-        for cx in corners:
-            inside_x = (P[:, 0] >= cx) & (P[:, 0] <= cx + side)
-            for cy in corners:
-                hit = inside_x & (P[:, 1] >= cy) & (P[:, 1] <= cy + side)
-                assert np.any(hit)
-
-    def test_not_well_distributed_reported(self):
-        pts = gl.PointSet([[0.0, 0.0], [10.0, 10.0]])
-        r = gl.well_distributed_radius(pts, [2, 2], [8, 8])
-        assert r == math.inf
 
 
 class TestThicken:

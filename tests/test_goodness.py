@@ -6,7 +6,6 @@ import pytest
 import gaugelab as gl
 from gaugelab import measures
 from gaugelab.errors import BadInputError, HypothesisViolationError
-from gaugelab.goodness import cap_pieces
 from gaugelab.measures import _sphere_directions
 
 import oracles
@@ -14,7 +13,7 @@ import oracles
 
 class TestGoodnessProfile:
     def test_origin_point_mass_never_good(self):
-        mu = gl.point_mass([0.0, 0.0])
+        mu = gl.AtomicMeasure([[0.0, 0.0]], [1.0])
         rep = gl.goodness_profile(mu, 5.0, [5.0, 50.0, 500.0], 256)
         assert rep.eps_hat == pytest.approx(1.0, abs=1e-12)
 
@@ -49,7 +48,7 @@ class TestGoodnessProfile:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("n", [0, -5])
     def test_angular_resolution_below_one_rejected(self, dim, n):
-        mu = gl.point_mass(np.full(dim, 0.5))
+        mu = gl.AtomicMeasure([np.full(dim, 0.5)], [1.0])
         with pytest.raises(BadInputError, match="angular resolution"):
             gl.goodness_profile(mu, 5.0, [5.0], n)
 
@@ -57,7 +56,7 @@ class TestGoodnessProfile:
     @pytest.mark.parametrize("n", [2.5, 1024.5, math.nan, math.inf])
     def test_non_integral_angular_resolution_rejected(self, dim, n):
         # np.arange(2.5) would give 3 directions, reported at the spacing of 2.5
-        mu = gl.point_mass(np.full(dim, 0.5))
+        mu = gl.AtomicMeasure([np.full(dim, 0.5)], [1.0])
         with pytest.raises(BadInputError, match="integral angular resolution"):
             gl.goodness_profile(mu, 5.0, [5.0], n)
         with pytest.raises(BadInputError, match="integral angular resolution"):
@@ -104,7 +103,7 @@ class TestConstructGoodMeasure:
         caps = gl.CapFamily(np.array([[1.0, 0.0], [0.0, 1.0]]), 0.1)
         mu = gl.construct_good_measure(unit_square, square_mesh, caps)
         assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
-        pieces = cap_pieces(mu, caps)
+        pieces = oracles.cap_pieces(mu, caps)
         for piece in pieces:
             assert piece.total_mass == pytest.approx(0.5, abs=1e-12)
             # each piece sits on a single facet: transform bounded by its mass
@@ -114,7 +113,7 @@ class TestConstructGoodMeasure:
 
     def test_circle_five_caps_bookkeeping(self, five_cap_measure, five_caps):
         assert five_cap_measure.total_mass == pytest.approx(1.0, abs=1e-12)
-        for piece in cap_pieces(five_cap_measure, five_caps):
+        for piece in oracles.cap_pieces(five_cap_measure, five_caps):
             assert piece.total_mass == pytest.approx(0.2, abs=1e-12)
             dist = gl.geodesic_distance(piece.normals,
                                         piece.normals[np.zeros(len(piece), dtype=int)])
@@ -134,7 +133,7 @@ class TestConstructGoodMeasure:
         caps = gl.CapFamily(dirs, 0.15)
         mu = gl.construct_good_measure(ball, mesh, caps)
         assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
-        for piece in cap_pieces(mu, caps):
+        for piece in oracles.cap_pieces(mu, caps):
             assert piece.total_mass == pytest.approx(0.25, abs=1e-12)
         rep = gl.goodness_profile(mu, 40.0, [40.0, 60.0], 4096)
         assert rep.eps_hat <= 0.25 + 0.05
@@ -158,7 +157,7 @@ class TestConstructGoodMeasure:
         admissible = etas[dist >= five_caps.delta0 / 10]
         assert admissible.shape[0] > 1000
         for rho in (800.0, 1600.0, 2400.0):
-            for piece in cap_pieces(five_cap_measure, five_caps):
+            for piece in oracles.cap_pieces(five_cap_measure, five_caps):
                 vals = np.abs(gl.ft_many(piece, rho * admissible))
                 assert np.max(vals) <= target
 
@@ -190,7 +189,7 @@ class TestPolytopeAudit:
         assert res.passed
 
     def test_off_boundary_measure_rejected(self, unit_square):
-        mu = gl.point_mass([0.2, 0.2])
+        mu = gl.AtomicMeasure([[0.2, 0.2]], [1.0])
         with pytest.raises(HypothesisViolationError):
             gl.polytope_bound_audit(unit_square, mu, 10.0)
 

@@ -25,7 +25,7 @@ def random_measure(seed, n=12, dim=2):
 
 class TestTransform:
     def test_point_mass_at_origin(self):
-        mu = gl.point_mass([0.0, 0.0])
+        mu = gl.AtomicMeasure([[0.0, 0.0]], [1.0])
         for xi in ([0.3, 0.7], [10.0, -4.0], [0.0, 0.0]):
             assert gl.ft_measure(mu, xi) == pytest.approx(1.0, abs=1e-15)
 
@@ -483,7 +483,7 @@ BAD_DIRECTIONS = [[0.0, 0.0], [math.nan, math.nan], [math.inf, 0.0]]
 
 class TestProjection:
     def test_point_projects_to_atom(self):
-        mu = gl.point_mass([1.0, 2.0])
+        mu = gl.AtomicMeasure([[1.0, 2.0]], [1.0])
         line = gl.project_measure(mu, [0.0, 1.0])
         assert line.atom_positions.tolist() == [2.0]
         assert line.atom_masses.tolist() == [1.0]
@@ -545,7 +545,7 @@ class TestProjection:
 
 class TestWiener:
     def test_origin_point_mass_is_one(self):
-        mu = gl.point_mass([0.0, 0.0])
+        mu = gl.AtomicMeasure([[0.0, 0.0]], [1.0])
         for T in (1.0, 10.0, 300.0):
             assert gl.wiener_atom_mass(mu, [1.0, 0.0], T, 2001) == pytest.approx(1.0, abs=1e-9)
 
@@ -558,7 +558,7 @@ class TestWiener:
 
     def test_matches_projected_atom_masses(self, square_measure):
         line = gl.project_measure(square_measure, [0.0, 1.0])
-        target = line.atom_mass_square_sum
+        target = np.sum(line.atom_masses ** 2)
         w = gl.wiener_atom_mass(square_measure, [0.0, 1.0], 300.0)
         assert w == pytest.approx(target, rel=0.05)
 
@@ -653,47 +653,6 @@ class TestDecay:
         seg = gl.segment_measure([0, 0], [0, 1], 1.0, 64, normal=[1.0, 0.0])
         with pytest.raises(BadInputError, match="measure's dimension"):
             gl.ft_profile(seg, eta, [1.0, 7.0])
-
-
-class TestProjectionDistance:
-    def test_identical_measures_give_zero(self, circle_measure):
-        etas = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert gl.polytopal_projection_distance(circle_measure, circle_measure, etas) == 0.0
-
-    def test_refinement_monotone(self, unit_disk):
-        D = gl.from_mesh(gl.triangulate_boundary(unit_disk, 4096))
-        P64 = gl.from_mesh(gl.triangulate_boundary(gl.regular_polygon_body(64), 4096))
-        P16 = gl.from_mesh(gl.triangulate_boundary(gl.regular_polygon_body(16), 4096))
-        angs = 2 * np.arange(8) * np.pi / 64  # vertex directions, farthest from normals
-        etas = np.stack([np.cos(angs), np.sin(angs)], axis=1)
-        d64 = gl.polytopal_projection_distance(D, P64, etas)
-        d16 = gl.polytopal_projection_distance(D, P16, etas)
-        assert 0 < d64 < d16
-
-    def test_octagon_positive_and_bounded(self, unit_disk):
-        D = gl.from_mesh(gl.triangulate_boundary(unit_disk, 4096))
-        P8 = gl.from_mesh(gl.triangulate_boundary(gl.regular_polygon_body(8), 4096))
-        val = gl.polytopal_projection_distance(D, P8, np.array([[1.0, 0.0]]))
-        assert 0 < val <= 2.1  # computed 1.97; mass gap 0.16 plus shape mismatch
-
-    def test_zero_direction_rejected(self, circle_measure):
-        with pytest.raises(BadInputError, match="projection directions"):
-            gl.polytopal_projection_distance(circle_measure, circle_measure, [[0.0, 0.0]])
-
-    @pytest.mark.parametrize("etas", [[[1.0, 0.0, 0.0]], [[1.0]]])
-    def test_directions_of_another_dimension_rejected(self, circle_measure, etas):
-        with pytest.raises(BadInputError, match="dimension 2"):
-            gl.polytopal_projection_distance(circle_measure, circle_measure, etas)
-
-    def test_incomparable_masses_rejected(self, circle_measure):
-        heavy = gl.AtomicMeasure(circle_measure.positions, circle_measure.weights * 5)
-        with pytest.raises(BadInputError):
-            gl.polytopal_projection_distance(circle_measure, heavy, np.array([[1.0, 0.0]]))
-
-    @pytest.mark.parametrize("bins", [0, -2])
-    def test_bins_below_one_rejected(self, square_measure, bins):
-        with pytest.raises(BadInputError, match="bins >= 1"):
-            gl.polytopal_projection_distance(square_measure, square_measure, [[1.0, 0.0]], bins)
 
 
 class TestMeasureBasics:
