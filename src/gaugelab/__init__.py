@@ -22,7 +22,6 @@ from .correlation import (
     LacunaryPlan,
     SplitResult,
     direct_correlation,
-    indicator_from_balls,
     indicator_from_cells,
     lacunary_search,
     pigeonhole_count,

@@ -25,6 +25,7 @@ from .measures import AtomicMeasure, _sphere_directions, _unit_rows
 PAIR_TOL = 1e-9        # +/- facet pairing match tolerance
 CLAMP_TOL = 1e-12      # inner products may overshoot [-1, 1] by at most this
 VERTEX_TOL = 1e-9      # vertex-on-facet incidence tolerance
+BALL_TOL = 1e-9        # an ellipsoid whose axes agree to this relative spread is a ball
 VERTEX_WORK = 1 << 28  # cap on the C(n, d) * n facet checks of vertex enumeration
 _VERTEX_BLOCK = 1 << 16  # cap on the facet checks of one block of vertex enumeration
 _PAIR_BLOCK = 1 << 16  # cap on the normal dots of one block of facet pairing
@@ -85,9 +86,6 @@ class ConvexBody:
 
     def gauge(self, x) -> float:
         return float(self.gauge_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def dual_gauge(self, xi) -> float:
-        return float(self.dual_gauge_many(np.asarray(xi, dtype=float)[None, :])[0])
 
     def gauge_many(self, X) -> np.ndarray:
         raise NotImplementedError
@@ -172,8 +170,8 @@ class HPolytope(ConvexBody):
             raise BadInputError("normals and offsets must have equal length")
         if normals.shape[0] < 2:
             raise BadInputError("a polytope needs at least one facet pair")
-        if np.any(offsets <= 0):
-            raise BadInputError("facet offsets must be positive (0 interior)")
+        if not np.all(np.isfinite(offsets) & (offsets > 0)):   # JSON admits NaN and Infinity
+            raise BadInputError("facet offsets must be positive (0 interior) and finite")
         normals, norms = _unit_rows(normals, "facet normals")
         offsets = offsets / norms
         self._antipode = self._antipodes(normals, offsets)
@@ -210,11 +208,6 @@ class HPolytope(ConvexBody):
     @property
     def n_facets(self):
         return self.normals.shape[0]
-
-    @property
-    def n_directions(self):
-        """Number of non-parallel facet directions (facet pairs)."""
-        return self.n_facets // 2
 
     def facet_pairs(self):
         """One representative normal per +/- pair, the one of lower index, with its offset."""
@@ -360,8 +353,8 @@ class Ellipsoid(ConvexBody):
 
     def __init__(self, axes):
         axes = np.array(axes, dtype=float).ravel()
-        if np.any(axes <= 0):
-            raise BadInputError("ellipsoid semi-axes must be positive")
+        if not np.all(np.isfinite(axes) & (axes > 0)):
+            raise BadInputError("ellipsoid semi-axes must be positive and finite")
         self.dim = axes.shape[0]
         self.axes = axes
         self.axes.setflags(write=False)
@@ -380,8 +373,8 @@ class Ellipsoid(ConvexBody):
     def outer_radius(self):
         return float(np.max(self.axes))
 
-    def is_ball(self, tol=1e-12):
-        return float(np.ptp(self.axes)) <= tol * float(np.max(self.axes))
+    def is_ball(self):
+        return float(np.ptp(self.axes)) <= BALL_TOL * float(np.max(self.axes))
 
     def _normal_at(self, X):
         n = X / self.axes[None, :] ** 2
@@ -412,8 +405,8 @@ class RadialBody(ConvexBody):
             m = samples.shape[0]
             if m < 8 or m % 2:
                 raise BadInputError("tabulated radial function needs an even count >= 8")
-            if np.any(samples <= 0):
-                raise BadInputError("radial samples must be positive")
+            if not np.all(np.isfinite(samples) & (samples > 0)):
+                raise BadInputError("radial samples must be positive and finite")
             half = m // 2
             if np.max(np.abs(samples - np.roll(samples, half))) > 1e-12 * np.max(samples):
                 raise BadInputError("radial samples must satisfy r(u) = r(-u)")
@@ -427,11 +420,11 @@ class RadialBody(ConvexBody):
             if p is None or axes is None:
                 raise BadInputError("superellipsoid needs p and axes")
             p = float(p)
-            if p < 1.0:
-                raise BadInputError("superellipsoid exponent must be >= 1 (convexity)")
+            if not 1.0 <= p < math.inf:
+                raise BadInputError("superellipsoid p must be finite and >= 1 (convexity)")
             axes = np.array(axes, dtype=float).ravel()
-            if np.any(axes <= 0):
-                raise BadInputError("semi-axes must be positive")
+            if not np.all(np.isfinite(axes) & (axes > 0)):
+                raise BadInputError("semi-axes must be positive and finite")
             self.dim = axes.shape[0]
             self.kind = "superellipsoid"
             self.p = p
@@ -687,6 +680,8 @@ def random_symmetric_polytope(dim: int, pairs: int, seed: int) -> HPolytope:
     facet between neighbours at angles a and b away has ~ab/2 of offset room, so from 9
     pairs on the +/-8% offset jitter shrinks as (7 / pairs)^3, retrying ~1/4 of draws.
     """
+    if dim not in (2, 3):
+        raise BadInputError(f"random polytopes are drawn in dimensions 2 and 3, not {dim}")
     rng = np.random.default_rng(seed)
     jitter = (7 / pairs) ** 3 if dim == 2 and pairs > 8 else 1.0
     for _ in range(64):
@@ -727,18 +722,14 @@ def body_from_dict(spec: dict) -> ConvexBody:
     raise BadInputError(f"unknown body type {spec.get('type')!r}")
 
 
-def load_body(path, normalize: bool = True) -> ConvexBody:
-    """Load a body from its JSON spec file.
-
-    With normalize=True (the default) a body poking out of the unit ball is
-    shrunk into it and the applied factor is kept on `body.scale`.
-    """
+def load_body(path) -> ConvexBody:
+    """Load a body from its JSON spec file, shrunk into the unit ball if it pokes out;
+    the applied factor is kept on `body.scale`."""
     spec = read_json(path, "body file")
     body = body_from_dict(spec)
     if "dim" in spec and int(spec["dim"]) != body.dim:
         raise BadInputError("declared dim does not match body data")
-    if normalize:
-        body, _ = body.normalized()
+    body, _ = body.normalized()
     return body
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -27,6 +27,8 @@ _PAD = 2  # zero-padding factor for the frequency grid (kills torus wrap-around)
 SPECTRUM_BUDGET_BYTES = 1 << 28  # cap on 16 (_PAD m)^d bytes, the full padded complex spectrum
 _GEMM_BLOCK = 1 << 20  # cap on the table elements of one block of pairs in _sigma_hat_on_grid
 _LACUNARY_RATIO = 0.49  # t_{j+1} / t_j of a geometric plan, under the 1/2 a plan needs
+_PLAN_LENGTH = 48       # terms of a geometric plan, down to ~1e-15 from the default t1
+_MAX_BALLS = 64         # balls random_indicator draws before it gives up on its target
 _SCRATCH = threading.local()  # per-thread work buffers of _sigma_hat_on_grid, kept between calls
 
 
@@ -163,19 +165,7 @@ def _cell_centers(dim, m):
     return _grid_rows([-1.0 + (np.arange(m) + 0.5) * (2.0 / m)] * dim)
 
 
-def indicator_from_balls(dim, m, centers, radii) -> GridIndicator:
-    """Union of Euclidean balls clipped to the unit ball, sampled at cell centers."""
-    pts = _cell_centers(dim, m)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    radii = np.asarray(radii, dtype=float).ravel()
-    mask = np.zeros(pts.shape[0], dtype=bool)
-    for c, r in zip(centers, radii):
-        mask |= np.sum((pts - c[None, :]) ** 2, axis=1) <= r * r
-    mask &= np.sum(pts ** 2, axis=1) <= 1.0
-    return GridIndicator(dim, m, mask.reshape((m,) * dim))
-
-
-def random_indicator(dim, m, target_measure, seed, max_balls=64) -> GridIndicator:
+def random_indicator(dim, m, target_measure, seed) -> GridIndicator:
     """Seeded union of random balls grown until the set reaches target_measure.
 
     One running mask grows by a ball per step, so each step costs one ball.
@@ -184,28 +174,24 @@ def random_indicator(dim, m, target_measure, seed, max_balls=64) -> GridIndicato
     pts = _cell_centers(dim, m)
     inside = np.sum(pts ** 2, axis=1) <= 1.0
     mask = np.zeros(pts.shape[0], dtype=bool)
-    for _ in range(max_balls):
+    for _ in range(_MAX_BALLS):
         c = rng.uniform(-0.62, 0.62, size=dim)
         r = rng.uniform(0.14, 0.30)
         mask |= inside & (np.sum((pts - c[None, :]) ** 2, axis=1) <= r * r)
         if np.count_nonzero(mask) * (2.0 / m) ** dim >= target_measure:
             return GridIndicator(dim, m, mask.reshape((m,) * dim))
     raise BudgetExceededError(
-        f"could not reach measure {target_measure} with {max_balls} balls")
+        f"could not reach measure {target_measure} with {_MAX_BALLS} balls")
 
 
 def load_indicator(path) -> GridIndicator:
     spec = read_json(path, "indicator file")
     if spec.get("type") != "indicator":
         raise BadInputError("not an indicator file")
-    dim, m, kind = int(spec["dim"]), int(spec["grid"]), spec.get("kind", "cells")
-    if kind == "cells":
-        return indicator_from_cells(dim, m, spec["cells"])
-    if kind == "balls":
-        return indicator_from_balls(dim, m, spec["centers"], spec["radii"])
-    if kind == "random_balls":
-        return random_indicator(dim, m, float(spec["target_measure"]), int(spec["seed"]))
-    raise BadInputError(f"unknown indicator kind {kind!r}")
+    kind = spec.get("kind", "cells")
+    if kind != "cells":
+        raise BadInputError(f"unknown indicator kind {kind!r}")
+    return indicator_from_cells(int(spec["dim"]), int(spec["grid"]), spec["cells"])
 
 
 def save_indicator(f: GridIndicator, path) -> None:
@@ -291,10 +277,10 @@ class LacunaryPlan:
         return self.t.size
 
     @staticmethod
-    def geometric(delta, R, length=48, t1=None, d=None, eps=None):
-        """t_j = t1 r^j with r = _LACUNARY_RATIO, from t1 = r by default."""
+    def geometric(delta, R, t1=None, d=None, eps=None):
+        """t_j = t1 r^j, j < _PLAN_LENGTH, with r = _LACUNARY_RATIO, from t1 = r by default."""
         t1 = _LACUNARY_RATIO if t1 is None else t1
-        t = t1 * _LACUNARY_RATIO ** np.arange(length)
+        t = t1 * _LACUNARY_RATIO ** np.arange(_PLAN_LENGTH)
         return LacunaryPlan(t, float(delta), float(R), d, eps)
 
 
@@ -423,7 +409,6 @@ class SplitResult:
     i3: float
     total: float
     quad_error: float
-    direct: float | None = None
 
     @property
     def lower_bound(self):
@@ -472,13 +457,8 @@ def _band_cuts(radii, t, delta):
 @dataclass(frozen=True)
 class LacunarySearchResult:
     found: bool
-    j_star: int | None            # 1-based index into the plan sequence
-    t_star: float | None
     split: SplitResult | None
     direct: float | None
-    target: float                 # the explicit positivity target for this eps
-    eps: float
-    constants: BourgainConstants
     rows: list                    # (j, t, i1, i2, i3, direct, verdict) per scanned j
     diagnostics: list
     verdict: str
@@ -510,14 +490,13 @@ def lacunary_search(f: GridIndicator, sigma: AtomicMeasure, plan: LacunaryPlan,
             diagnostics.append(
                 f"delta {plan.delta:.6g} exceeds 1/R {1.0 / goodness.R:.6g} "
                 "for the measured goodness cutoff")
-    if not sigma.is_probability(tol=1e-9):
+    if not sigma.is_probability():
         diagnostics.append("sigma is not a probability measure")
     target = consts.positivity_constant * eps * eps
     start = plan.j0_index
     if start >= len(plan):
-        return LacunarySearchResult(False, None, None, None, None, target, eps,
-                                    consts, [], diagnostics + [
-                                        "no sequence term below 4*pi/R"],
+        return LacunarySearchResult(False, None, None, [],
+                                    diagnostics + ["no sequence term below 4*pi/R"],
                                     "HYPOTHESIS-VIOLATION: no admissible t in plan")
     stop = len(plan)
     if plan.j_bound is not None:
@@ -532,15 +511,12 @@ def lacunary_search(f: GridIndicator, sigma: AtomicMeasure, plan: LacunaryPlan,
         verdict = "positive" if ok else "indecisive"
         rows.append((j + 1, t, split.i1, split.i2, split.i3, direct, verdict))
         if ok:
-            split = replace(split, direct=direct)
             achieved = (f"lower bound {lower:.6g} vs explicit target {target:.6g}"
                         f" ({'meets' if lower >= target - split.quad_error else 'below'}"
                         " the target)")
-            return LacunarySearchResult(True, j + 1, t, split, direct, target, eps,
-                                        consts, rows, diagnostics,
+            return LacunarySearchResult(True, split, direct, rows, diagnostics,
                                         f"POSITIVE at j={j + 1}: {achieved}")
     reason = ("scan budget exhausted" if stop < len(plan) else "sequence exhausted")
-    return LacunarySearchResult(False, None, None, None, None, target, eps, consts,
-                                rows, diagnostics + [reason],
+    return LacunarySearchResult(False, None, None, rows, diagnostics + [reason],
                                 "HYPOTHESIS-VIOLATION: no positive j found "
                                 "(measure not good enough or grid too coarse)")

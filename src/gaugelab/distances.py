@@ -87,23 +87,23 @@ class GapReport:
         object.__setattr__(self, "gaps", list(self.gaps))
 
     @classmethod
-    def from_values(cls, values, t_max: float, merge_tol: float = MERGE_TOL) -> "GapReport":
-        """Merge values up to t_max sequentially at merge_tol; the gaps are the empty
+    def from_values(cls, values, t_max: float) -> "GapReport":
+        """Merge values up to t_max sequentially at MERGE_TOL; the gaps are the empty
         intervals between consecutive merged values and from the last one to t_max."""
         values = np.asarray(values, dtype=float)
         # An exact repeat never opens a new value, so the merge runs on the distinct values.
-        # A value over merge_tol above its predecessor is so above the last merged one too
+        # A value over MERGE_TOL above its predecessor is so above the last merged one too
         # (rounding is monotone) and opens a new value; only the others take the loop.
-        u = np.unique(values[values <= t_max + merge_tol])
+        u = np.unique(values[values <= t_max + MERGE_TOL])
         keep, last = np.ones(u.size, dtype=bool), -math.inf
-        for k in (np.flatnonzero(np.diff(u) <= merge_tol) + 1).tolist():
+        for k in (np.flatnonzero(np.diff(u) <= MERGE_TOL) + 1).tolist():
             last = u[k - 1] if keep[k - 1] else last
-            keep[k] = u[k] - last > merge_tol
-        dists = u[keep]   # consecutive ones more than merge_tol apart: each opens a gap
+            keep[k] = u[k] - last > MERGE_TOL
+        dists = u[keep]   # consecutive ones more than MERGE_TOL apart: each opens a gap
         gaps = list(zip(dists[:-1].tolist(), np.diff(dists).tolist()))
-        if dists.size and t_max - dists[-1] > merge_tol:
+        if dists.size and t_max - dists[-1] > MERGE_TOL:
             gaps.append((float(dists[-1]), float(t_max - dists[-1])))
-        return cls(dists, gaps, 0.0, float(t_max), merge_tol)
+        return cls(dists, gaps, 0.0, float(t_max), MERGE_TOL)
 
     @property
     def separation_witness(self):
@@ -146,20 +146,17 @@ def _lag_vectors(points):
     return (np.stack(np.unravel_index(np.flatnonzero(hit), shape), axis=1) - (g - 1)) * h
 
 
-def distance_set(points: PointSet, body: ConvexBody, t_max: float,
-                 merge_tol: float = MERGE_TOL, dual: bool = False) -> GapReport:
-    """All pairwise gauge distances up to t_max, deduplicated at merge_tol.
-
-    With dual=True, distances use the support function (the dual gauge);
-    0 belongs to the set whenever the configuration is nonempty.
-    """
+def distance_set(points: PointSet, body: ConvexBody, t_max: float) -> GapReport:
+    """All pairwise gauge distances up to t_max, deduplicated at MERGE_TOL; 0 belongs to
+    the set whenever the configuration is nonempty."""
     if t_max <= 0:
         raise BadInputError("t_max must be positive")
-    return GapReport.from_values(_distance_values(points, body, dual), t_max, merge_tol)
+    return GapReport.from_values(_distance_values(points, body, dual=False), t_max)
 
 
 def _distance_values(points: PointSet, body: ConvexBody, dual: bool) -> np.ndarray:
-    """0 (for a nonempty set) and the gauge of each difference that _differences yields."""
+    """0 (for a nonempty set) and the gauge of each difference that _differences yields;
+    with dual=True the support function (the dual gauge) of each."""
     if points.dim != body.dim:
         raise BadInputError(f"points of dimension {points.dim} for a body of dimension {body.dim}")
     fn = body.dual_gauge_many if dual else body.gauge_many

@@ -131,10 +131,8 @@ class PolytopeAuditResult:
     """Outcome of the facet-pair obstruction audit for a boundary measure."""
 
     n_directions: int
-    best_direction: np.ndarray
     best_pair_mass: float
     wiener_value: float
-    T: float
     tolerance: float
 
     @property
@@ -179,7 +177,5 @@ def polytope_bound_audit(body: HPolytope, mu: AtomicMeasure, T: float) -> Polyto
             sel = np.abs(np.abs(mu.positions @ theta) - h) <= AUDIT_BOUNDARY_TOL * max(1.0, h)
         masses[k] = float(np.sum(mu.weights[sel]))
     best = int(np.argmax(masses))
-    theta_best = pairs[best][0]
-    w = wiener_atom_mass(mu, theta_best, T)
-    return PolytopeAuditResult(len(pairs), theta_best, float(masses[best]),
-                               w, float(T), AUDIT_TOL)
+    w = wiener_atom_mass(mu, pairs[best][0], T)
+    return PolytopeAuditResult(len(pairs), float(masses[best]), w, AUDIT_TOL)

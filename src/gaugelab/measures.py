@@ -22,6 +22,7 @@ from .errors import BadInputError, read_json, write_json
 ATOM_NORMAL_TOL = 1e-9   # node normal within this of +/- eta counts as flat
 CLUSTER_TOL = 1e-9       # projected positions merged within this
 SYMMETRY_TOL = 1e-9      # mirror atoms match in position and weight within this
+PROBABILITY_TOL = 1e-9   # a probability measure's total mass is 1 within this
 DEFAULT_BINS = 512
 
 _FT_CHUNK = 1 << 18      # cap on atoms*points per vectorized block
@@ -102,8 +103,8 @@ class AtomicMeasure:
         """Certified |grad ft| <= 2 pi * |mass| * support radius."""
         return 2 * math.pi * self.abs_mass * self.support_radius
 
-    def is_probability(self, tol=1e-12):
-        return abs(self.total_mass - 1.0) <= tol and bool(np.all(self.weights >= 0))
+    def is_probability(self):
+        return abs(self.total_mass - 1.0) <= PROBABILITY_TOL and bool(np.all(self.weights >= 0))
 
     def is_symmetric(self):
         """True when atoms pair up as (x, w) <-> (-x, w) within SYMMETRY_TOL."""
@@ -135,15 +136,6 @@ class AtomicMeasure:
         if m <= 0:
             raise BadInputError("cannot normalize a measure of nonpositive mass")
         return AtomicMeasure(self.positions, self.weights / m, self.normals)
-
-    def symmetrized(self):
-        """The even part (mu + mu(-.))/2; normals flip with the reflection."""
-        pos = np.vstack([self.positions, -self.positions])
-        w = np.concatenate([self.weights, self.weights]) / 2.0
-        nrm = None
-        if self.normals is not None:
-            nrm = np.vstack([self.normals, -self.normals])
-        return AtomicMeasure(pos, w, nrm)
 
     def restrict(self, mask):
         mask = np.asarray(mask, dtype=bool)
@@ -386,10 +378,6 @@ class LineMeasure:
         object.__setattr__(self, "atom_masses", am)
         object.__setattr__(self, "bin_edges", be)
         object.__setattr__(self, "bin_masses", bm)
-
-    @property
-    def total_mass(self):
-        return float(np.sum(self.atom_masses) + np.sum(self.bin_masses))
 
     def ft(self, t):
         """Transform of the line measure; bins contribute at their midpoints."""

@@ -3,7 +3,7 @@
 chi_hat evaluates the transform of a body's indicator: closed product form for axis
 boxes, cylinder-function form for balls and ellipsoids, the exact edge sum for polygons,
 and a polar-slice quadrature (exact in the radial variable, midpoint in angle, the only
-use of `resolution`) for other bodies in the plane or star bodies in space.  Zero scans
+use of POLAR_RESOLUTION) for other bodies in the plane or star bodies in space.  Zero scans
 bracket sign changes of the radial profile and refine them by bisection; candidate spectra
 are screened by the orthogonality residual max |chi_hat(diff)| and fed through
 sparsification into a dual-gauge distance-set report.
@@ -21,6 +21,7 @@ from .distances import GapReport, PointSet, _differences, _distance_values, spar
 from .errors import BadInputError, HypothesisViolationError
 
 _POLAR_BLOCK = 1 << 18  # cap on rows * nodes (edges) per block in _chi_hat_polar (_polygon)
+POLAR_RESOLUTION = 4096  # midpoint angles or icosphere patches of the polar quadrature
 _TAIL_ZEROS = 10        # zeros in the tail statistics of a ZeroLedger
 
 
@@ -56,14 +57,14 @@ def ball_indicator_profile(d: int, r) -> np.ndarray:
     return out
 
 
-def chi_hat(body: ConvexBody, xi, resolution: int = 4096) -> float:
+def chi_hat(body: ConvexBody, xi) -> float:
     """Transform of the body's indicator at xi (real, by 0-symmetry).
 
-    Boxes and ellipsoids use closed forms and polygons the exact edge sum, all without
-    `resolution`; other bodies integrate the polar slices: the radial integral in closed
-    form against `resolution` midpoint angles (planar) or icosphere patches (in 3d).
+    Boxes and ellipsoids use closed forms and polygons the exact edge sum; other bodies
+    integrate the polar slices: the radial integral in closed form against
+    POLAR_RESOLUTION midpoint angles (planar) or icosphere patches (in 3d).
     """
-    return float(chi_hat_many(body, np.asarray(xi, dtype=float).ravel(), resolution)[0])
+    return float(chi_hat_many(body, np.asarray(xi, dtype=float).ravel())[0])
 
 
 def _radial_slice_1(q, work=None):
@@ -106,7 +107,7 @@ def _radial_slice_2(q, work=None):
     return out
 
 
-def _chi_hat_polar(body, Xi, resolution):
+def _chi_hat_polar(body, Xi, resolution=POLAR_RESOLUTION):
     """Polar-slice quadrature sum_k w_k r_k^d slice(<xi, r_k u_k>) at the rows of Xi.
 
     Rows run in blocks of _POLAR_BLOCK row-nodes through one set of scratch arrays.  Phases
@@ -148,7 +149,7 @@ def _chi_hat_polygon(body, Xi):
     return out
 
 
-def chi_hat_many(body: ConvexBody, Xi, resolution: int = 4096) -> np.ndarray:
+def chi_hat_many(body: ConvexBody, Xi) -> np.ndarray:
     """chi_hat over the rows of Xi; bodies on the polar quadrature share one node set."""
     Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
     if Xi.ndim != 2 or Xi.shape[1] != body.dim:
@@ -161,7 +162,7 @@ def chi_hat_many(body: ConvexBody, Xi, resolution: int = 4096) -> np.ndarray:
         return float(np.prod(body.axes)) * ball_indicator_profile(body.dim, z)
     if isinstance(body, HPolytope) and body.dim == 2:
         return _chi_hat_polygon(body, Xi)
-    return _chi_hat_polar(body, Xi, resolution)
+    return _chi_hat_polar(body, Xi)
 
 
 # -- radial zero scans --------------------------------------------------------------
@@ -207,11 +208,11 @@ def radial_zero_scan(body: ConvexBody, window, steps: int) -> ZeroLedger:
     a, b = float(window[0]), float(window[1])
     if not (0 < a < b) or steps < 2:
         raise BadInputError("need 0 < a < b and steps >= 2")
-    approximate = not (body.dim == 1 or isinstance(body, Ellipsoid) and body.is_ball(1e-9))
+    approximate = not (body.dim == 1 or isinstance(body, Ellipsoid) and body.is_ball())
     e1 = np.eye(body.dim)[0]
 
     def profile(r):
-        return chi_hat_many(body, np.outer(r, e1), 4096)
+        return chi_hat_many(body, np.outer(r, e1))
 
     rs = np.linspace(a, b, int(steps))
     vals = profile(rs)

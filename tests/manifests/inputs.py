@@ -3,8 +3,8 @@
     python tests/manifests/inputs.py DIR
 
 Bodies, a boundary measure, a grid indicator, point sets and a list of distances,
-each written by gaugelab's own writers, plus one body file that is not 0-symmetric
-for a bad-input run.
+each written by gaugelab's own writers, plus two body files for bad-input runs: one
+that is not 0-symmetric and one with a NaN semi-axis.
 """
 
 import json
@@ -47,6 +47,9 @@ def main(out):
     (out / "asymmetric.json").write_text(json.dumps(
         {"dim": 2, "type": "hpolytope", "normals": [[1, 0], [0, 1], [-1, 0]],
          "offsets": [1, 1, 1]}))
+    # json writes, and reads back, the NaN token that is not JSON proper
+    (out / "nonfinite.json").write_text(json.dumps(
+        {"dim": 2, "type": "ellipsoid", "axes": [float("nan"), 1.0]}))
     square = gl.triangulate_boundary(BODIES["square"], 512)
     save_measure(gl.from_mesh(square, normalize=True), out / "square-measure.json")
     save_indicator(gl.random_indicator(2, 64, 0.3 * np.pi, seed=5), out / "indicator.json")

@@ -247,19 +247,20 @@ def pairwise_orthogonality_residual(points, body):
 def all_pairs_spectrum_report(points, body, R):
     """spectrum_gap_pipeline's report as first written: t_max from the dual gauge of all n^2
     differences of the sparsified set, then distance_set up to it."""
-    from gaugelab.distances import GapReport, distance_set, sparsify
+    from gaugelab.distances import GapReport, _distance_values, sparsify
     thin = sparsify(points, R)
     if len(thin) == 0:
         return GapReport.from_values([], 0.0)
     diffs = thin.points[:, None, :] - thin.points[None, :, :]
     t_max = float(np.max(body.dual_gauge_many(diffs.reshape(-1, thin.dim)))) + 1.0
-    return distance_set(thin, body, t_max, dual=True)
+    return GapReport.from_values(_distance_values(thin, body, dual=True), t_max)
 
 
-def sequential_merge_distance_set(points, body, t_max, merge_tol=1e-9, dual=False):
+def sequential_merge_distance_set(points, body, t_max, dual=False):
     """Distance set as first written: every pair gauged, and the sequential merge walks
-    every sorted value.  dual=True is its twin under the dual gauge."""
+    every sorted value at 1e-9.  dual=True is its twin under the dual gauge."""
     from gaugelab.distances import GapReport
+    merge_tol = 1e-9
     fn = body.dual_gauge_many if dual else body.gauge_many
     i, j = np.triu_indices(len(points), 1)
     vals = [np.zeros(min(len(points), 1))]
@@ -281,9 +282,27 @@ def sequential_merge_distance_set(points, body, t_max, merge_tol=1e-9, dual=Fals
     return GapReport(dists, gaps, 0.0, float(t_max), merge_tol)
 
 
+def symmetrized(mu):
+    """The even part (mu + mu(-.))/2 of an atomic measure; normals flip with the reflection."""
+    from gaugelab.measures import AtomicMeasure
+    nrm = None if mu.normals is None else np.vstack([mu.normals, -mu.normals])
+    return AtomicMeasure(np.vstack([mu.positions, -mu.positions]),
+                         np.concatenate([mu.weights, mu.weights]) / 2.0, nrm)
+
+
+def indicator_from_balls(dim, m, centers, radii):
+    """Union of Euclidean balls clipped to the unit ball, sampled at cell centers."""
+    from gaugelab.correlation import GridIndicator, _cell_centers
+    pts = _cell_centers(dim, m)
+    mask = np.zeros(pts.shape[0], dtype=bool)
+    for c, r in zip(np.atleast_2d(np.asarray(centers, dtype=float)), np.ravel(radii)):
+        mask |= np.sum((pts - c[None, :]) ** 2, axis=1) <= r * r
+    mask &= np.sum(pts ** 2, axis=1) <= 1.0
+    return GridIndicator(dim, m, mask.reshape((m,) * dim))
+
+
 def rebuilt_random_indicator(dim, m, target_measure, seed, max_balls=64):
     """random_indicator as first written: the whole union is rebuilt after every ball."""
-    from gaugelab.correlation import indicator_from_balls
     rng = np.random.default_rng(seed)
     centers, radii = [], []
     for _ in range(max_balls):

@@ -75,13 +75,13 @@ class TestGauge:
 
 class TestDualGauge:
     def test_ball_self_dual(self, unit_disk):
-        assert unit_disk.dual_gauge([3.0, 4.0]) == pytest.approx(5.0, abs=1e-12)
+        assert unit_disk.dual_gauge_many([[3.0, 4.0]])[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_half_cube_support(self, half_cube):
-        assert half_cube.dual_gauge([1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+        assert half_cube.dual_gauge_many([[1.0, 1.0]])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_ellipsoid_axis(self):
-        assert gl.Ellipsoid([2.0, 1.0]).dual_gauge([1.0, 0.0]) == pytest.approx(2.0)
+        assert gl.Ellipsoid([2.0, 1.0]).dual_gauge_many([[1.0, 0.0]])[0] == pytest.approx(2.0)
 
     def test_support_function_definition(self):
         rng = np.random.default_rng(5)
@@ -89,7 +89,7 @@ class TestDualGauge:
             mesh = gl.triangulate_boundary(body, 4096)
             for xi in rng.normal(size=(8, 2)):
                 sampled = float(np.max(mesh.positions @ xi))
-                assert body.dual_gauge(xi) == pytest.approx(sampled, rel=1e-3, abs=1e-6)
+                assert body.dual_gauge_many([xi])[0] == pytest.approx(sampled, rel=1e-3, abs=1e-6)
 
     def test_polytope_support_matches_lp_oracle(self):
         from scipy.optimize import linprog
@@ -100,7 +100,7 @@ class TestDualGauge:
                 lp = linprog(-xi, A_ub=body.normals, b_ub=body.offsets,
                              bounds=[(None, None)] * d)
                 assert lp.success
-                assert body.dual_gauge(xi) == pytest.approx(-lp.fun, abs=1e-10)
+                assert body.dual_gauge_many([xi])[0] == pytest.approx(-lp.fun, abs=1e-10)
 
     def test_gauge_support_duality(self):
         # gauge(x) = sup over boundary normals n of <x,n>/<node,n>
@@ -278,10 +278,10 @@ class TestSerialization:
         for body in BODIES_2D:
             path = tmp_path / "b.json"
             gl.save_body(body, path)
-            loaded = gl.load_body(path, normalize=False)
+            loaded = gl.load_body(path)   # shrunk by loaded.scale into the unit ball
             rng = np.random.default_rng(1)
             X = rng.normal(size=(16, 2))
-            np.testing.assert_allclose(loaded.gauge_many(X), body.gauge_many(X),
+            np.testing.assert_allclose(loaded.gauge_many(X) * loaded.scale, body.gauge_many(X),
                                        rtol=1e-12, atol=1e-12)
 
     def test_pairing_validated_at_load(self, tmp_path):
@@ -300,8 +300,23 @@ class TestSerialization:
         loaded = gl.load_body(path)
         assert loaded.outer_radius() <= 1.0 + 1e-12
         assert loaded.scale == pytest.approx(1.0 / big.outer_radius())
-        small = gl.load_body(path, normalize=False)
-        assert small.outer_radius() == pytest.approx(big.outer_radius())
+        saved = bodies.body_from_dict(json.loads(path.read_text()))
+        assert saved.outer_radius() == pytest.approx(big.outer_radius())
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"type": "ellipsoid", "axes": [math.nan, 1.0]}, "ellipsoid semi-axes"),
+        ({"type": "ellipsoid", "axes": [math.inf, 1.0]}, "ellipsoid semi-axes"),
+        ({"type": "radial", "p": math.nan, "axes": [1.0, 1.0]}, "superellipsoid p"),
+        ({"type": "radial", "p": math.inf, "axes": [1.0, 1.0]}, "superellipsoid p"),
+        ({"type": "radial", "p": 3.0, "axes": [1.0, -math.inf]}, "semi-axes"),
+        ({"type": "radial", "radial_samples": [math.nan] * 8}, "radial samples"),
+        ({"type": "hpolytope", "normals": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+          "offsets": [1.0, 1.0, math.nan, math.nan]}, "facet offsets")])
+    def test_non_finite_body_data_rejected(self, tmp_path, spec, field):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(spec))   # json writes NaN and Infinity, and reads them back
+        with pytest.raises(BadInputError, match=f"{field} must be .*finite"):
+            gl.load_body(path)
 
     def test_asymmetric_radial_rejected(self):
         samples = np.ones(16)
@@ -357,6 +372,11 @@ class TestRandomPolygon:
         for seed in range(400):
             gl.random_symmetric_polytope(2, pairs, seed)
         assert len(rejected) < 0.5 * len(draws)
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_only_planar_and_spatial_draws(self, dim):
+        with pytest.raises(BadInputError, match="dimensions 2 and 3"):
+            gl.random_symmetric_polytope(dim, 4, seed=0)
 
     def test_every_seed_draws_up_to_24_pairs(self):
         # With +/-8% offsets at every spacing, a facet came out redundant from 10 pairs

@@ -22,7 +22,7 @@ def circle_sigma(unit_disk):
 
 @pytest.fixture(scope="module")
 def blob_set():
-    return gl.indicator_from_balls(2, 256, [[-0.4, 0.0], [0.4, 0.0]], [0.1, 0.1])
+    return oracles.indicator_from_balls(2, 256, [[-0.4, 0.0], [0.4, 0.0]], [0.1, 0.1])
 
 
 class TestConstants:
@@ -104,12 +104,12 @@ class TestPigeonhole:
 
 class TestDirectCorrelation:
     def test_full_ball_small_t_recovers_measure(self, circle_sigma):
-        f = gl.indicator_from_balls(2, 256, [[0.0, 0.0]], [2.0])
+        f = oracles.indicator_from_balls(2, 256, [[0.0, 0.0]], [2.0])
         d = gl.direct_correlation(f, circle_sigma, 0.003)
         assert d == pytest.approx(f.measure, rel=0.01)
 
     def test_disjoint_supports_vanish(self):
-        f = gl.indicator_from_balls(2, 256, [[0.0, 0.0]], [0.1])
+        f = oracles.indicator_from_balls(2, 256, [[0.0, 0.0]], [0.1])
         K = gl.ball_body(2, 0.5)
         sigma = gl.from_mesh(gl.triangulate_boundary(K, 512), normalize=True)
         assert gl.direct_correlation(f, sigma, 1.0) == 0.0
@@ -200,7 +200,7 @@ class TestSplitIntegrals:
                 assert sr.i1 >= c.i1_constant * f.measure ** 2
 
     def test_high_band_bounded_by_goodness(self, unit_disk, five_cap_measure):
-        sym = five_cap_measure.symmetrized()
+        sym = oracles.symmetrized(five_cap_measure)
         R = 30.0
         rep = gl.goodness_profile(sym, R, [30.0, 40.0, 55.0, 70.0], 8192)
         f = gl.random_indicator(2, 256, 0.3 * math.pi, seed=7)
@@ -215,9 +215,9 @@ class TestSplitIntegrals:
         # sum over the plan of |I2| stays below (2/log 2) log(1/delta) |A|
         f = gl.random_indicator(2, 256, 0.3 * math.pi, seed=11)
         delta = 0.05
-        plan = gl.LacunaryPlan.geometric(delta, 20.0, length=12)
+        plan = gl.LacunaryPlan.geometric(delta, 20.0)
         total = sum(abs(gl.split_integrals(f, circle_sigma, t, delta).i2)
-                    for t in plan.t)
+                    for t in plan.t[:12])
         bound = 2 / math.log(2) * math.log(1 / delta) * f.measure
         assert total <= bound
 
@@ -257,10 +257,10 @@ class TestLacunarySearch:
         assert res.found
         assert res.direct > 0
         assert res.split.lower_bound > 0
-        assert res.j_star >= plan.j0_index + 1
-        assert res.target == pytest.approx(
-            gl.BourgainConstants(2).positivity_constant * f.measure ** 2)
-        assert res.split.lower_bound >= res.target - res.split.quad_error
+        assert res.rows[-1][0] >= plan.j0_index + 1 and res.rows[-1][-1] == "positive"
+        target = gl.BourgainConstants(2).positivity_constant * f.measure ** 2
+        assert f"explicit target {target:.6g} (meets the target)" in res.verdict
+        assert res.split.lower_bound >= target - res.split.quad_error
 
     def test_goodness_shortfall_reported_not_fatal(self, circle_sigma):
         f = gl.random_indicator(2, 128, 0.3 * math.pi, seed=9)
@@ -272,10 +272,10 @@ class TestLacunarySearch:
 
     def test_exhausted_scan_reports_violation(self):
         # the 0.8-wide disk has no two points 0.9 apart: the one-term plan finds no scale
-        f = gl.indicator_from_balls(2, 128, [[0.0, 0.0]], [0.4])
-        sigma = gl.AtomicMeasure([[1.0, 0.0]], [1.0]).symmetrized()
+        f = oracles.indicator_from_balls(2, 128, [[0.0, 0.0]], [0.4])
+        sigma = oracles.symmetrized(gl.AtomicMeasure([[1.0, 0.0]], [1.0]))
         res = gl.lacunary_search(f, sigma, gl.LacunaryPlan([0.9], 0.05, 13.0))
-        assert not res.found and res.j_star is None
+        assert not res.found and res.split is None and res.direct is None
         assert [row[5] for row in res.rows] == [0.0]
         assert "HYPOTHESIS-VIOLATION" in res.verdict
         assert res.diagnostics[-1] == "sequence exhausted"
@@ -331,9 +331,9 @@ class TestGridIndicator:
             assert np.array_equal(f.cells, ref.cells)
 
     def test_unreachable_measure_refused_like_rebuilt_union(self):
-        assert oracles.rebuilt_random_indicator(2, 32, 10.0, 4, max_balls=5) is None
-        with pytest.raises(BudgetExceededError):
-            gl.random_indicator(2, 32, 10.0, seed=4, max_balls=5)
+        assert oracles.rebuilt_random_indicator(2, 32, 10.0, 4) is None
+        with pytest.raises(BudgetExceededError, match="with 64 balls"):
+            gl.random_indicator(2, 32, 10.0, seed=4)
 
     def test_three_dimensional_smoke(self):
         f = gl.random_indicator(3, 32, 0.3, seed=5)
@@ -360,7 +360,7 @@ def atom_clouds(dim, weights, symmetric):
     """n <= 6 atoms in [-1,1]^dim, mirrored into a symmetric measure when asked."""
     def build(atoms):
         sigma = gl.AtomicMeasure([p for p, _ in atoms], [w for _, w in atoms])
-        return sigma.symmetrized() if symmetric else sigma
+        return oracles.symmetrized(sigma) if symmetric else sigma
     # tenths put offsets t y / h within rounding of grid lines (0.3 / 0.1 < 3)
     coord = st.one_of(st.floats(-1.0, 1.0), st.integers(-10, 10).map(lambda k: k / 10))
     point = st.lists(coord, min_size=dim, max_size=dim)
@@ -518,7 +518,7 @@ class TestPairedSigmaHat:
         for seed in range(8):
             rng = np.random.default_rng(seed)
             sigma = gl.AtomicMeasure(rng.uniform(-1, 1, (4, dim)), rng.uniform(-1, 1, 4))
-            sigma = sigma.symmetrized()
+            sigma = oracles.symmetrized(sigma)
             fast, _ = _sigma_hat_on_grid(sigma, 8.0, _PAD * m, 2.0 / m, dim)
             ref = oracles.separable_sigma_hat(sigma, 8.0, _PAD * m, 2.0 / m, dim, half=True).real
             assert np.max(np.abs(fast - ref)) <= 16 * EPS * (1 + dim) * sigma.abs_mass
@@ -569,7 +569,7 @@ class TestSpectrumBudget:
         with pytest.raises(BudgetExceededError):
             gl.indicator_from_cells(3, huge, [[0, 0, 0]])
         with pytest.raises(BudgetExceededError):
-            gl.indicator_from_balls(2, huge, [[0.0, 0.0]], [0.5])
+            gl.random_indicator(2, huge, 0.5, seed=0)
         with pytest.raises(BadInputError):    # a bad shape is bad input, whatever its size
             gl.indicator_from_cells(4, huge, [])
 

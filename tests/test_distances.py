@@ -64,6 +64,13 @@ class TestDistanceSet:
         np.testing.assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-9)
 
 
+def gap_report(pts, body, t_max, dual):
+    """distance_set, or with dual the dual-gauge report that spectrum_gap_pipeline builds."""
+    if not dual:
+        return gl.distance_set(pts, body, t_max)
+    return gl.GapReport.from_values(distances._distance_values(pts, body, dual=True), t_max)
+
+
 def assert_same_report(got, want):
     np.testing.assert_array_equal(got.distances, want.distances)
     assert got.gaps == want.gaps
@@ -80,19 +87,18 @@ class TestMergeAgainstSequentialOracle:
             assert_same_report(gl.distance_set(lat, body, t_max),
                                oracles.sequential_merge_distance_set(lat, body, t_max))
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 120),
-           merge_tol=st.sampled_from((1e-9, 1e-3)))
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 120))
     @settings(max_examples=40, deadline=None)
-    def test_planted_near_duplicates(self, seed, n, merge_tol):
+    def test_planted_near_duplicates(self, seed, n):
         rng = np.random.default_rng(seed)
         base = rng.uniform(-5, 5, size=(n, 2))
-        # copies shifted by up to twice merge_tol give chains of near-equal distances
-        shift = rng.uniform(-2 * merge_tol, 2 * merge_tol, size=(n, 2))
+        # copies shifted by up to twice MERGE_TOL give chains of near-equal distances
+        shift = rng.uniform(-2 * distances.MERGE_TOL, 2 * distances.MERGE_TOL, size=(n, 2))
         pts = np.vstack([base, base + np.where(np.abs(shift) < 1e-11, 1e-11, shift)])
         pts = gl.PointSet(pts[np.unique(pts, axis=0, return_index=True)[1]])
         body = gl.random_symmetric_polytope(2, 6, seed=seed % 97)
-        assert_same_report(gl.distance_set(pts, body, 6.0, merge_tol),
-                           oracles.sequential_merge_distance_set(pts, body, 6.0, merge_tol))
+        assert_same_report(gl.distance_set(pts, body, 6.0),
+                           oracles.sequential_merge_distance_set(pts, body, 6.0))
 
 
 @st.composite
@@ -128,7 +134,7 @@ class TestLagVectors:
     def test_sorted_grid_subsets(self, pts, dual, pick, t_max):
         bodies = LAG_BODIES[pts.dim]
         body = bodies[pick % len(bodies)]
-        assert_same_report(gl.distance_set(pts, body, t_max, dual=dual),
+        assert_same_report(gap_report(pts, body, t_max, dual),
                            oracles.sequential_merge_distance_set(pts, body, t_max, dual=dual))
 
     @pytest.mark.parametrize("dim,lo,hi,spacing", [(1, -30, 30, 1.0), (2, -8, 8, 1.0),
@@ -145,7 +151,7 @@ class TestLagVectors:
                 m.setattr(distances, "_PAIR_BLOCK", None)  # the pair walk would raise
                 for b in LAG_BODIES[dim]:
                     for dual in (False, True):
-                        assert_same_report(gl.distance_set(pts, b, 9.0, dual=dual),
+                        assert_same_report(gap_report(pts, b, 9.0, dual),
                                            want[id(b), dual])
 
     def test_lags_are_the_distinct_differences(self):
@@ -172,7 +178,7 @@ class TestLagVectors:
         assert distances._lag_vectors(pts.points) is None
         body = gl.regular_polygon_body(6) if pts.dim == 2 else gl.cube_body(1, 0.7)
         for dual in (False, True):
-            assert_same_report(gl.distance_set(pts, body, 12.0, dual=dual),
+            assert_same_report(gap_report(pts, body, 12.0, dual),
                                oracles.sequential_merge_distance_set(pts, body, 12.0, dual=dual))
 
     def test_lag_grid_over_the_memory_budget_takes_every_pair(self, monkeypatch):

@@ -236,7 +236,7 @@ class TestFoldedWiener:
     @settings(max_examples=40, deadline=None)
     def test_symmetric_clouds_fold_their_pairs(self, seed, dim, atoms, T, origin, samples):
         mu, eta, rng = signed_cloud(seed, dim, atoms, 1.0)
-        even = mu.symmetrized()
+        even = oracles.symmetrized(mu)
         if origin:   # an atom that is its own mirror
             even = gl.AtomicMeasure(np.vstack([even.positions, np.zeros(dim)]),
                                     np.append(even.weights, rng.uniform(-1.0, 1.0)))
@@ -274,8 +274,9 @@ class TestMergedProjections:
         eta = np.eye(dim)[axis]
         flip = np.array(mu.positions)
         flip[:, axis] *= -1
-        even = gl.AtomicMeasure(np.vstack([mu.positions, flip]),
-                                np.concatenate([mu.weights, mu.weights[::-1]])).symmetrized()
+        both = gl.AtomicMeasure(np.vstack([mu.positions, flip]),
+                                np.concatenate([mu.weights, mu.weights[::-1]]))
+        even = oracles.symmetrized(both)
         with progression_atoms() as seen:
             got = gl.wiener_atom_mass(even, eta, T, samples)
         assert len(even._pairs_up()[0]) == 2 * atoms
@@ -510,7 +511,8 @@ class TestProjection:
         for seed in range(5):
             mu = random_measure(seed, n=40)
             line = gl.project_measure(mu, [0.6, 0.8])
-            assert line.total_mass == pytest.approx(mu.total_mass, abs=1e-12 * mu.abs_mass)
+            line_mass = np.sum(line.atom_masses) + np.sum(line.bin_masses)
+            assert line_mass == pytest.approx(mu.total_mass, abs=1e-12 * mu.abs_mass)
 
     def test_rejects_non_unit_direction(self, circle_measure):
         with pytest.raises(BadInputError):
@@ -658,11 +660,14 @@ class TestDecay:
 class TestMeasureBasics:
     def test_probability_and_symmetry_flags(self, circle_measure):
         assert circle_measure.is_probability()
+        assert circle_measure.total_mass == pytest.approx(1.0, abs=1e-12)
         assert circle_measure.is_symmetric()
+        for mass, probability in ((1 + 1e-10, True), (1 + 1e-8, False), (-1.0, False)):
+            assert gl.AtomicMeasure([[0.0, 0.0]], [mass]).is_probability() == probability
 
     def test_symmetrized(self):
         mu = random_measure(17)
-        sym = mu.symmetrized()
+        sym = oracles.symmetrized(mu)
         assert sym.is_symmetric()
         assert sym.total_mass == pytest.approx(mu.total_mass, abs=1e-12)
 
@@ -708,7 +713,7 @@ def coincident_symmetrized(draw, dim):
     groups = draw(st.lists(st.tuples(point, st.lists(st.integers(-8, 8), min_size=1,
                                                      max_size=3)), min_size=1, max_size=4))
     atoms = [(p, k / 8) for p, ks in groups for k in ks]
-    sym = gl.AtomicMeasure([p for p, _ in atoms], [w for _, w in atoms]).symmetrized()
+    sym = oracles.symmetrized(gl.AtomicMeasure([p for p, _ in atoms], [w for _, w in atoms]))
     order = np.array(draw(st.permutations(range(len(sym)))))
     return gl.AtomicMeasure(sym.positions[order], sym.weights[order])
 

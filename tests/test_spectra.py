@@ -55,12 +55,12 @@ class TestChiHat:
 
     def test_volume_at_zero_angular_quadrature(self):
         hexagon = gl.regular_polygon_body(6)
-        assert gl.chi_hat(hexagon, [0.0, 0.0], 4096) == pytest.approx(
+        assert gl.chi_hat(hexagon, [0.0, 0.0]) == pytest.approx(
             3 * math.sqrt(3) / 2, abs=1e-6)
         se = gl.RadialBody(p=3, axes=[1.0, 1.0])
         from scipy.special import gamma
         exact = 4 * gamma(4 / 3) ** 2 / gamma(5 / 3)
-        assert gl.chi_hat(se, [0.0, 0.0], 8192) == pytest.approx(exact, abs=1e-6)
+        assert gl.chi_hat(se, [0.0, 0.0]) == pytest.approx(exact, abs=1e-6)
 
     def test_even_in_frequency(self, unit_disk):
         hexagon = gl.regular_polygon_body(6)
@@ -73,19 +73,18 @@ class TestChiHat:
         # run the generic angular quadrature on a ball-shaped radial body
         roundish = gl.RadialBody(p=2, axes=[1.0, 1.0])
         for r in (0.3, 1.7, 4.4):
-            assert gl.chi_hat(roundish, [r, 0.0], 4096) == pytest.approx(
+            assert gl.chi_hat(roundish, [r, 0.0]) == pytest.approx(
                 gl.chi_hat(unit_disk, [r, 0.0]), abs=1e-9)
 
     def test_polar_matches_closed_forms_in_three_dimensions(self):
         roundish = gl.RadialBody(p=2, axes=[1.0, 1.0, 1.0])
         ball = gl.ball_body(3)
-        assert gl.chi_hat(roundish, np.zeros(3), 40_000) == pytest.approx(
+        assert _chi_hat_polar(roundish, np.zeros((1, 3)), 40_000)[0] == pytest.approx(
             gl.chi_hat(ball, np.zeros(3)), abs=1e-12)
         for r, tol in ((0.4, 1e-6), (1.3, 1e-4)):
-            assert gl.chi_hat(roundish, [r, 0.0, 0.0], 40_000) == pytest.approx(
+            assert _chi_hat_polar(roundish, np.array([[r, 0.0, 0.0]]), 40_000)[0] == pytest.approx(
                 gl.chi_hat(ball, [r, 0.0, 0.0]), abs=tol)
         cube = gl.cube_body(3, 0.7)
-        from gaugelab.spectra import _chi_hat_polar
         xi = np.array([0.3, 0.2, -0.1])
         assert _chi_hat_polar(cube, xi[None, :], 81_920)[0] == pytest.approx(
             gl.chi_hat(cube, xi), abs=1e-4)
@@ -133,8 +132,8 @@ class TestPolarNodesOncePerBody:
     def test_many_equals_rows_and_fresh_nodes(self, body):
         rng = np.random.default_rng(body.dim)
         Xi = rng.normal(scale=3.0, size=(150, body.dim))
-        many = gl.chi_hat_many(body, Xi, 4096)
-        rows = np.array([gl.chi_hat(body, xi, 4096) for xi in Xi])
+        many = gl.chi_hat_many(body, Xi)
+        rows = np.array([gl.chi_hat(body, xi) for xi in Xi])
         np.testing.assert_allclose(many, rows, rtol=0, atol=1e-14)
         # The polygons take the edge sum, so the quadrature is called by name.  The oracle
         # rebuilds the nodes and sums in long double; the real slices lose at most a bit
@@ -152,9 +151,9 @@ class TestPolarNodesOncePerBody:
         calls = []
         gauge = body.gauge_many
         body.gauge_many = lambda X: calls.append(len(X)) or gauge(X)
-        gl.chi_hat_many(body, np.ones((300, 2)), 4096)
-        gl.chi_hat(body, [0.5, 0.5], 4096)
-        gl.chi_hat(body, [0.5, 0.5], 1024)
+        gl.chi_hat_many(body, np.ones((300, 2)))
+        gl.chi_hat(body, [0.5, 0.5])
+        _chi_hat_polar(body, np.array([[0.5, 0.5]]), 1024)
         assert calls == [4096, 1024]
         assert body.polar_nodes(4096)[0] is body.polar_nodes(4096)[0]
 
@@ -163,8 +162,8 @@ class TestPolarNodesOncePerBody:
         import gaugelab.spectra as spectra
         monkeypatch.setattr(spectra, "chi_hat_many", _chi_hat_polar)  # not the edge sum
         ledger = gl.radial_zero_scan(body, (0.5, 6.0), 400)
-        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi, res: np.array(
-            [oracles.fresh_polar_chi_hat(b, xi, res) for xi in Xi]))
+        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi: np.array(
+            [oracles.fresh_polar_chi_hat(b, xi) for xi in Xi]))
         before = gl.radial_zero_scan(body, (0.5, 6.0), 400)
         assert len(ledger.zeros) == len(before.zeros) > 0
         np.testing.assert_allclose(ledger.zeros, before.zeros, rtol=0, atol=1e-12)
@@ -176,8 +175,8 @@ class TestPolarNodesOncePerBody:
         import gaugelab.spectra as spectra
         many = spectra.chi_hat_many
         # one row per call: every bracket then bisects on its own
-        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi, res: np.concatenate(
-            [many(b, xi[None, :], res) for xi in Xi]))
+        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi: np.concatenate(
+            [many(b, xi[None, :]) for xi in Xi]))
         alone = gl.radial_zero_scan(body, (0.5, 6.0), 400)
         assert len(ledger.zeros) > 0
         np.testing.assert_array_equal(ledger.zeros, alone.zeros)
@@ -188,7 +187,7 @@ class TestPolarNodesOncePerBody:
         calls = []
         many = spectra.chi_hat_many
         monkeypatch.setattr(spectra, "chi_hat_many",
-                            lambda b, Xi, res: calls.append(len(Xi)) or many(b, Xi, res))
+                            lambda b, Xi: calls.append(len(Xi)) or many(b, Xi))
         ledger = gl.radial_zero_scan(gl.regular_polygon_body(6), (0.5, 6.0), 400)
         # the grid, then one call per bisection step for all live brackets together:
         # 28 halvings take a grid step of 5.5/399 below the bracket width 1e-10
@@ -297,7 +296,7 @@ class TestPolygonEdgeSum:
         area = oracles.shoelace_area(body)
         for xi in ([0.0, 0.0], [1e-120, 0.0]):
             assert gl.chi_hat(body, xi) == pytest.approx(area, rel=4e-16)
-        assert gl.chi_hat(body, [0.0, 0.0], 8) == gl.chi_hat(body, [0.0, 0.0])  # no nodes
+        assert "_polar_nodes" not in body.__dict__   # the edge sum builds no polar nodes
 
     def test_hexagon_dual_lattice_is_a_spectrum(self):
         # The hexagon tiles the plane by the lattice of twice its facet offsets along two
@@ -358,7 +357,7 @@ class TestZeroScan:
     def test_exact_hit_ends_its_bracket(self, unit_disk, monkeypatch):
         import gaugelab.spectra as spectra
         calls = []
-        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi, res: calls.append(
+        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi: calls.append(
             len(Xi)) or (Xi[:, 0] - 1.25) * (Xi[:, 0] - 2.3))
         led = gl.radial_zero_scan(unit_disk, (0.5, 2.5), 5)
         # 1.25 is the first midpoint of [1, 1.5]; 2.3 takes the full bisection of [2, 2.5]
@@ -461,7 +460,7 @@ class TestSpectrumPipeline:
         brute = set()
         for i in range(len(P)):
             for j in range(i + 1, len(P)):
-                brute.add(round(half_cube.dual_gauge(P[i] - P[j]), 9))
+                brute.add(round(half_cube.dual_gauge_many([P[i] - P[j]])[0], 9))
         brute.add(0.0)
         assert len(result.report.distances) == len(brute)
 

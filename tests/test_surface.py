@@ -3,7 +3,9 @@
 Every name that gaugelab/__init__.py exports must be referred to, outside its own
 definition, by code that a run executes: another statement of the package (the CLI
 included), the benchmark in perfbench/, the acceptance tests or the CLI manifests.  A name
-that only its own unit tests call is dead API and goes.
+that only its own unit tests call is dead API and goes.  The same holds one level down for
+the public methods and properties of an exported class.  That check matches names only, so
+a method named like something a run reaches (a field, or another class's method) passes it.
 """
 
 import ast
@@ -50,4 +52,21 @@ def test_every_export_is_reached_by_a_run():
     assert exports
     unreached = [name for name in exports
                  if not any(name in used and name not in defined for defined, used in statements)]
+    assert unreached == []
+
+
+def _exported_classes():
+    """The class statements of the package that __init__.py exports."""
+    exports = set(_exports())
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, ast.ClassDef) and stmt.name in exports:
+                yield stmt
+
+
+def test_every_public_method_is_reached_by_a_run():
+    used = set().union(*(used for _, used in _references()))
+    unreached = [f"{cls.name}.{stmt.name}" for cls in _exported_classes() for stmt in cls.body
+                 if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+                 and stmt.name not in used]
     assert unreached == []
