@@ -66,7 +66,7 @@ def _lattice(value):
 
 
 def _vector(value):
-    return np.array([float(v) for v in str(value).split(",")], dtype=float)
+    return np.array([_finite(v) for v in str(value).split(",")], dtype=float)
 
 
 def _vectors(value):

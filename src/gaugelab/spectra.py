@@ -4,7 +4,7 @@ chi_hat evaluates the transform of a body's indicator: closed product form for a
 boxes, cylinder-function form for balls and ellipsoids, the exact edge sum for polygons,
 and a polar-slice quadrature (exact in the radial variable, midpoint in angle, the only
 use of POLAR_RESOLUTION) for other bodies in the plane or star bodies in space.  Zero scans
-bracket sign changes of the radial profile and refine them by bisection; candidate spectra
+bracket sign changes of the radial profile and refine them by false position; candidate spectra
 are screened by the orthogonality residual max |chi_hat(diff)| and fed through
 sparsification into a dual-gauge distance-set report.
 """
@@ -18,11 +18,13 @@ import numpy as np
 
 from .bodies import ConvexBody, Ellipsoid, HPolytope
 from .distances import GapReport, PointSet, _differences, _distance_values, sparsify
-from .errors import BadInputError, HypothesisViolationError
+from .errors import BadInputError, BudgetExceededError, HypothesisViolationError
 
 _POLAR_BLOCK = 1 << 18  # cap on rows * nodes (edges) per block in _chi_hat_polar (_polygon)
 POLAR_RESOLUTION = 4096  # midpoint angles or icosphere patches of the polar quadrature
 _TAIL_ZEROS = 10        # zeros in the tail statistics of a ZeroLedger
+_ZERO_TOL = 1e-10       # bracket width at which a zero scan stops; the zero is its midpoint
+_ILLINOIS_STEPS = 3     # false-position steps a zero bracket takes before it must halve
 
 
 def _is_axis_box(body):
@@ -200,10 +202,14 @@ class ZeroLedger:
 
 
 def radial_zero_scan(body: ConvexBody, window, steps: int) -> ZeroLedger:
-    """Bracket and bisect zeros of the radial indicator-transform profile chi_hat(body, r e1).
+    """Bracket and refine the sign-change zeros of the profile chi_hat(body, r e1).
 
-    Balls and the 1d box are radial, so their profile is exact; other bodies are flagged
-    approximate.  A window without sign changes returns an empty ledger.
+    A grid of `steps` radii brackets each sign change (a zero that touches 0 without one, as
+    the regular hexagon's at r = 2 and 4, is not listed).  Brackets take Illinois false-position
+    steps (Dowell & Jarratt 1971), ~6 per scan, to a width of 1e-10, the zero the midpoint; one
+    not halved in _ILLINOIS_STEPS = 3 steps takes a midpoint step, so a scan ends within 4
+    ceil(log2(w0 / 1e-10)) steps for a grid step w0 or raises BudgetExceededError.  Balls and
+    the 1d box are radial, so their profile is exact; other bodies are flagged approximate.
     """
     a, b = float(window[0]), float(window[1])
     if not (0 < a < b) or steps < 2:
@@ -216,23 +222,36 @@ def radial_zero_scan(body: ConvexBody, window, steps: int) -> ZeroLedger:
 
     rs = np.linspace(a, b, int(steps))
     vals = profile(rs)
-    # A grid hit (lo value 0) is bracketed by the neighboring interval instead.
+    # Sign changes between grid neighbours; a grid value of exactly 0 is in no bracket.
     i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-    lo, hi, lo_v = rs[i], rs[i + 1], vals[i]
-    # All brackets bisect in lockstep, one profile call per step.  A row's phases do not
+    lo, hi, lo_v, hi_v = rs[i], rs[i + 1], vals[i], vals[i + 1]
+    # All brackets step in lockstep, one profile call per step.  A row's phases do not
     # depend on the rows evaluated with it, so each bracket takes the steps it would alone.
+    K, ref, since, kept = _ILLINOIS_STEPS, hi - lo, np.zeros(i.size, int), np.zeros(i.size, int)
+    cap = (K + 1) * math.ceil(math.log2(np.max(ref, initial=_ZERO_TOL) / _ZERO_TOL)) + 1
     live = np.arange(i.size)
-    for _ in range(200):
-        live = live[hi[live] - lo[live] > 1e-10]
+    for _ in range(cap):
+        live = live[hi[live] - lo[live] > _ZERO_TOL]
         if live.size == 0:
             break
-        mid = 0.5 * (lo[live] + hi[live])
-        mv = profile(mid)
-        hit, left = mv == 0.0, lo_v[live] * mv < 0
-        right = ~hit & ~left
-        hi[live[left]] = mid[left]
-        lo[live[right]], lo_v[live[right]] = mid[right], mv[right]
-        live = live[~hit]  # an exact zero ends its bracket, whose midpoint it is
+        l, h, lv, hv = lo[live], hi[live], lo_v[live], hi_v[live]
+        # false position, clipped 1e-10/4 inside the bracket, or the midpoint after K steps
+        x = np.where(since[live] >= K, 0.5 * (l + h), np.clip(
+            l - lv * (h - l) / (hv - lv), l + _ZERO_TOL / 4, h - _ZERO_TOL / 4))
+        xv = profile(x)
+        hit = xv == 0.0   # an exact zero ends its bracket: both ends move to it
+        left = hit | (np.signbit(xv) != np.signbit(lv))
+        right = hit | ~left
+        lo_v[live[left & (kept[live] < 0)]] *= 0.5   # Illinois: an end kept twice in a row
+        hi_v[live[right & (kept[live] > 0)]] *= 0.5  # has its value halved
+        hi[live[left]], hi_v[live[left]] = x[left], xv[left]
+        lo[live[right]], lo_v[live[right]] = x[right], xv[right]
+        kept[live] = np.where(left, -1, 1)      # the end the step kept: -1 lo, 1 hi
+        w = hi[live] - lo[live]
+        since[live] = np.where(w <= 0.5 * ref[live], 0, since[live] + 1)
+        ref[live] = np.where(since[live] == 0, w, ref[live])
+    else:
+        raise BudgetExceededError(f"zero scan: brackets wider than 1e-10 after {cap} steps")
     return ZeroLedger(0.5 * (lo + hi), np.stack([rs[i], rs[i + 1]], axis=1),
                       (a, b), approximate)
 

@@ -553,6 +553,31 @@ def fresh_polar_chi_hat(body, xi, resolution=4096):
     return float(np.sum(longdouble_radial_slice(body.dim, r, phase) * wts))
 
 
+def bisection_zero_scan(body, window, steps):
+    """Zeros and grid brackets of the radial profile chi_hat(body, r e1), as the zero scan
+    first refined them: every sign-change bracket of the grid bisected in lockstep down to
+    a width of 1e-10, the zero its midpoint; a midpoint value of exactly 0 ends its bracket."""
+    from gaugelab import spectra
+    e1 = np.eye(body.dim)[0]
+    rs = np.linspace(window[0], window[1], int(steps))
+    vals = spectra.chi_hat_many(body, np.outer(rs, e1))
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    lo, hi, lo_v = rs[i], rs[i + 1], vals[i]
+    live = np.arange(i.size)
+    for _ in range(200):
+        live = live[hi[live] - lo[live] > 1e-10]
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        mv = spectra.chi_hat_many(body, np.outer(mid, e1))
+        hit, left = mv == 0.0, lo_v[live] * mv < 0
+        right = ~hit & ~left
+        hi[live[left]] = mid[left]
+        lo[live[right]], lo_v[live[right]] = mid[right], mv[right]
+        live = live[~hit]
+    return 0.5 * (lo + hi), np.stack([rs[i], rs[i + 1]], axis=1)
+
+
 def _polygon_ring(body):
     """A polygon's vertices in counterclockwise order, in long double."""
     v = body.vertices

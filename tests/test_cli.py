@@ -367,6 +367,22 @@ class TestExitCodes:
                           "--out", out)) == 2
         assert not (out / "run.log").exists()
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ("gauge", "hexagon.json", "--point", "{},1"),
+        ("bourgain", "circle.json", "--shells", "2,{}", "--delta", 0.05),
+        ("ftscan", "circle.json", "--eta", "1,0;{},1", "--tgrid", "0,1,3"),
+        ("decay", "circle.json", "--thetas", "{},0", "--rcap", 0.4, "--delta", 0.3,
+         "--tgrid", "1,2,2"),
+    ], ids=["point", "shells", "eta", "thetas"])
+    def test_non_finite_vector_component_is_bad_input(self, workdir, capsys, argv, token):
+        out = workdir / "refused"
+        command, body, flag, value, *rest = argv
+        assert main(_args(command, "--body", workdir / body, f"{flag}={value.format(token)}",
+                          *rest, "--out", out)) == 2
+        assert f"cannot read {flag} from" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED)
     def test_malformed_parameter_is_bad_input(self, workdir, argv):
         out = workdir / "refused"

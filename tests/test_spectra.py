@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import gaugelab as gl
 from gaugelab import distances
-from gaugelab.errors import BadInputError, HypothesisViolationError
+from gaugelab.errors import BadInputError, BudgetExceededError, HypothesisViolationError
 from gaugelab.spectra import _chi_hat_polar
 
 import oracles
@@ -174,7 +174,7 @@ class TestPolarNodesOncePerBody:
         ledger = gl.radial_zero_scan(body, (0.5, 6.0), 400)
         import gaugelab.spectra as spectra
         many = spectra.chi_hat_many
-        # one row per call: every bracket then bisects on its own
+        # one row per call: every bracket then steps on its own
         monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi: np.concatenate(
             [many(b, xi[None, :]) for xi in Xi]))
         alone = gl.radial_zero_scan(body, (0.5, 6.0), 400)
@@ -184,15 +184,18 @@ class TestPolarNodesOncePerBody:
 
     def test_profile_calls_per_scan(self, monkeypatch):
         import gaugelab.spectra as spectra
-        calls = []
         many = spectra.chi_hat_many
-        monkeypatch.setattr(spectra, "chi_hat_many",
-                            lambda b, Xi: calls.append(len(Xi)) or many(b, Xi))
-        ledger = gl.radial_zero_scan(gl.regular_polygon_body(6), (0.5, 6.0), 400)
-        # the grid, then one call per bisection step for all live brackets together:
-        # 28 halvings take a grid step of 5.5/399 below the bracket width 1e-10
-        assert calls[0] == 400 and max(calls[1:]) == len(ledger.zeros)
-        assert len(calls) == 1 + 28
+        bodies = [gl.regular_polygon_body(6), gl.cube_body(2, 0.5)]
+        bodies += [gl.random_symmetric_polytope(2, 6, seed) for seed in (1, 2, 3, 4)]
+        for body in bodies:
+            calls = []
+            monkeypatch.setattr(spectra, "chi_hat_many",
+                                lambda b, Xi: calls.append(len(Xi)) or many(b, Xi))
+            ledger = gl.radial_zero_scan(body, (0.5, 6.0), 400)
+            # the grid, then one call per false-position step for all live brackets
+            # together; every bracket here ends within 5 steps, and 6 are allowed
+            assert calls[0] == 400 and max(calls[1:]) == len(ledger.zeros) > 0
+            assert len(calls) <= 1 + 6
 
 
 class TestRadialSlices:
@@ -357,13 +360,76 @@ class TestZeroScan:
     def test_exact_hit_ends_its_bracket(self, unit_disk, monkeypatch):
         import gaugelab.spectra as spectra
         calls = []
-        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi: calls.append(
-            len(Xi)) or (Xi[:, 0] - 1.25) * (Xi[:, 0] - 2.3))
+        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi: calls.append(len(Xi)) or (
+            np.where(Xi[:, 0] < 1.75, Xi[:, 0] - 1.25, (2.3 - Xi[:, 0]) * (Xi[:, 0] - 0.3))))
         led = gl.radial_zero_scan(unit_disk, (0.5, 2.5), 5)
-        # 1.25 is the first midpoint of [1, 1.5]; 2.3 takes the full bisection of [2, 2.5]
+        # on [1, 1.5] the profile is linear, so the first false-position point is its zero
+        # 1.25; the quadratic on [2, 2.5] takes further steps to 2.3
         assert led.zeros[0] == 1.25 and led.zeros[1] == pytest.approx(2.3, abs=1e-10)
         np.testing.assert_array_equal(led.brackets, [[1.0, 1.5], [2.0, 2.5]])
-        assert calls[:3] == [5, 2, 1] and len(calls) == 1 + 33
+        assert calls == [5, 2, 1, 1, 1, 1, 1, 1]
+
+    C = 1.2345678
+    STAND_INS = {
+        "step": lambda x, c: np.where(x < c, -1.0, 1.0),
+        "tanh": lambda x, c: np.tanh(1e8 * (x - c)),
+        "cubic": lambda x, c: (x - c) ** 3,
+        "ninth": lambda x, c: (x - c) ** 9,
+        "flat-left": lambda x, c: np.where(x < c, 1e-12, 1e6) * (x - c),
+        "flat-right": lambda x, c: np.where(x < c, 1e6, 1e-12) * (x - c),
+    }
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    @pytest.mark.parametrize("name", STAND_INS)
+    def test_halving_fallback_ends_every_bracket(self, unit_disk, monkeypatch, name, sign):
+        # Profiles on which false position alone crawls: flat at the zero, or a slope
+        # 1e18 times steeper on one side.  A bracket that has not halved in three steps
+        # takes a midpoint step, so each ends within (3 + 1) ceil(log2(0.5 / 1e-10)) steps.
+        import gaugelab.spectra as spectra
+        calls, f = [], self.STAND_INS[name]
+        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi: calls.append(
+            len(Xi)) or sign * f(Xi[:, 0], self.C))
+        led = gl.radial_zero_scan(unit_disk, (0.5, 2.5), 5)
+        np.testing.assert_array_equal(led.brackets, [[1.0, 1.5]])
+        assert abs(led.zeros[0] - self.C) <= 1e-10
+        assert len(calls) <= 1 + 4 * math.ceil(math.log2(0.5 / 1e-10))
+
+    def test_brackets_that_cannot_narrow_raise_at_the_cap(self, unit_disk, monkeypatch):
+        # Above 2**19 adjacent doubles are 1.2e-10 apart, so no bracket narrows to 1e-10:
+        # the scan raises after its derived cap instead of returning a wide bracket.
+        import gaugelab.spectra as spectra
+        calls, c = [], 2.0 ** 19 + self.C
+        monkeypatch.setattr(spectra, "chi_hat_many", lambda b, Xi: calls.append(
+            len(Xi)) or np.where(Xi[:, 0] < c, -1.0, 1.0))
+        with pytest.raises(BudgetExceededError, match="brackets wider than 1e-10 after 133 steps"):
+            gl.radial_zero_scan(unit_disk, (2.0 ** 19 + 0.5, 2.0 ** 19 + 2.5), 5)
+        assert len(calls) == 1 + 4 * 33 + 1
+
+    @given(pairs=st.integers(2, 12), seed=st.integers(0, 2 ** 16),
+           a=st.floats(0.2, 7.0), width=st.floats(0.5, 4.0), steps=st.integers(50, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_random_polygons_match_the_bisection_oracle(self, pairs, seed, a, width, steps):
+        body = gl.random_symmetric_polytope(2, pairs, seed)
+        window = (a, min(a + width, 8.0))
+        led = gl.radial_zero_scan(body, window, steps)
+        zeros, brackets = oracles.bisection_zero_scan(body, window, steps)
+        np.testing.assert_array_equal(led.brackets, brackets)
+        assert led.zeros.shape == zeros.shape
+        np.testing.assert_allclose(led.zeros, zeros, rtol=0, atol=1e-10)
+        assert np.all((led.brackets[:, 0] <= led.zeros) & (led.zeros <= led.brackets[:, 1]))
+
+    def test_workload_bodies_match_the_bisection_oracle(self):
+        # the polytope benchmark's square, hexagon and eight random hexagons (seed 1)
+        rng = np.random.default_rng(1)
+        bodies = [gl.cube_body(2, 0.5), gl.regular_polygon_body(6)]
+        bodies += [gl.random_symmetric_polytope(2, 6, seed=int(rng.integers(2 ** 31)))
+                   for _ in range(8)]
+        leds = [gl.radial_zero_scan(body, (0.5, 6.0), 400) for body in bodies]
+        for body, led in zip(bodies, leds):
+            zeros, brackets = oracles.bisection_zero_scan(body, (0.5, 6.0), 400)
+            np.testing.assert_array_equal(led.brackets, brackets)
+            np.testing.assert_allclose(led.zeros, zeros, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(leds[0].zeros, np.arange(1.0, 6.0), rtol=0, atol=1e-9)
 
     def test_window_without_zeros(self, unit_disk):
         led = gl.radial_zero_scan(unit_disk, (0.01, 0.5), 500)
