@@ -29,6 +29,10 @@ _FT_CHUNK = 1 << 18      # cap on atoms*points per vectorized block
 # _circle_ring takes a ring of M rows around A atoms when (2N + 1)(A + 200) <= 50 M A: the
 # measured crossover with the dense kernel, A = 8 ... 4096 atoms, M = 1024 and 16384
 _RING_ORDER_ATOMS, _RING_ROW_COST = 200, 50
+_MOMENT_BLOCK = 8192     # orders per block of AtomicMeasure._angular_moments
+# atoms per table product in _progression_sum: OpenBLAS splits some longer inner sums (129,
+# 156, 193, 257) one way on one thread and another on two, moving bits with the thread count
+_PRODUCT_ATOMS = 128
 
 
 def _unit_rows(arr, what):
@@ -128,6 +132,21 @@ class AtomicMeasure:
                 self._pairs = (i, mirror[i])
         return self._pairs
 
+    def _angular_moments(self, n):
+        """w(k) = sum_j w_j e^{-i k phi_j}, k < n, phi_j the angles of the 2-d atoms.  Cached
+        and extended in blocks of _MOMENT_BLOCK orders: block b is the progression sum over
+        m < _MOMENT_BLOCK of the weights w_j e^{-i k0 phi_j}, k0 = b _MOMENT_BLOCK, one row
+        of one _progression_sum for all new blocks, so the bits of w(k) depend on k alone."""
+        have = self.__dict__.get("_moments", np.empty(0, dtype=complex))
+        if len(have) < n:
+            s = np.arctan2(self.positions[:, 1], self.positions[:, 0]) / (2 * np.pi)
+            cycles = np.outer(np.arange(len(have), n, _MOMENT_BLOCK, dtype=float), s)
+            cycles -= np.rint(cycles)
+            rows = self.weights * _expi(np.multiply(-2 * np.pi, cycles))
+            blocks = _progression_sum(s, rows, 0.0, 1.0, _MOMENT_BLOCK)
+            self._moments = have = np.concatenate([have, blocks.ravel()])
+        return have[:n]
+
     # -- derived measures ------------------------------------------------------
 
     def normalized(self):
@@ -200,10 +219,7 @@ def _expsum(positions, weights, freqs) -> np.ndarray:
     """sum_j w_j exp(-2 pi i <x_j, xi_k>) per row xi_k.  The row of -xi is exactly the
     conjugate of the row of xi (see _dense_rows), so an even set of rows whose second half
     negates its first, such as a full ring of directions, is evaluated on its first half
-    only; _circle_ring takes rings around a circle."""
-    ring = _circle_ring(positions, weights, freqs)
-    if ring is not None:
-        return ring
+    only."""
     half = freqs.shape[0] // 2
     if freqs.shape[0] % 2 == 0 and np.array_equal(freqs[half:], -freqs[:half]):
         out = _dense_rows(positions, weights, freqs[:half])
@@ -269,19 +285,23 @@ def _phase_table(t0: float, dt: float, n: int, s, out=None) -> np.ndarray:
 
 
 def _progression_sum(s, weights, t0: float, dt: float, n: int) -> np.ndarray:
-    """sum_j w_j exp(-2 pi i t_k s_j), k < n: per block of atoms, the weighted phase table
-    at the coarse times of _block_times times the one at the fine times, both by _phase_table.
-    Blocks of ~_FT_CHUNK / 8 table entries (512 KiB) ran ~30% faster than blocks of
-    _FT_CHUNK at 4096 atoms: the allocator reuses them, where the larger tables took
-    ~1250 fresh page faults per call."""
+    """sum_j w_j exp(-2 pi i t_k s_j), k < n, for weights w or each row w of 2-d weights: per
+    block of atoms, the weighted phase table at the coarse times of _block_times times the
+    one at the fine times, both by _phase_table, shared by the rows; each row takes the steps
+    it takes alone.  Blocks of _PRODUCT_ATOMS atoms, fewer where the tables would pass
+    ~_FT_CHUNK / 8 entries (512 KiB), which ran ~30% faster than blocks of _FT_CHUNK at 4096
+    atoms: the allocator reuses them, where larger tables took ~1250 page faults per call."""
     nc, B = (len(ts) for ts in _block_times(t0, dt, n))
-    out = np.zeros((nc, B), dtype=complex)
-    step = max(1, _FT_CHUNK // (8 * B))
+    rows = np.atleast_2d(weights)
+    out = np.zeros((len(rows), nc, B), dtype=complex)
+    step = max(1, min(_PRODUCT_ATOMS, _FT_CHUNK // (8 * B)))
     for j in range(0, len(s), step):
         coarse = _phase_table(t0, B * dt, nc, s[j:j + step])
-        coarse *= weights[j:j + step]
-        out += coarse @ _phase_table(0.0, dt, B, s[j:j + step]).T
-    return out.ravel()[:n]
+        fine = _phase_table(0.0, dt, B, s[j:j + step]).T
+        for sums, w in zip(out, rows[:, j:j + step]):
+            sums += (coarse * w) @ fine
+    out = out.reshape(len(rows), -1)[:, :n]
+    return out if np.ndim(weights) == 2 else out[0]
 
 
 def _ray_transform(mu: AtomicMeasure, eta, t0: float, dt: float, n: int) -> np.ndarray:
@@ -298,16 +318,16 @@ def _ray_transform(mu: AtomicMeasure, eta, t0: float, dt: float, n: int) -> np.n
     return _progression_sum(s, w, t0, dt, n).real
 
 
-def _circle_ring(positions, weights, freqs):
-    """_expsum on the ring rho * _sphere_directions(2, M)[0] of a 2-d cloud whose radii are
+def _circle_ring(mu: AtomicMeasure, freqs):
+    """_expsum on the ring rho * _sphere_directions(2, M)[0] of a 2-d measure whose radii are
     within 4 ulp of r0, or None for other input or where the dense kernel is cheaper.  By
     Jacobi-Anger (Watson, Bessel Functions, 2.22) the ring is sum_n c_n e^{i n theta}, c_n =
     (-i)^n J_n(z) w(n), z = 2 pi rho r0, w(n) = sum_j w_j e^{-i n phi_j}; orders past N = |z|
     + 12 |z|^(1/3) + 30 carry under 1e-16 |mass|.  (-i)^n J_n(z) is one FFT of e^{-i z cos a}
-    on L > 2N points, w(n) a progression sum, and the c_n folded mod M give the M samples
-    by one inverse FFT, up to rounding of ~2 pi |z| eps |mass|.  e^{-i z cos a} is evaluated
-    on a <= pi/2 (L is a multiple of 16), conjugated at pi - a and mirrored at 2 pi - a."""
-    rows, A = freqs.shape[0], len(weights)
+    on L > 2N points, w(n) cached (_angular_moments), and the c_n folded mod M give the M
+    samples by one inverse FFT, up to rounding of ~2 pi |z| eps |mass|.  e^{-i z cos a} is
+    evaluated on a <= pi/2 (L a multiple of 16), conjugated at pi - a, mirrored at 2 pi - a."""
+    positions, rows, A = mu.positions, freqs.shape[0], len(mu)
     if positions.shape[1] != 2 or not (rows and A) or freqs[0, 1] != 0:
         return None
     r = np.hypot(positions[:, 0], positions[:, 1])
@@ -322,8 +342,7 @@ def _circle_ring(positions, weights, freqs):
     quarter = _expi(np.multiply(-z, np.cos(np.arange(L // 4 + 1) * (2 * np.pi / L))))
     half = np.concatenate([quarter, quarter[-2::-1].conj()])   # a = 0 ... pi
     bessel = np.fft.fft(np.concatenate([half, half[-2:0:-1]]), norm="forward")
-    s = np.arctan2(positions[:, 1], positions[:, 0]) / (2 * np.pi)
-    w = _progression_sum(s, weights, 0.0, 1.0, N + 1)
+    w = mu._angular_moments(N + 1)
     c = np.concatenate([bessel[-N:], bessel[:N + 1]]) * np.concatenate([w[:0:-1].conj(), w])
     c = np.pad(c, (-N % rows, -(N + 1) % rows))   # c_n lands in column n mod rows
     return rows * np.fft.ifft(c.reshape(-1, rows).sum(axis=0))
@@ -339,7 +358,8 @@ def ft_many(mu: AtomicMeasure, Xi) -> np.ndarray:
     Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
     if Xi.ndim != 2 or Xi.shape[1] != mu.dim:
         raise BadInputError(f"frequency rows must have the measure's dimension {mu.dim}")
-    return _expsum(mu.positions, mu.weights, Xi)
+    ring = _circle_ring(mu, Xi)
+    return _expsum(mu.positions, mu.weights, Xi) if ring is None else ring
 
 
 def ft_profile(mu: AtomicMeasure, eta, t_grid) -> np.ndarray:

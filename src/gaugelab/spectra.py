@@ -204,12 +204,14 @@ class ZeroLedger:
 def radial_zero_scan(body: ConvexBody, window, steps: int) -> ZeroLedger:
     """Bracket and refine the sign-change zeros of the profile chi_hat(body, r e1).
 
-    A grid of `steps` radii brackets each sign change (a zero that touches 0 without one, as
-    the regular hexagon's at r = 2 and 4, is not listed).  Brackets take Illinois false-position
-    steps (Dowell & Jarratt 1971), ~6 per scan, to a width of 1e-10, the zero the midpoint; one
-    not halved in _ILLINOIS_STEPS = 3 steps takes a midpoint step, so a scan ends within 4
-    ceil(log2(w0 / 1e-10)) steps for a grid step w0 or raises BudgetExceededError.  Balls and
-    the 1d box are radial, so their profile is exact; other bodies are flagged approximate.
+    A grid of `steps` radii brackets each sign change, a grid radius where the profile is
+    exactly 0 between values of opposite signs as [r, r] (a zero that touches 0 without a
+    sign change, as the regular hexagon's at r = 2 and 4, is not listed).  Brackets take
+    Illinois false-position steps (Dowell & Jarratt 1971), ~6 per scan, to a width of 1e-10,
+    the zero the midpoint; one not halved in _ILLINOIS_STEPS = 3 steps takes a midpoint step,
+    so a scan ends within 4 ceil(log2(w0 / 1e-10)) steps for a grid step w0 or raises
+    BudgetExceededError.  Balls and the 1d box are radial, so their profile is exact; other
+    bodies are flagged approximate.
     """
     a, b = float(window[0]), float(window[1])
     if not (0 < a < b) or steps < 2:
@@ -222,9 +224,12 @@ def radial_zero_scan(body: ConvexBody, window, steps: int) -> ZeroLedger:
 
     rs = np.linspace(a, b, int(steps))
     vals = profile(rs)
-    # Sign changes between grid neighbours; a grid value of exactly 0 is in no bracket.
-    i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-    lo, hi, lo_v, hi_v = rs[i], rs[i + 1], vals[i], vals[i + 1]
+    # Sign changes between grid neighbours, and a grid value of exactly 0 between neighbours
+    # of opposite signs as the bracket [r, r], already ended; a touching zero is in none.
+    z = np.flatnonzero((vals[1:-1] == 0) & (vals[:-2] * vals[2:] < 0)) + 1
+    i = np.sort(np.concatenate([np.flatnonzero(vals[:-1] * vals[1:] < 0), z]))
+    j = np.where(np.isin(i, z), i, i + 1)
+    lo, hi, lo_v, hi_v = rs[i], rs[j], vals[i], vals[j]
     # All brackets step in lockstep, one profile call per step.  A row's phases do not
     # depend on the rows evaluated with it, so each bracket takes the steps it would alone.
     K, ref, since, kept = _ILLINOIS_STEPS, hi - lo, np.zeros(i.size, int), np.zeros(i.size, int)
@@ -252,7 +257,7 @@ def radial_zero_scan(body: ConvexBody, window, steps: int) -> ZeroLedger:
         ref[live] = np.where(since[live] == 0, w, ref[live])
     else:
         raise BudgetExceededError(f"zero scan: brackets wider than 1e-10 after {cap} steps")
-    return ZeroLedger(0.5 * (lo + hi), np.stack([rs[i], rs[i + 1]], axis=1),
+    return ZeroLedger(0.5 * (lo + hi), np.stack([rs[i], rs[j]], axis=1),
                       (a, b), approximate)
 
 

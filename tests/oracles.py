@@ -556,13 +556,17 @@ def fresh_polar_chi_hat(body, xi, resolution=4096):
 def bisection_zero_scan(body, window, steps):
     """Zeros and grid brackets of the radial profile chi_hat(body, r e1), as the zero scan
     first refined them: every sign-change bracket of the grid bisected in lockstep down to
-    a width of 1e-10, the zero its midpoint; a midpoint value of exactly 0 ends its bracket."""
+    a width of 1e-10, the zero its midpoint; a midpoint value of exactly 0 ends its bracket.
+    A grid value of exactly 0 between values of opposite signs is the zero [r, r]."""
     from gaugelab import spectra
     e1 = np.eye(body.dim)[0]
     rs = np.linspace(window[0], window[1], int(steps))
     vals = spectra.chi_hat_many(body, np.outer(rs, e1))
-    i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-    lo, hi, lo_v = rs[i], rs[i + 1], vals[i]
+    pairs = [(k, k + 1) for k in range(len(rs) - 1) if vals[k] * vals[k + 1] < 0]
+    pairs += [(k, k) for k in range(1, len(rs) - 1)
+              if vals[k] == 0 and vals[k - 1] * vals[k + 1] < 0]
+    i, j = np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
+    lo, hi, lo_v = rs[i], rs[j], vals[i]
     live = np.arange(i.size)
     for _ in range(200):
         live = live[hi[live] - lo[live] > 1e-10]
@@ -575,7 +579,7 @@ def bisection_zero_scan(body, window, steps):
         hi[live[left]] = mid[left]
         lo[live[right]], lo_v[live[right]] = mid[right], mv[right]
         live = live[~hit]
-    return 0.5 * (lo + hi), np.stack([rs[i], rs[i + 1]], axis=1)
+    return 0.5 * (lo + hi), np.stack([rs[i], rs[j]], axis=1)
 
 
 def _polygon_ring(body):

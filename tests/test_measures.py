@@ -1,7 +1,11 @@
 import inspect
 import math
+import os
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +207,27 @@ class TestKernelsAgainstOracle:
         got = measures._phase_table(t0, dt, n, s)
         np.testing.assert_array_equal(got, oracles.exp_phase_table(t0, dt, n, s))
         assert got.shape == (n, atoms)
+
+    def test_progression_sums_keep_their_bits_on_one_blas_thread(self):
+        # OpenBLAS splits some inner sums longer than 128 terms one way on one thread and
+        # another on two, and the manifests' second pass runs BLAS on one thread: the table
+        # products of _progression_sum stay at _PRODUCT_ATOMS atoms
+        code = ("import hashlib, numpy as np\n"
+                "from gaugelab import measures\n"
+                "rng = np.random.default_rng(7)\n"
+                "for atoms in (156, 193, 260, 1304):\n"
+                "    s, w = rng.uniform(-0.5, 0.5, atoms), rng.uniform(-1.0, 1.0, atoms)\n"
+                "    for t0, dt, n in ((0.0, 1.0, 8192), (16384.0, 1.0, 8192), (-3.0, 0.01, 999)):\n"
+                "        got = measures._progression_sum(s, np.stack([w, w * 1j]), t0, dt, n)\n"
+                "        print(hashlib.sha256(got.tobytes()).hexdigest())")
+        src = str(Path(gl.__file__).parents[1])
+        runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               timeout=120, env=dict(os.environ, PYTHONPATH=src,
+                                                     OPENBLAS_NUM_THREADS=threads,
+                                                     OMP_NUM_THREADS=threads))
+                for threads in ("1", "2")]
+        assert all(proc.returncode == 0 for proc in runs), [proc.stderr for proc in runs]
+        assert runs[0].stdout == runs[1].stdout and len(runs[0].stdout.split()) == 12
 
     def test_single_sample_ray_is_its_start(self):
         mu = random_measure(3)
@@ -476,6 +501,56 @@ class TestCircleRing:
             got = gl.ft_many(mu, rho * etas)[some]
             ref = oracles.longdouble_expsum(mu.positions, mu.weights, rho * etas[some])
             assert np.max(np.abs(got - ref)) <= 1e-11
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), atoms=st.integers(100, 300),
+           radius=st.floats(0.01, 3.0), rows=st.sampled_from((4096, 8192)),
+           orders=st.lists(st.integers(100, 6 * measures._MOMENT_BLOCK), min_size=2,
+                           max_size=5))
+    @example(seed=1, atoms=150, radius=1.0, rows=4096, orders=[100, 40000])  # one, then two
+    @settings(max_examples=20, deadline=None)
+    def test_shells_do_not_depend_on_earlier_shells(self, seed, atoms, radius, rows, orders):
+        # the angular moments are cached on the measure: each shell, in whatever order the
+        # shells come, keeps the bits it has on a fresh copy of the measure (2N + 1 orders up
+        # to 6 blocks: N + 1 up to three)
+        mu = circle_cloud(seed, atoms, radius)
+        Xis = [radius_for_orders(k, radius) * _sphere_directions(2, rows)[0] for k in orders]
+        with ring_paths() as seen:
+            got = [gl.ft_many(mu, Xi) for Xi in Xis]
+            fresh = [gl.ft_many(circle_cloud(seed, atoms, radius), Xi) for Xi in Xis]
+        assert all(seen["circle"])
+        for shell, alone in zip(got, fresh):
+            np.testing.assert_array_equal(shell, alone)
+
+    def test_angular_moments_at_the_block_seams(self, five_cap_measure):
+        # w(n) against long double at n = 8192 k - 1, 8192 k, 8192 k + 1 and at the last
+        # order of the rho = 5600 ring
+        mu = gl.AtomicMeasure(five_cap_measure.positions, five_cap_measure.weights)
+        block = measures._MOMENT_BLOCK
+        n = np.r_[[block * k + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)], 35609]
+        got = mu._angular_moments(35610)[n]
+        s = np.arctan2(mu.positions[:, 1], mu.positions[:, 0]) / (2 * np.pi)
+        ref = oracles.longdouble_expsum(s[:, None], mu.weights, n[:, None])
+        assert np.max(np.abs(got - ref)) <= kernel_bound(gl.AtomicMeasure(s[:, None],
+                                                                          mu.weights), 35609)
+
+    def test_rings_ladder_sums_each_moment_block_once(self, five_cap_measure):
+        # the benchmark's ladder R (1 + k/4), R = 200 ... 3200, reaches N + 1 = 35610 orders
+        # at rho = 5600: ceil(35610 / 8192) = 5 blocks over all 1304 atoms, one call each as
+        # the shells cross the block seams, then none; a fresh copy's rho = 5600 shell sums
+        # the five blocks in one call
+        mu, alone = (gl.AtomicMeasure(five_cap_measure.positions, five_cap_measure.weights)
+                     for _ in range(2))
+        ladder = [(R, R * (1 + k / 4)) for R in (200.0, 400.0, 800.0, 1600.0, 3200.0)
+                  for k in range(4)]
+        with progression_atoms() as seen:
+            first = [gl.goodness_profile(mu, R, [rho], 16384).shell_sups for R, rho in ladder]
+            assert seen == [1304] * 5
+            again = [gl.goodness_profile(mu, R, [rho], 16384).shell_sups for R, rho in ladder]
+            assert seen == [1304] * 5
+            last = gl.goodness_profile(alone, 3200.0, [5600.0], 16384).shell_sups
+        assert seen == [1304] * 6 and len(alone._moments) == 5 * measures._MOMENT_BLOCK
+        np.testing.assert_array_equal(first, again)
+        np.testing.assert_array_equal(last, first[-1])
 
 
 # a zero row, a NaN row (whose norm check `<= 0` is False) and an infinite row

@@ -369,6 +369,31 @@ class TestZeroScan:
         np.testing.assert_array_equal(led.brackets, [[1.0, 1.5], [2.0, 2.5]])
         assert calls == [5, 2, 1, 1, 1, 1, 1, 1]
 
+    # stand-in profiles that are exactly 0 at the grid radius 1.5 of (0.5, 2.5) at 5 steps,
+    # with the zeros and brackets a ledger lists
+    GRID_ZEROS = {
+        "rising": (lambda x: x - 1.5, [1.5], [[1.5, 1.5]]),
+        "falling": (lambda x: 1.5 - x, [1.5], [[1.5, 1.5]]),
+        "touching": (lambda x: (x - 1.5) ** 2, [], np.empty((0, 2))),
+        "after a bracket": (lambda x: (x - 1.5) * (x - 0.8), [0.8, 1.5], [[0.5, 1.0], [1.5, 1.5]]),
+    }
+
+    @pytest.mark.parametrize("name", GRID_ZEROS)
+    def test_zero_on_a_grid_radius(self, unit_disk, monkeypatch, name):
+        # a grid value of exactly 0 between values of opposite signs is a zero with the
+        # bracket [r, r], ended without a step; one that touches 0 is not a sign change
+        import gaugelab.spectra as spectra
+        calls, (f, zeros, brackets) = [], self.GRID_ZEROS[name]
+        monkeypatch.setattr(spectra, "chi_hat_many",
+                            lambda b, Xi: calls.append(len(Xi)) or f(Xi[:, 0]))
+        led = gl.radial_zero_scan(unit_disk, (0.5, 2.5), 5)
+        assert calls[0] == 5 and (len(calls) > 1) == (name == "after a bracket")
+        oracle_zeros, oracle_brackets = oracles.bisection_zero_scan(unit_disk, (0.5, 2.5), 5)
+        for got, got_brackets in ((led.zeros, led.brackets), (oracle_zeros, oracle_brackets)):
+            np.testing.assert_array_equal(got_brackets, brackets)
+            np.testing.assert_allclose(got, zeros, rtol=0, atol=1e-10)
+            assert (1.5 in got) == (name != "touching")
+
     C = 1.2345678
     STAND_INS = {
         "step": lambda x, c: np.where(x < c, -1.0, 1.0),
