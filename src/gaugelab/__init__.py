@@ -1,7 +1,6 @@
 """gaugelab: numerics for gauge norms, boundary measures, and distance sets."""
 
 from .bodies import (
-    BoundaryMesh,
     CapFamily,
     ConvexBody,
     Ellipsoid,

@@ -44,33 +44,6 @@ def geodesic_distance(u, v):
     return np.arccos(np.clip(dot, -1.0, 1.0))
 
 
-class BoundaryMesh(AtomicMeasure):
-    """Quadrature discretization of (a piece of) a body boundary, a measure whose atoms
-    carry normals.
-
-    positions lie on the boundary, normals are outward unit vectors
-    (exact facet normals for polytopes), and weights are surface-area
-    quadrature weights.  boundary_tol bounds |gauge - 1| at the nodes and
-    mass_tol is the declared accuracy of sum(weights) against the true
-    surface area, for meshes of a full boundary.
-    """
-
-    def __init__(self, positions, normals, weights, boundary_tol, mass_tol):
-        super().__init__(positions, weights, normals)
-        if np.any(self.weights < 0):
-            raise BadInputError("mesh weights must be nonnegative")
-        if not np.all(np.abs(np.linalg.norm(self.normals, axis=1) - 1.0) <= 1e-9):
-            raise BadInputError("mesh normals must be unit vectors")
-        self.boundary_tol = boundary_tol
-        self.mass_tol = mass_tol
-
-    def restrict(self, mask):
-        """Sub-mesh of the selected nodes (same tolerances)."""
-        mask = np.asarray(mask, dtype=bool)
-        return BoundaryMesh(self.positions[mask], self.normals[mask],
-                            self.weights[mask], self.boundary_tol, self.mass_tol)
-
-
 class ConvexBody:
     """Base class for 0-symmetric convex bodies.
 
@@ -121,19 +94,6 @@ class ConvexBody:
     def outer_radius(self) -> float:
         """Certified r1 with the body inside the ball of radius r1."""
         raise NotImplementedError
-
-    def triangulate(self, resolution: int) -> BoundaryMesh:
-        """Boundary quadrature mesh of about `resolution` nodes: in 1d the endpoints
-        +/- inner_radius() with unit weights, in 2d and 3d the variant's _mesh."""
-        if resolution < 1:
-            raise BadInputError("resolution must be >= 1")
-        if self.dim == 1:
-            r = self.inner_radius()
-            return BoundaryMesh(np.array([[-r], [r]]), np.array([[-1.0], [1.0]]),
-                                np.array([1.0, 1.0]), 1e-12, 1e-12)
-        if self.dim not in (2, 3):
-            raise BadInputError("boundary meshing supports dimensions 1..3")
-        return self._mesh(resolution)
 
     # -- serialization -------------------------------------------------------
 
@@ -317,8 +277,7 @@ class HPolytope(ConvexBody):
         k = np.arange(edge.size) - np.repeat(np.cumsum(per) - per, per)
         m = per[edge]
         pos = a[edge] + ((k + 0.5) / m)[:, None] * d[edge]
-        return BoundaryMesh(pos, self.normals[edge], lengths[edge] / m,
-                            1e-9, 1e-9 * float(lengths.sum()))
+        return AtomicMeasure(pos, lengths[edge] / m, self.normals[edge])
 
     def _mesh_polytope_3d(self, resolution):
         base, facet = [], []
@@ -338,7 +297,7 @@ class HPolytope(ConvexBody):
         area = np.cross(q - p, r - p)
         wts = 0.5 * np.sqrt(np.vecdot(area, area))
         nrm = np.repeat(self.normals[facet], len(tris) // len(facet), axis=0)
-        return BoundaryMesh((p + q + r) / 3, nrm, wts, 1e-9, 1e-9 * float(np.sum(wts)))
+        return AtomicMeasure((p + q + r) / 3, wts, nrm)
 
     def to_dict(self):
         return {"dim": self.dim, "type": "hpolytope",
@@ -524,9 +483,7 @@ def _mesh_smooth_2d(body, resolution):
 
     pos = r[:, None] * u
     wts = np.linalg.norm(bdry(phi + np.pi / n) - bdry(phi - np.pi / n), axis=1)
-    nrm = body._normal_at(pos)
-    h = 2 * np.pi / n
-    return BoundaryMesh(pos, nrm, wts, 1e-9, 10.0 * float(np.sum(wts)) * h * h)
+    return AtomicMeasure(pos, wts, body._normal_at(pos))
 
 
 def _refine(tris, resolution, sphere=False):
@@ -596,9 +553,7 @@ def _mesh_smooth_3d(body, resolution):
     pos = r[:, None] * u
     nrm = body._normal_at(pos)
     cosang = np.einsum("ij,ij->i", nrm, u)
-    wts = r ** 2 / cosang * patch
-    h = math.sqrt(4 * np.pi / len(u))
-    return BoundaryMesh(pos, nrm, wts, 1e-9, 10.0 * float(np.sum(wts)) * h * h)
+    return AtomicMeasure(pos, r ** 2 / cosang * patch, nrm)
 
 
 # -- cap families ---------------------------------------------------------------
@@ -644,9 +599,23 @@ class CapFamily:
 # -- module-level operations ----------------------------------------------------
 
 
-def triangulate_boundary(body: ConvexBody, resolution: int) -> BoundaryMesh:
-    """Boundary quadrature mesh with roughly `resolution` nodes."""
-    return body.triangulate(resolution)
+def triangulate_boundary(body: ConvexBody, resolution: int) -> AtomicMeasure:
+    """Boundary quadrature mesh of about `resolution` nodes, a measure whose atoms carry
+    outward unit normals: in 1d the endpoints +/- inner_radius() with unit weights, in 2d
+    and 3d the body's _mesh.  Bad input on negative weights or normals off unit length."""
+    if resolution < 1:
+        raise BadInputError("resolution must be >= 1")
+    if body.dim == 1:
+        r = body.inner_radius()
+        return AtomicMeasure([[-r], [r]], [1.0, 1.0], [[-1.0], [1.0]])
+    if body.dim not in (2, 3):
+        raise BadInputError("boundary meshing supports dimensions 1..3")
+    mesh = body._mesh(resolution)
+    if np.any(mesh.weights < 0):
+        raise BadInputError("mesh weights must be nonnegative")
+    if not np.all(np.abs(np.linalg.norm(mesh.normals, axis=1) - 1.0) <= 1e-9):
+        raise BadInputError("mesh normals must be unit vectors")
+    return mesh
 
 
 # -- convenience constructors -----------------------------------------------------
@@ -658,17 +627,17 @@ def cube_body(dim: int, half_width: float = 1.0) -> HPolytope:
     return HPolytope(normals, np.full(2 * dim, float(half_width)))
 
 
-def ball_body(dim: int, radius: float = 1.0) -> Ellipsoid:
-    return Ellipsoid(np.full(dim, float(radius)))
+def ball_body(dim: int) -> Ellipsoid:
+    return Ellipsoid(np.ones(dim))
 
 
-def regular_polygon_body(n_sides: int, circumradius: float = 1.0) -> HPolytope:
-    """Regular polygon with vertices on the circle (even side count for symmetry)."""
+def regular_polygon_body(n_sides: int) -> HPolytope:
+    """Regular polygon with vertices on the unit circle (even side count for symmetry)."""
     if n_sides % 2 or n_sides < 4:
         raise BadInputError("need an even number of sides >= 4 for 0-symmetry")
     ang = (2 * np.arange(n_sides) + 1) * np.pi / n_sides
     normals = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    h = circumradius * math.cos(math.pi / n_sides)
+    h = math.cos(math.pi / n_sides)
     return HPolytope(normals, np.full(n_sides, h))
 
 

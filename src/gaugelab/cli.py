@@ -131,8 +131,7 @@ def _params(manifest):
 
 def _directions(manifest, p, key, dim):
     """The vectors of --key as unit rows; bad input unless each is nonzero and has the
-    body's dimension.  project and wiener take one vector, divided by its vector norm,
-    which can round apart from the row norm of _unit_rows in the last bit."""
+    body's dimension; project and wiener take one vector and get its unit row."""
     rows = p[key]
     if any(row.size != dim for row in rows):
         raise BadInputError(f"--{key} needs vectors of length {dim}")
@@ -141,7 +140,7 @@ def _directions(manifest, p, key, dim):
         return units
     if len(rows) > 1:
         raise BadInputError(f"{manifest.command} takes one --{key} vector")
-    return rows[0] / np.linalg.norm(rows[0])
+    return units[0]
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import BoundaryMesh, CapFamily, ConvexBody, HPolytope, geodesic_distance
+from .bodies import CapFamily, ConvexBody, HPolytope, geodesic_distance
 from .errors import BadInputError, HypothesisViolationError
 from .measures import AtomicMeasure, ft_many, _sampled_sup, _sphere_directions, wiener_atom_mass
 
@@ -75,7 +75,7 @@ def goodness_profile(mu: AtomicMeasure, R: float, shells,
     return GoodnessReport(float(R), shells, sups, certs)
 
 
-def construct_good_measure(body: ConvexBody, mesh: BoundaryMesh,
+def construct_good_measure(body: ConvexBody, mesh: AtomicMeasure,
                            caps: CapFamily) -> AtomicMeasure:
     """Probability measure with mass exactly 1/N on each cap preimage.
 

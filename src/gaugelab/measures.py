@@ -157,6 +157,7 @@ class AtomicMeasure:
         return AtomicMeasure(self.positions, self.weights / m, self.normals)
 
     def restrict(self, mask):
+        """The atoms that mask selects, with their weights and normals."""
         mask = np.asarray(mask, dtype=bool)
         nrm = self.normals[mask] if self.normals is not None else None
         return AtomicMeasure(self.positions[mask], self.weights[mask], nrm)
@@ -171,16 +172,15 @@ class AtomicMeasure:
 
 
 def from_mesh(mesh, normalize=False) -> AtomicMeasure:
-    """Surface measure of a boundary mesh (optionally rescaled to mass 1)."""
-    mu = AtomicMeasure(mesh.positions, mesh.weights, mesh.normals)
-    return mu.normalized() if normalize else mu
+    """Surface measure of a boundary mesh, the mesh itself or a copy rescaled to mass 1."""
+    return mesh.normalized() if normalize else mesh
 
 
-def segment_measure(center, direction, length, nodes, normal=None, mass=None) -> AtomicMeasure:
-    """Uniform measure on a straight segment, discretized at midpoint nodes.
+def segment_measure(center, direction, length, nodes, normal) -> AtomicMeasure:
+    """Uniform measure of mass `length` on a straight segment, discretized at midpoint nodes.
 
     `normal` tags the atoms with the hyperplane normal of the flat piece so
-    projections recognize them as a point mass; mass defaults to the length.
+    projections recognize them as a point mass.
     """
     center = np.asarray(center, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -190,15 +190,11 @@ def segment_measure(center, direction, length, nodes, normal=None, mass=None) ->
         raise BadInputError("segment needs nodes >= 1 and positive length")
     ts = (np.arange(nodes) + 0.5) / nodes - 0.5
     pos = center[None, :] + (ts * length)[:, None] * direction[None, :]
-    total = float(length if mass is None else mass)
-    w = np.full(nodes, total / nodes)
-    nrm = None
-    if normal is not None:
-        normal = np.asarray(normal, dtype=float)
-        _unit_rows(normal, "segment normal")
-        normal = normal / np.linalg.norm(normal)
-        nrm = np.repeat(normal[None, :], nodes, axis=0)
-    return AtomicMeasure(pos, w, nrm)
+    w = np.full(nodes, float(length) / nodes)
+    normal = np.asarray(normal, dtype=float)
+    _unit_rows(normal, "segment normal")
+    normal = normal / np.linalg.norm(normal)
+    return AtomicMeasure(pos, w, np.repeat(normal[None, :], nodes, axis=0))
 
 
 def load_measure(path) -> AtomicMeasure:

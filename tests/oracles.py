@@ -417,7 +417,7 @@ def loop_polytope_mesh(body, resolution):
     """triangulate_boundary of a 2-d or 3-d HPolytope as first written: the resolution
     check, then per-edge node loops in 2-d, and in 3-d per-triangle midpoint splits of
     each facet's centroid fan, as many levels as fit four times into the resolution."""
-    from gaugelab.bodies import BoundaryMesh
+    from gaugelab.measures import AtomicMeasure
     from gaugelab.errors import BadInputError
     if resolution < body.n_facets:
         raise BadInputError(
@@ -434,8 +434,7 @@ def loop_polytope_mesh(body, resolution):
             pos.append(a[None, :] + ts[:, None] * (b - a)[None, :])
             nrm.append(np.repeat(body.normals[i][None, :], m, axis=0))
             wts.append(np.full(m, lengths[i] / m))
-        return BoundaryMesh(np.vstack(pos), np.vstack(nrm), np.concatenate(wts),
-                            1e-9, 1e-9 * float(lengths.sum()))
+        return AtomicMeasure(np.vstack(pos), np.concatenate(wts), np.vstack(nrm))
     base = []
     for i in range(body.n_facets):
         fv = body._facet_vertices(i)
@@ -463,8 +462,7 @@ def loop_polytope_mesh(body, resolution):
             pos.append((p + q + r) / 3)
             wts.append(0.5 * np.linalg.norm(np.cross(q - p, r - p)))
             nrm.append(body.normals[i])
-    return BoundaryMesh(np.array(pos), np.array(nrm), np.array(wts),
-                        1e-9, 1e-9 * float(np.sum(wts)))
+    return AtomicMeasure(np.array(pos), np.array(wts), np.array(nrm))
 
 
 def scan_sparsify(points, R):

@@ -171,7 +171,7 @@ class TestMeshes:
         for body in BODIES_2D:
             mesh = gl.triangulate_boundary(body, 512)
             g = body.gauge_many(mesh.positions)
-            assert np.max(np.abs(g - 1.0)) <= mesh.boundary_tol
+            assert np.max(np.abs(g - 1.0)) <= 1e-9
 
     def test_polytope_normals_exact(self):
         body = gl.random_symmetric_polytope(2, 4, seed=3)
@@ -217,7 +217,6 @@ class TestMeshes:
             np.testing.assert_array_equal(mesh.positions, [[-0.3], [0.3]])
             np.testing.assert_array_equal(mesh.normals, [[-1.0], [1.0]])
             np.testing.assert_array_equal(mesh.weights, [1.0, 1.0])
-            assert (mesh.boundary_tol, mesh.mass_tol) == (1e-12, 1e-12)
 
 
 class TestAreaMeasure:
@@ -547,29 +546,71 @@ class TestMeshIsMeasure:
         assert np.array_equal(gl.ft_many(circle_mesh, xi),
                               gl.ft_many(gl.from_mesh(circle_mesh), xi))
 
-    def test_restrict_keeps_class_and_tolerances(self):
+    def test_restrict_keeps_class_and_normals(self):
         mesh = gl.triangulate_boundary(gl.cube_body(3), 1500)
-        piece = mesh.restrict(mesh.normals[:, 2] > 0.5)
-        assert type(piece) is gl.BoundaryMesh
-        assert (piece.boundary_tol, piece.mass_tol) == (mesh.boundary_tol, mesh.mass_tol)
+        top = mesh.normals[:, 2] > 0.5
+        piece = mesh.restrict(top)
+        assert type(piece) is gl.AtomicMeasure
+        assert np.array_equal(piece.normals, mesh.normals[top])
         assert len(piece) == len(mesh) // 6
         assert piece.total_mass == pytest.approx(4.0, rel=1e-12)    # the top face
 
-    def test_bad_nodes_rejected(self):
+    @pytest.mark.parametrize("body, res", [(gl.ball_body(2), 512), (gl.cube_body(2, 0.5), 400),
+                                           (gl.cube_body(3), 1500), (gl.ball_body(3), 500)],
+                             ids=["disk", "square", "cube3", "ball3"])
+    def test_from_mesh_is_the_mesh_or_its_normalized_copy(self, body, res):
+        mesh = gl.triangulate_boundary(body, res)
+        assert gl.from_mesh(mesh) is mesh
+        mu = gl.from_mesh(mesh, normalize=True)
+        copied = gl.AtomicMeasure(mesh.positions, mesh.weights, mesh.normals).normalized()
+        for field in ("positions", "weights", "normals"):
+            assert np.array_equal(getattr(mu, field), getattr(copied, field))
+
+    def test_bad_nodes_rejected(self, monkeypatch):
+        # every mesh passes triangulate_boundary's checks; the measure refuses non-finite data
         pos = nrm = np.array([[1.0, 0.0], [-1.0, 0.0]])
         w = np.array([0.5, 0.5])
-        assert gl.BoundaryMesh(pos, nrm, w, 1e-9, 1e-9).total_mass == 1.0
-        bad = {"nonnegative": (pos, nrm, np.array([0.5, -0.5])),
-               "unit vectors": (pos, nrm * 1.01, w),
-               "finite": (np.array([[np.nan, 0.0], [-1.0, 0.0]]), nrm, w)}
+        body = gl.ball_body(2)
+
+        def mesh_of(*args):
+            monkeypatch.setattr(body, "_mesh", lambda resolution: gl.AtomicMeasure(*args))
+            return gl.triangulate_boundary(body, 2)
+
+        assert mesh_of(pos, w, nrm).total_mass == 1.0
+        bad = {"mesh weights must be nonnegative": (pos, np.array([0.5, -0.5]), nrm),
+               "mesh normals must be unit vectors": (pos, w, nrm * 1.01),
+               "measure data must be finite": (np.array([[np.nan, 0.0], [-1.0, 0.0]]), w, nrm)}
         for message, args in bad.items():
             with pytest.raises(BadInputError, match=message):
-                gl.BoundaryMesh(*args, 1e-9, 1e-9)
+                mesh_of(*args)
 
     def test_nan_normal_rejected(self):
         pos = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(BadInputError, match="normals must be finite"):
-            gl.BoundaryMesh(pos, [[np.nan, 0.0], [-1.0, 0.0]], [0.5, 0.5], 1e-9, 1e-9)
+            gl.AtomicMeasure(pos, [0.5, 0.5], [[np.nan, 0.0], [-1.0, 0.0]])
+
+
+# every body kind in every dimension triangulate_boundary meshes
+MESHED_BODIES = {
+    "hpolytope1": gl.cube_body(1, 0.3), "hpolytope2": gl.random_symmetric_polytope(2, 5, 0),
+    "hpolytope3": gl.random_symmetric_polytope(3, 6, 0),
+    "ellipsoid1": gl.Ellipsoid([0.4]), "ellipsoid2": gl.Ellipsoid([1.3, 0.8]),
+    "ellipsoid3": gl.Ellipsoid([0.9, 0.7, 0.5]),
+    "super1": gl.RadialBody(p=3.0, axes=[0.3]), "super2": gl.RadialBody(p=4.0, axes=[1.0, 0.7]),
+    "super3": gl.RadialBody(p=3.5, axes=[0.9, 0.8, 0.7]),
+    "tabulated2": gl.RadialBody(radial_samples=1 + 0.2 * np.cos(4 * np.pi * np.arange(64) / 64)),
+}
+
+
+@pytest.mark.parametrize("res", [40, 500, 4096])
+@pytest.mark.parametrize("name", MESHED_BODIES)
+def test_meshes_are_unit_normal_measures_on_the_boundary(name, res):
+    body = MESHED_BODIES[name]
+    mesh = gl.triangulate_boundary(body, res)
+    assert type(mesh) is gl.AtomicMeasure and mesh.dim == body.dim and len(mesh) > 0
+    assert np.all(np.abs(np.linalg.norm(mesh.normals, axis=1) - 1.0) <= 1e-9)
+    assert np.all(mesh.weights >= 0)
+    assert np.max(np.abs(body.gauge_many(mesh.positions) - 1.0)) <= 1e-9
 
 
 def polytope_draws(dim, pairs):
@@ -585,8 +626,7 @@ def polytope_draws(dim, pairs):
 
 def same_mesh(a, b):
     return (np.array_equal(a.positions, b.positions) and np.array_equal(a.normals, b.normals)
-            and np.array_equal(a.weights, b.weights)
-            and (a.boundary_tol, a.mass_tol) == (b.boundary_tol, b.mass_tol))
+            and np.array_equal(a.weights, b.weights))
 
 
 class TestMeshesAgainstLoops:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import gaugelab as gl
+from gaugelab import cli, measures
 from gaugelab.cli import ExperimentManifest, main, run
+from gaugelab.errors import BadInputError
 
 
 @pytest.fixture()
@@ -100,6 +102,17 @@ class TestCommands:
                           "--eta", "1,0", "--resolution", 1024, "--out", out2)) == 0
         atoms = np.loadtxt(out2 / "atoms.csv", delimiter=",", skiprows=1)
         np.testing.assert_allclose(np.sort(atoms[:, 0]), [-0.5, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize("command, key", [("ftscan", "eta"), ("decay", "thetas"),
+                                              ("project", "eta"), ("wiener", "eta")])
+    def test_directions_are_unit_rows_in_every_command(self, command, key):
+        # 0.2,0.8 over its vector norm rounds apart from its row norm in the last bit
+        manifest, vec = ExperimentManifest(command), np.array([0.2, 0.8])
+        rows = cli._directions(manifest, {key: [vec]}, key, 2)
+        assert np.array_equal(np.reshape(rows, (-1, 2)), measures._unit_rows(vec, key)[0])
+        if command in ("project", "wiener"):
+            with pytest.raises(BadInputError, match=f"{command} takes one --eta vector"):
+                cli._directions(manifest, {key: [vec, vec]}, key, 2)
 
     def test_wiener(self, workdir):
         out = workdir / "wiener"

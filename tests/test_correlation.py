@@ -110,7 +110,7 @@ class TestDirectCorrelation:
 
     def test_disjoint_supports_vanish(self):
         f = oracles.indicator_from_balls(2, 256, [[0.0, 0.0]], [0.1])
-        K = gl.ball_body(2, 0.5)
+        K = gl.Ellipsoid([0.5] * 2)
         sigma = gl.from_mesh(gl.triangulate_boundary(K, 512), normalize=True)
         assert gl.direct_correlation(f, sigma, 1.0) == 0.0
 

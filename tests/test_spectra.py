@@ -109,7 +109,7 @@ class TestRadialProfiles:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_balls_of_radius_07_keep_every_sign(self, d):
-        got, ref = self.along_e1(gl.ball_body(d, 0.7)), oracles.ball_profile(0.7, d, self.R)
+        got, ref = self.along_e1(gl.Ellipsoid([0.7] * d)), oracles.ball_profile(0.7, d, self.R)
         assert np.array_equal(np.sign(got), np.sign(ref))
         assert np.any(got < 0) and np.any(got > 0)
 
