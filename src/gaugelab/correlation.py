@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BadInputError, BudgetExceededError, read_json, write_json
-from .measures import AtomicMeasure, _phase_table
+from .measures import AtomicMeasure, _jacobi_anger_order, _phase_table
 
 _PAD = 2  # zero-padding factor for the frequency grid (kills torus wrap-around)
 SPECTRUM_BUDGET_BYTES = 1 << 28  # cap on 16 (_PAD m)^d bytes, the full padded complex spectrum
@@ -29,7 +29,15 @@ _GEMM_BLOCK = 1 << 20  # cap on the table elements of one block of pairs in _sig
 _LACUNARY_RATIO = 0.49  # t_{j+1} / t_j of a geometric plan, under the 1/2 a plan needs
 _PLAN_LENGTH = 48       # terms of a geometric plan, down to ~1e-15 from the default t1
 _MAX_BALLS = 64         # balls random_indicator draws before it gives up on its target
-_SCRATCH = threading.local()  # per-thread work buffers of _sigma_hat_on_grid, kept between calls
+_SCRATCH = threading.local()  # per-thread work buffers of _sigma_hat_on_grid and _transforms
+_SCRATCH_KEEP = 1 << 21  # elements of the largest buffer _scratch keeps (the m = 512 transforms)
+# a measure on one circle takes the radial path when max_{0<n<=N} |w(n)| <= tau |w(0)|: the
+# disk meshes read 1.8e-14 (512 atoms) and 3.2e-14 (2048 atoms)
+_ISOTROPY_TOL = 1e-12
+_J0_ERROR = 1e-15      # bound on |_j0(z) - J0(z)| at a double z >= 0
+_J0_CUT = 20           # _j0 takes Hankel's expansion at z >= _J0_CUT, Taylor polynomials below
+_HANKEL_TERMS = 28     # terms of P and Q together; the first one left out is < 5e-18 at the cut
+_TAYLOR_TERMS = 16     # per unit interval below the cut, about its midpoint: rest < 0.5^16/16!
 
 
 class GridIndicator:
@@ -67,33 +75,61 @@ class GridIndicator:
         idx = np.argwhere(self.cells)
         return -1.0 + (idx + 0.5) * self.h
 
-    def _abs_fft_squared(self):
-        """|F|^2 of the cell array zero-padded to (_PAD m)^d, last axis k = 0..m (rfftn)."""
-        if "abs2" not in self._cache:
-            spec = np.fft.rfftn(self.cells, s=(_PAD * self.m,) * self.dim, axes=range(self.dim))
-            self._cache["abs2"] = np.abs(spec) ** 2
-        return self._cache["abs2"]
+    def _transforms(self):
+        """The weighted power spectrum and the cell autocorrelation, made together on first use
+        of either (the positivity machine reads both at every scale) from one |F|^2 of the
+        cell array zero-padded to (_PAD m)^d, last axis k = 0..m.  The transforms run axis by
+        axis as np.fft.rfftn and irfftn do, with the same bits, on the thread's scratch
+        buffers (_scratch), padding zeroed in place: only the cached power and integers are
+        new pages for each indicator.
 
-    def _power_spectrum(self):
-        """(weighted |ft(f)|^2 * dxi, |xi| radii) at the points of _radius_order, with the total
-        spectral mass and its part beyond 0.9 of the Nyquist radius 1/(2h)."""
+        power: |ft(f)|^2 * dxi * weight at the points of _radius_order, with the total spectral
+        mass and its part beyond 0.9 of the Nyquist radius 1/(2h).  autocorr: A(k) = sum_i c_i
+        c_{i+k} at lag k mod _PAD m, |k| <= m - 1, exact integers of the smallest unsigned type
+        that holds A(0) = count."""
         if "power" not in self._cache:
-            dxi = (1.0 / (_PAD * self.m * self.h)) ** self.dim
-            order, radii, weight = _radius_order(self.dim, self.m)
-            rows = np.ix_(*_half_grid_axes(self.dim, self.m))
-            power = (self._abs_fft_squared()[rows].ravel()[order] * self.h ** (2 * self.dim)
-                     * dxi * weight)
+            m, lead, mp = self.m, self.dim - 1, _PAD * self.m
+            spec = _scratch("spec", (mp,) * lead + (m + 1,))
+            for axis in range(lead):
+                spec[(slice(m),) * axis + (slice(m, None),)] = 0
+            np.fft.rfft(self.cells, mp, axis=-1, out=spec[(slice(m),) * lead])
+            for axis in range(lead - 1, -1, -1):
+                view = spec[(slice(m),) * axis]
+                np.fft.fft(view, axis=axis, out=view)
+            abs2 = np.abs(spec, out=_scratch("abs2", spec.shape, float))
+            np.square(abs2, out=abs2)
+
+            radii, weight = _radius_order(self.dim, m)[1:]
+            power = abs2.ravel()[_spectrum_index(self.dim, m)[0]]
+            power *= self.h ** (2 * self.dim)
+            power *= (1.0 / (mp * self.h)) ** self.dim
+            power *= weight
             tail = float(np.sum(power[np.searchsorted(radii, 0.9 * (0.5 / self.h), "right"):]))
             self._cache["power"] = (power, radii, float(np.sum(power)), tail)
-        return self._cache["power"]
+
+            spec[...] = abs2
+            for axis in range(lead):
+                np.fft.ifft(spec, axis=axis, out=spec)
+            acf = np.fft.irfft(spec, mp, axis=-1, out=_scratch("acf", (mp,) * self.dim, float))
+            np.rint(acf, out=acf)
+            self._cache["autocorr"] = acf.astype(np.min_scalar_type(self.count))
+        return self._cache
+
+    def _power_spectrum(self):
+        """(weighted |ft(f)|^2 * dxi, |xi| radii, total, tail) of _transforms."""
+        return self._transforms()["power"]
+
+    def _radial_power(self):
+        """(distinct radii, summed power): the power of _power_spectrum added up over the grid
+        points of each radius, one np.add.reduceat over the radius order."""
+        if "radial" not in self._cache:
+            distinct, starts = _spectrum_index(self.dim, self.m)[1:]
+            self._cache["radial"] = (distinct, np.add.reduceat(self._power_spectrum()[0], starts))
+        return self._cache["radial"]
 
     def _autocorrelation(self):
-        """A(k) = sum_i c_i c_{i+k} at lag k mod _PAD m, |k| <= m - 1 (exact integers)."""
-        if "autocorr" not in self._cache:
-            mp = _PAD * self.m
-            acf = np.fft.irfftn(self._abs_fft_squared(), s=(mp,) * self.dim, axes=range(self.dim))
-            self._cache["autocorr"] = np.rint(acf).astype(np.int64)
-        return self._cache["autocorr"]
+        """A(k) of _transforms."""
+        return self._transforms()["autocorr"]
 
     def to_dict(self):
         return {"type": "indicator", "dim": self.dim, "grid": self.m,
@@ -145,6 +181,22 @@ def _radius_order(dim, m):
     keep = np.flatnonzero(weight)
     order = keep[np.argsort(radii[keep], kind="stable")]
     out = order, radii[order], weight[order].astype(np.uint8)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=4)
+def _spectrum_index(dim, m):
+    """(flat indices into the rfftn-shaped |F|^2 of GridIndicator._transforms of the points of
+    _radius_order, in its order; the distinct radii; the first position of each), read-only
+    and shared by every set of this grid."""
+    radii = _radius_order(dim, m)[1]
+    shape = (_PAD * m,) * (dim - 1) + (m + 1,)
+    axes = [k % n for k, n in zip(_half_grid_axes(dim, m), shape)]
+    flat = np.ravel_multi_index(np.ix_(*axes), shape).ravel()[_radius_order(dim, m)[0]]
+    starts = np.flatnonzero(np.r_[True, radii[1:] != radii[:-1]])
+    out = flat, radii[starts], starts
     for a in out:
         a.setflags(write=False)
     return out
@@ -333,12 +385,15 @@ def direct_correlation(f: GridIndicator, sigma: AtomicMeasure, t: float) -> floa
     return float(sigma.weights @ vals) * f.h ** f.dim
 
 
-def _scratch(slot, shape):
-    """A complex array of this shape on the calling thread's buffer for slot, grown as needed
-    and kept between calls: fresh tables of a few MiB are new pages on every call."""
+def _scratch(slot, shape, dtype=complex):
+    """An array of this shape on the calling thread's buffer for slot (one dtype per slot),
+    grown as needed and kept between calls up to _SCRATCH_KEEP elements (a fresh array past
+    that): fresh tables of a few MiB are new pages on every call."""
     bufs, size = _SCRATCH.__dict__.setdefault("bufs", {}), math.prod(shape)
+    if size > _SCRATCH_KEEP:
+        return np.empty(shape, dtype=dtype)
     if slot not in bufs or bufs[slot].size < size:
-        bufs[slot] = np.empty(size, dtype=complex)
+        bufs[slot] = np.empty(size, dtype=dtype)
     return bufs[slot][:size].reshape(shape)
 
 
@@ -392,14 +447,83 @@ def _sigma_hat_on_grid(sigma: AtomicMeasure, t: float, mp: int, h: float, dim: i
     return out.reshape(shape), float(math.pi * t * math.sqrt(dim) / h * residue)
 
 
+@lru_cache(maxsize=1)
+def _j0_coefficients():
+    """Horner rows of _j0, highest order first: P and Q of Hankel's expansion in 1/z^2 (DLMF
+    10.17.3), from a_k = a_{k-1} (-(2k-1)^2) / (8k), and one column of Taylor coefficients
+    of J0 per midpoint z_c = j + 1/2, j < _J0_CUT.  Those start from J0(z_c) and -J1(z_c),
+    long-double means of cos(z sin a) and sin(z sin a) sin a over 112 equal steps of a in
+    [0, 2 pi) (exact up to 2 |J_111(20)|), and follow the recurrence of z y'' + y' + z y = 0
+    about z_c: a_{k+2} = -((k+1)^2 a_{k+1} + z_c a_k + a_{k-1}) / (z_c (k+1)(k+2))."""
+    a = [1.0]
+    for k in range(1, _HANKEL_TERMS):
+        a.append(a[-1] * -(2 * k - 1) ** 2 / (8 * k))
+    hankel = np.array(a) * (-1.0) ** (np.arange(_HANKEL_TERMS) // 2)
+    angle = np.arange(112, dtype=np.longdouble) * (8 * np.arctan(np.longdouble(1)) / 112)
+    zc = np.arange(_J0_CUT, dtype=np.longdouble) + np.longdouble(0.5)
+    phase = np.multiply.outer(zc, np.sin(angle))
+    taylor = [np.mean(np.cos(phase), axis=1), -np.mean(np.sin(phase) * np.sin(angle), axis=1)]
+    for k in range(_TAYLOR_TERMS - 2):
+        below = taylor[k - 1] if k else 0
+        taylor.append(-((k + 1) ** 2 * taylor[k + 1] + zc * taylor[k] + below)
+                      / (zc * ((k + 1) * (k + 2))))
+    return hankel[-2::-2], hankel[::-2], np.array(taylor[::-1], dtype=float)
+
+
+def _j0(z):
+    """J0 at each z >= 0 of a float array, within _J0_ERROR.  From _J0_CUT on, Hankel's
+    expansion P cos(z - pi/4) - Q sin(z - pi/4) times sqrt(2 / (pi z)), taken as ((P + Q)
+    cos z + (P - Q) sin z) / sqrt(pi z) so that z - pi/4 is never rounded; below it, the
+    Taylor polynomial of the unit interval about its midpoint."""
+    p_rows, q_rows, taylor = _j0_coefficients()
+    out = np.empty_like(z)
+    big = z >= _J0_CUT
+    x = z[big]
+    u = 1.0 / (x * x)
+    p, q = np.full_like(x, p_rows[0]), np.full_like(x, q_rows[0])
+    for a, b in zip(p_rows[1:], q_rows[1:]):
+        p *= u
+        p += a
+        q *= u
+        q += b
+    q /= x
+    out[big] = ((p + q) * np.cos(x) + (p - q) * np.sin(x)) / np.sqrt(np.pi * x)
+    x = z[~big]
+    j = x.astype(np.intp)
+    h = x - (j + 0.5)
+    acc = taylor[0][j]
+    for row in taylor[1:]:
+        acc *= h
+        acc += row[j]
+    out[~big] = acc
+    return out
+
+
+def _isotropic_moments(sigma: AtomicMeasure, t: float, rho_max: float):
+    """(r0, w(0..N)) when sigma lies on one circle of radius r0 (its _circle_radius) and
+    max_{0<n<=N} |w(n)| <= _ISOTROPY_TOL |w(0)| at N = _jacobi_anger_order(z_max), z_max = 2 pi
+    t r0 rho_max; None otherwise.  Then by Jacobi-Anger, as in measures._circle_ring,
+    ft(sigma)(t xi) = w(0) J0(2 pi t r0 |xi|) within 2 sum_{0<n<=N} |w(n)| + 1e-16 |sigma| at
+    every |xi| <= rho_max."""
+    r0 = sigma._circle_radius()
+    if r0 is None:
+        return None
+    w = sigma._angular_moments(_jacobi_anger_order(2 * math.pi * t * r0 * rho_max) + 1)
+    if np.max(np.abs(w[1:])) > _ISOTROPY_TOL * abs(w[0]):
+        return None
+    return r0, w
+
+
 @dataclass(frozen=True)
 class SplitResult:
     """The three-band split of the frequency-side correlation at one t.
 
     i1 + i2 + i3 equals the full quadrature sum exactly (same grid, disjoint
-    bands: three runs of the grid points in radius order).  quad_error is the
-    pairing residue bound of _sigma_hat_on_grid times the total spectral
-    power, plus the tail proxy near the grid Nyquist radius.
+    bands: three runs of the grid points in radius order).  quad_error is a
+    bound on the distance of the summed sigma-hat values from Re ft(sigma)
+    times the total spectral power (the pairing residue of _sigma_hat_on_grid,
+    or the radial path's terms), plus the tail proxy near the grid Nyquist
+    radius.
     """
 
     t: float
@@ -425,6 +549,13 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float,
     spectral mass in the outermost decade of radii and reported as part of
     the high band's error bar.  Both transforms are even, so the sum runs
     over the weighted half grid of _radius_order.
+
+    A sigma that is isotropic to the order the grid needs (_isotropic_moments) takes the
+    radial path: its transform is w(0) J0(2 pi t r0 |xi|), so each band is a sum over the
+    grid's distinct radii of w(0) J0 times the power summed per radius (_radial_power).  Its
+    bound per unit power is 2 sum_{0<n<=N} |w(n)| + _J0_ERROR |w(0)| + (8 eps z_max + 1e-16)
+    |sigma|, where 8 eps z_max covers the roundings of the Bessel argument and the atoms'
+    4-ulp spread about r0.  Every other sigma takes _sigma_hat_on_grid.
     """
     if t <= 0:
         raise BadInputError("t must be positive")
@@ -436,9 +567,20 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float,
         raise BadInputError("measure must be symmetric (real transform) "
                             "for the frequency-side correlation")
     power, radii, total_power, tail_power = f._power_spectrum()
-    shat, residue = _sigma_hat_on_grid(sigma, t, _PAD * f.m, f.h, f.dim)
-    vals = shat.ravel()[_radius_order(f.dim, f.m)[0]]
-    vals *= power
+    isotropic = _isotropic_moments(sigma, t, radii[-1])
+    if isotropic is None:
+        shat, residue = _sigma_hat_on_grid(sigma, t, _PAD * f.m, f.h, f.dim)
+        vals = shat.ravel()[_radius_order(f.dim, f.m)[0]]
+        vals *= power
+    else:
+        r0, w = isotropic
+        radii, radial_power = f._radial_power()
+        z = (2 * math.pi * t * r0) * radii
+        vals = _j0(z)
+        vals *= w[0].real
+        vals *= radial_power
+        residue = float(2 * np.sum(np.abs(w[1:])) + _J0_ERROR * abs(w[0].real)
+                        + (8 * np.finfo(float).eps * z[-1] + 1e-16) * sigma.abs_mass)
     i1, i2, i3 = (float(np.sum(v)) for v in np.split(vals, _band_cuts(radii, t, delta)))
     return SplitResult(float(t), float(delta), i1, i2, i3, i1 + i2 + i3,
                        residue * total_power + tail_power * sigma.abs_mass)
@@ -512,7 +654,7 @@ def lacunary_search(f: GridIndicator, sigma: AtomicMeasure, plan: LacunaryPlan,
         rows.append((j + 1, t, split.i1, split.i2, split.i3, direct, verdict))
         if ok:
             achieved = (f"lower bound {lower:.6g} vs explicit target {target:.6g}"
-                        f" ({'meets' if lower >= target - split.quad_error else 'below'}"
+                        f" ({'meets' if lower - split.quad_error >= target else 'below'}"
                         " the target)")
             return LacunarySearchResult(True, split, direct, rows, diagnostics,
                                         f"POSITIVE at j={j + 1}: {achieved}")

@@ -132,6 +132,19 @@ class AtomicMeasure:
                 self._pairs = (i, mirror[i])
         return self._pairs
 
+    def _circle_radius(self):
+        """r0 when the atoms are 2-d and every radius is within 4 ulp of the largest, r0; None
+        otherwise.  The one circle test of the ring path and the positivity machine's radial
+        path.  Cached: the atoms are read-only."""
+        if "_circle" not in self.__dict__:
+            self._circle = None
+            if self.dim == 2 and len(self):
+                r = np.hypot(self.positions[:, 0], self.positions[:, 1])
+                r0 = r.max()
+                if not np.any(r < r0 - 4 * np.spacing(r0)):
+                    self._circle = r0
+        return self._circle
+
     def _angular_moments(self, n):
         """w(k) = sum_j w_j e^{-i k phi_j}, k < n, phi_j the angles of the 2-d atoms.  Cached
         and extended in blocks of _MOMENT_BLOCK orders: block b is the progression sum over
@@ -314,24 +327,29 @@ def _ray_transform(mu: AtomicMeasure, eta, t0: float, dt: float, n: int) -> np.n
     return _progression_sum(s, w, t0, dt, n).real
 
 
+def _jacobi_anger_order(z):
+    """N = |z| + 12 |z|^(1/3) + 30: the orders n > N of sum_n (-i)^n J_n(z) w(n) e^{i n theta}
+    carry under 1e-16 |mass|."""
+    return int(abs(z) + 12 * abs(z) ** (1 / 3) + 30)
+
+
 def _circle_ring(mu: AtomicMeasure, freqs):
-    """_expsum on the ring rho * _sphere_directions(2, M)[0] of a 2-d measure whose radii are
-    within 4 ulp of r0, or None for other input or where the dense kernel is cheaper.  By
-    Jacobi-Anger (Watson, Bessel Functions, 2.22) the ring is sum_n c_n e^{i n theta}, c_n =
-    (-i)^n J_n(z) w(n), z = 2 pi rho r0, w(n) = sum_j w_j e^{-i n phi_j}; orders past N = |z|
-    + 12 |z|^(1/3) + 30 carry under 1e-16 |mass|.  (-i)^n J_n(z) is one FFT of e^{-i z cos a}
-    on L > 2N points, w(n) cached (_angular_moments), and the c_n folded mod M give the M
-    samples by one inverse FFT, up to rounding of ~2 pi |z| eps |mass|.  e^{-i z cos a} is
-    evaluated on a <= pi/2 (L a multiple of 16), conjugated at pi - a, mirrored at 2 pi - a."""
-    positions, rows, A = mu.positions, freqs.shape[0], len(mu)
-    if positions.shape[1] != 2 or not (rows and A) or freqs[0, 1] != 0:
+    """_expsum on the ring rho * _sphere_directions(2, M)[0] of a measure on one circle of
+    radius r0 (mu._circle_radius), or None for other input or where the dense kernel is
+    cheaper.  By Jacobi-Anger (Watson, Bessel Functions, 2.22) the ring is sum_n c_n e^{i n
+    theta}, c_n = (-i)^n J_n(z) w(n), z = 2 pi rho r0, w(n) = sum_j w_j e^{-i n phi_j}; orders
+    past N = _jacobi_anger_order(z) carry under 1e-16 |mass|.  (-i)^n J_n(z) is one FFT of
+    e^{-i z cos a} on L > 2N points, w(n) cached (_angular_moments), and the c_n folded mod M
+    give the M samples by one inverse FFT, up to rounding of ~2 pi |z| eps |mass|.  e^{-i z
+    cos a} is evaluated on a <= pi/2 (L a multiple of 16), conjugated at pi - a, mirrored at
+    2 pi - a."""
+    rows, A, r0 = freqs.shape[0], len(mu), mu._circle_radius()
+    if r0 is None or not rows or freqs[0, 1] != 0:
         return None
-    r = np.hypot(positions[:, 0], positions[:, 1])
-    rho, r0 = freqs[0, 0], r.max()
+    rho = freqs[0, 0]
     z = 2 * np.pi * rho * r0
-    N = int(abs(z) + 12 * abs(z) ** (1 / 3) + 30)
+    N = _jacobi_anger_order(z)
     if ((2 * N + 1) * (A + _RING_ORDER_ATOMS) > _RING_ROW_COST * rows * A
-            or np.any(r < r0 - 4 * np.spacing(r0))
             or not np.array_equal(freqs, rho * _sphere_directions(2, rows)[0])):
         return None
     L = min(m << (2 * N // m).bit_length() for m in (1, 3, 5))   # 2^a, 3 2^a or 5 2^a > 2N

@@ -1,14 +1,21 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import gaugelab as gl
 from gaugelab import correlation
 from gaugelab.correlation import _PAD, SPECTRUM_BUDGET_BYTES, _power_table, _sigma_hat_on_grid
 from gaugelab.errors import BadInputError, BudgetExceededError
+from gaugelab.measures import _jacobi_anger_order
 
 import oracles
 
@@ -18,6 +25,27 @@ EPS = np.finfo(float).eps
 @pytest.fixture(scope="module")
 def circle_sigma(unit_disk):
     return gl.from_mesh(gl.triangulate_boundary(unit_disk, 512), normalize=True)
+
+
+@pytest.fixture(scope="module")
+def tilted_circle_sigma(circle_sigma):
+    """The 512-atom disk measure with one mirror pair's weights moved by 1e-6: still
+    symmetric, and no longer isotropic."""
+    w = circle_sigma.weights.copy()
+    i, j = circle_sigma._pairs_up()
+    w[[i[0], j[0]]] += 1e-6
+    return gl.AtomicMeasure(circle_sigma.positions, w)
+
+
+def gemm_split(f, sigma, t, delta):
+    """split_integrals through _sigma_hat_on_grid at every half-grid point, the path of every
+    measure that is not isotropic."""
+    power, radii, total_power, tail_power = f._power_spectrum()
+    shat, residue = _sigma_hat_on_grid(sigma, t, _PAD * f.m, f.h, f.dim)
+    vals = shat.ravel()[correlation._radius_order(f.dim, f.m)[0]] * power
+    i1, i2, i3 = (float(np.sum(v)) for v in np.split(vals, correlation._band_cuts(radii, t, delta)))
+    return gl.SplitResult(float(t), float(delta), i1, i2, i3, i1 + i2 + i3,
+                          residue * total_power + tail_power * sigma.abs_mass)
 
 
 @pytest.fixture(scope="module")
@@ -221,19 +249,28 @@ class TestSplitIntegrals:
         bound = 2 / math.log(2) * math.log(1 / delta) * f.measure
         assert total <= bound
 
-    def test_quad_error_from_uncached_power_sums(self, blob_set, circle_sigma):
+    def test_quad_error_from_uncached_power_sums(self, blob_set, circle_sigma,
+                                                 tilted_circle_sigma):
         # the sums run over the weighted half grid of the shared radius order, here from a
-        # fresh rfftn of the cells
+        # fresh rfftn of the cells; the tilted disk takes the matrix-product path and the disk
+        # the radial one, whose sigma-hat bound is read off the moments w(n)
         f = blob_set
         mp = _PAD * f.m
         abs2 = np.abs(np.fft.rfftn(f.cells, s=(mp,) * f.dim, axes=range(f.dim))) ** 2
         power = abs2 * f.h ** (2 * f.dim) * (1.0 / (mp * f.h)) ** f.dim
         order, radii, weight = correlation._radius_order(f.dim, f.m)
         power = power[np.ix_(*correlation._half_grid_axes(f.dim, f.m))].ravel()[order] * weight
+        tail = float(np.sum(power[radii > 0.9 * (0.5 / f.h)]))
+        r0 = np.max(np.hypot(*circle_sigma.positions.T))
         for t in (0.3, 0.45, 0.3):  # the repeat reads the cached sums
-            _, residue = _sigma_hat_on_grid(circle_sigma, t, mp, f.h, f.dim)
-            want = (residue * float(np.sum(power))
-                    + float(np.sum(power[radii > 0.9 * (0.5 / f.h)])) * circle_sigma.abs_mass)
+            _, residue = _sigma_hat_on_grid(tilted_circle_sigma, t, mp, f.h, f.dim)
+            want = residue * float(np.sum(power)) + tail * tilted_circle_sigma.abs_mass
+            assert gl.split_integrals(f, tilted_circle_sigma, t, 0.05).quad_error == want
+            z_max = 2 * math.pi * t * r0 * radii[-1]
+            w = circle_sigma._angular_moments(_jacobi_anger_order(z_max) + 1)
+            residue = float(2 * np.sum(np.abs(w[1:])) + 1e-15 * abs(w[0].real)
+                            + (8 * EPS * z_max + 1e-16) * circle_sigma.abs_mass)
+            want = residue * float(np.sum(power)) + tail * circle_sigma.abs_mass
             assert gl.split_integrals(f, circle_sigma, t, 0.05).quad_error == want
 
     def test_radius_order_shared_by_sets_of_one_grid(self, circle_sigma):
@@ -260,7 +297,22 @@ class TestLacunarySearch:
         assert res.rows[-1][0] >= plan.j0_index + 1 and res.rows[-1][-1] == "positive"
         target = gl.BourgainConstants(2).positivity_constant * f.measure ** 2
         assert f"explicit target {target:.6g} (meets the target)" in res.verdict
-        assert res.split.lower_bound >= target - res.split.quad_error
+        assert res.split.lower_bound - res.split.quad_error >= target
+
+    def test_target_met_only_net_of_quad_error(self, blob_set, circle_sigma, monkeypatch):
+        # a lower bound within quad_error above the target does not meet it
+        f = blob_set
+        target = gl.BourgainConstants(2).positivity_constant * f.measure ** 2
+        q = 0.5 * target
+
+        def split(f, sigma, t, delta):
+            return gl.SplitResult(t, delta, target + 0.5 * q, 0.0, 0.0, target + 0.5 * q, q)
+
+        monkeypatch.setattr(correlation, "split_integrals", split)
+        monkeypatch.setattr(correlation, "direct_correlation", lambda f, sigma, t: 1.0)
+        res = gl.lacunary_search(f, circle_sigma, gl.LacunaryPlan([0.3], 0.05, 20.0))
+        assert res.found and res.split.lower_bound > target
+        assert res.verdict.endswith("(below the target)")
 
     def test_goodness_shortfall_reported_not_fatal(self, circle_sigma):
         f = gl.random_indicator(2, 128, 0.3 * math.pi, seed=9)
@@ -345,10 +397,11 @@ class TestGridIndicator:
 
 
 @st.composite
-def grid_sets(draw):
-    """A random indicator on a grid of dims 1..3 and m <= 48 (possibly empty)."""
-    dim = draw(st.integers(1, 3))
-    m = draw(st.integers(2, 48))
+def grid_sets(draw, dims=st.integers(1, 3), sizes=st.integers(2, 48)):
+    """A random indicator (possibly empty) on a grid of a drawn dimension and size m, by
+    default 1..3 and 2..48."""
+    dim = draw(dims)
+    m = draw(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     ax = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
     r2 = sum(g ** 2 for g in np.meshgrid(*([ax] * dim), indexing="ij"))
@@ -430,6 +483,27 @@ class TestFastPathsAgainstOracles:
         bound = 16 * (1 + f.dim) * EPS * sigma.abs_mass * f.measure
         for name in ("i1", "i2", "i3", "total", "quad_error"):
             assert abs(getattr(got, name) - getattr(ref, name)) <= bound, name
+
+    @given(sets=st.lists(grid_sets(), min_size=2, max_size=3), keep=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_transforms_are_numpys_bit_for_bit(self, sets, keep):
+        # the power spectrum and autocorrelation that _transforms makes on this thread's
+        # scratch buffers, set after set across grids (or on fresh arrays, past
+        # _SCRATCH_KEEP), against np.fft.rfftn and irfftn and the formulas they replaced
+        with mock.patch.object(correlation, "_SCRATCH_KEEP", correlation._SCRATCH_KEEP * keep):
+            for f in sets:
+                mp, dim = _PAD * f.m, f.dim
+                abs2 = np.abs(np.fft.rfftn(f.cells, s=(mp,) * dim, axes=range(dim))) ** 2
+                order, radii, weight = correlation._radius_order(dim, f.m)
+                rows = np.ix_(*correlation._half_grid_axes(dim, f.m))
+                power = (abs2[rows].ravel()[order] * f.h ** (2 * dim)
+                         * (1.0 / (mp * f.h)) ** dim * weight)
+                got = f._power_spectrum()
+                assert got[0].tobytes() == power.tobytes() and got[2] == float(np.sum(power))
+                acf = f._autocorrelation()
+                assert acf.dtype == np.min_scalar_type(f.count)
+                assert np.array_equal(acf, np.rint(np.fft.irfftn(abs2, s=(mp,) * dim,
+                                                                 axes=range(dim))))
 
     def test_offset_within_rounding_of_a_grid_line_adds_nothing(self):
         # h = 0.1 and 0.3 / h rounds to 3 - 4e-16: lag 2 is marked, lag 3 is not
@@ -579,3 +653,117 @@ class TestSpectrumBudget:
         assert gl.indicator_from_cells(3, m, []).m == m    # builds no spectrum yet
         with pytest.raises(BudgetExceededError):
             gl.indicator_from_cells(3, m + 1, [])
+
+
+@st.composite
+def uniform_circles(draw):
+    """2k equal atoms of total mass 0.1..3 at phase + 2 pi j / 2k on a circle of radius
+    0.2..1, 64 <= 2k <= 4096; the second half is the exact negation of the first, so the
+    measure pairs up."""
+    half = draw(st.integers(32, 2048))
+    radius, mass = draw(st.floats(0.2, 1.0)), draw(st.floats(0.1, 3.0))
+    angle = draw(st.floats(0.0, 2 * math.pi)) + math.pi * np.arange(half) / half
+    xy = radius * np.c_[np.cos(angle), np.sin(angle)]
+    return gl.AtomicMeasure(np.r_[xy, -xy], np.full(2 * half, 0.5 * mass / half))
+
+
+def isotropic_limit(atoms):
+    """The largest z whose Jacobi-Anger order stays under the first alias order of a uniform
+    circle measure with this many atoms (w(atoms) = w(0))."""
+    lo, hi = 0.0, float(atoms)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _jacobi_anger_order(mid) < atoms else (lo, mid)
+    return lo
+
+
+class TestRadialPath:
+    def test_j0_matches_scipy(self):
+        from scipy import special
+        z = np.concatenate([np.linspace(0.0, 3000.0, 600_001), np.linspace(19.0, 21.0, 20_001),
+                            [0.0, np.nextafter(20.0, 0.0), 20.0, np.nextafter(20.0, 21.0)]])
+        got = correlation._j0(z)
+        assert got[-4] == pytest.approx(1.0, abs=1e-16)
+        # scipy's j0 takes cos and sin of z - pi/4 rounded to double, a phase error of up to
+        # half an ulp of z times the amplitude sqrt(2 / (pi z)): 2.1e-15 at z ~ 1000, where
+        # _j0 rounds no phase; past z = 5 that is added to the 1e-15
+        phase = np.where(z > 5, 0.5 * np.spacing(z) * np.sqrt(2 / (np.pi * np.maximum(z, 5))), 0)
+        assert np.all(np.abs(got - special.j0(z)) <= correlation._J0_ERROR + phase)
+        small = z < 60
+        assert np.max(np.abs(got[small] - special.j0(z[small]))) <= correlation._J0_ERROR
+
+    @pytest.mark.parametrize("atoms, m, moment_max", [(512, 256, 1.8e-14), (2048, 128, 3.2e-14)])
+    def test_disk_meshes_are_isotropic_at_the_largest_scale(self, unit_disk, atoms, m,
+                                                            moment_max):
+        sigma = gl.from_mesh(gl.triangulate_boundary(unit_disk, atoms), normalize=True)
+        radii = correlation._radius_order(2, m)[1]
+        r0, w = correlation._isotropic_moments(sigma, 0.49, radii[-1])
+        assert r0 == sigma._circle_radius() and len(w) == _jacobi_anger_order(
+            2 * math.pi * 0.49 * r0 * radii[-1]) + 1 < atoms
+        assert np.max(np.abs(w[1:])) <= 1.05 * moment_max * abs(w[0])
+
+    def test_radial_power_sums_each_radius(self):
+        f = gl.random_indicator(2, 32, 0.5, seed=3)
+        power, radii, total, _ = f._power_spectrum()
+        rho, summed = f._radial_power()
+        assert np.array_equal(rho, np.unique(radii))
+        for u in (0, 1, len(rho) // 2, len(rho) - 1):
+            assert summed[u] == pytest.approx(np.sum(power[radii == rho[u]]), rel=1e-15)
+        assert float(np.sum(summed)) == pytest.approx(total, rel=1e-14)
+
+    @given(data=st.data(), sigma=uniform_circles(), u=st.floats(1e-3, 1.0),
+           delta=st.floats(0.01, 0.99))
+    @settings(max_examples=25, deadline=None)
+    def test_uniform_circles_match_full_grid_oracle(self, data, sigma, u, delta):
+        f = data.draw(grid_sets(st.just(2), st.integers(2, 64)))
+        r0, rho_max = sigma._circle_radius(), correlation._radius_order(2, f.m)[1][-1]
+        t = u * min(8.0, isotropic_limit(len(sigma)) / (2 * math.pi * r0 * rho_max))
+        assert correlation._isotropic_moments(sigma, t, rho_max) is not None
+        got = gl.split_integrals(f, sigma, t, delta)
+        ref = oracles.full_grid_split(f, sigma, t, delta)
+        # the radial path's bound without the grid tail, plus the rounding allowance of
+        # test_half_grid_split_matches_full_grid_oracle for the oracle's own sums
+        bound = (got.quad_error - f._power_spectrum()[3] * sigma.abs_mass
+                 + 16 * (1 + f.dim) * EPS * sigma.abs_mass * f.measure)
+        note(f"t={t}, bound={bound}")
+        for name in ("i1", "i2", "i3", "total"):
+            assert abs(getattr(got, name) - getattr(ref, name)) <= bound, name
+
+    @pytest.mark.parametrize("which", ["five-cap", "tilted disk", "square", "ellipse"])
+    def test_other_measures_keep_the_matrix_product_bits(self, which, blob_set, unit_disk,
+                                                         five_cap_measure, tilted_circle_sigma):
+        sigma = {"five-cap": lambda: oracles.symmetrized(five_cap_measure),
+                 "tilted disk": lambda: tilted_circle_sigma,
+                 "square": lambda: gl.AtomicMeasure([[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                                    [0.25] * 4),
+                 "ellipse": lambda: gl.from_mesh(gl.triangulate_boundary(
+                     gl.Ellipsoid([1.0, 0.6]), 512), normalize=True)}[which]()
+        radii = correlation._radius_order(2, blob_set.m)[1]
+        for t in (0.45, 0.1, 0.01):
+            assert correlation._isotropic_moments(sigma, t, radii[-1]) is None
+            assert gl.split_integrals(blob_set, sigma, t, 0.05) == gemm_split(
+                blob_set, sigma, t, 0.05)
+
+
+def test_positivity_ops_leave_scipy_unloaded():
+    # the radial path's J0 is numpy's; split_integrals and direct_correlation on the disk
+    # load no scipy module (scipy.special would add ~22 MiB)
+    code = ("import json, sys, gaugelab as gl\n"
+            "sigma = gl.from_mesh(gl.triangulate_boundary(gl.ball_body(2), 512), True)\n"
+            "f = gl.random_indicator(2, 64, 0.9, seed=1)\n"
+            "for t in (0.4, 0.05):\n"
+            "    s = gl.split_integrals(f, sigma, t, 0.05)\n"
+            "    d = gl.direct_correlation(f, sigma, t)\n"
+            "print(json.dumps([s.total, d]))\n"
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(gl.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    values, loaded = proc.stdout.splitlines()
+    assert json.loads(loaded) == []
+    sigma = gl.from_mesh(gl.triangulate_boundary(gl.ball_body(2), 512), True)
+    f = gl.random_indicator(2, 64, 0.9, seed=1)
+    assert json.loads(values) == [gl.split_integrals(f, sigma, 0.05, 0.05).total,
+                                  gl.direct_correlation(f, sigma, 0.05)]
