@@ -64,8 +64,8 @@ def goodness_profile(mu: AtomicMeasure, R: float, shells,
     shells = np.asarray(shells, dtype=float).ravel()
     if shells.size == 0:
         raise BadInputError("need at least one shell radius")
-    if R <= 0 or np.any(shells < R - 1e-12):
-        raise BadInputError("shell radii must be >= R > 0")
+    if not (0 < R < math.inf and np.all(np.isfinite(shells))) or np.any(shells < R - 1e-12):
+        raise BadInputError("shell radii must be finite and >= R > 0")
     etas, spacing = _sphere_directions(mu.dim, angular_resolution)
     sups = np.empty(shells.size)
     certs = np.empty(shells.size)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,7 +26,7 @@ PROBABILITY_TOL = 1e-9   # a probability measure's total mass is 1 within this
 DEFAULT_BINS = 512
 
 _FT_CHUNK = 1 << 18      # cap on atoms*points per vectorized block
-# _circle_ring takes a ring of M rows around A atoms when (2N + 1)(A + 200) <= 50 M A: the
+# _ring_pays takes a ring for M rows around A atoms when (2N + 1)(A + 200) <= 50 M A: the
 # measured crossover with the dense kernel, A = 8 ... 4096 atoms, M = 1024 and 16384
 _RING_ORDER_ATOMS, _RING_ROW_COST = 200, 50
 _MOMENT_BLOCK = 8192     # orders per block of AtomicMeasure._angular_moments
@@ -92,11 +92,12 @@ class AtomicMeasure:
     def total_mass(self):
         return float(np.sum(self.weights))
 
-    @property
+    # abs_mass and support_radius are cached: the atoms are read-only
+    @cached_property
     def abs_mass(self):
         return float(np.sum(np.abs(self.weights)))
 
-    @property
+    @cached_property
     def support_radius(self):
         if len(self) == 0:
             return 0.0
@@ -333,33 +334,48 @@ def _jacobi_anger_order(z):
     return int(abs(z) + 12 * abs(z) ** (1 / 3) + 30)
 
 
-def _circle_ring(mu: AtomicMeasure, freqs):
-    """_expsum on the ring rho * _sphere_directions(2, M)[0] of a measure on one circle of
-    radius r0 (mu._circle_radius), or None for other input or where the dense kernel is
-    cheaper.  By Jacobi-Anger (Watson, Bessel Functions, 2.22) the ring is sum_n c_n e^{i n
-    theta}, c_n = (-i)^n J_n(z) w(n), z = 2 pi rho r0, w(n) = sum_j w_j e^{-i n phi_j}; orders
-    past N = _jacobi_anger_order(z) carry under 1e-16 |mass|.  (-i)^n J_n(z) is one FFT of
-    e^{-i z cos a} on L > 2N points, w(n) cached (_angular_moments), and the c_n folded mod M
-    give the M samples by one inverse FFT, up to rounding of ~2 pi |z| eps |mass|.  e^{-i z
-    cos a} is evaluated on a <= pi/2 (L a multiple of 16), conjugated at pi - a, mirrored at
-    2 pi - a."""
-    rows, A, r0 = freqs.shape[0], len(mu), mu._circle_radius()
-    if r0 is None or not rows or freqs[0, 1] != 0:
-        return None
-    rho = freqs[0, 0]
-    z = 2 * np.pi * rho * r0
+def _ring_pays(mu: AtomicMeasure, rho, rows):
+    """True when mu lies on one circle (mu._circle_radius) and its Jacobi-Anger ring at radius
+    rho costs no more than `rows` dense rows: (2N + 1)(A + 200) <= 50 rows A."""
+    r0, A = mu._circle_radius(), len(mu)
+    return r0 is not None and ((2 * _jacobi_anger_order(2 * np.pi * rho * r0) + 1)
+                               * (A + _RING_ORDER_ATOMS) <= _RING_ROW_COST * rows * A)
+
+
+def _ring_coefficients(mu: AtomicMeasure, rho):
+    """(c, N): the c_n, n = -N ... N, of the ring sum_n c_n e^{i n theta} = ft(mu)(rho (cos
+    theta, sin theta)) of a measure on one circle of radius r0 (mu._circle_radius).  By
+    Jacobi-Anger (Watson, Bessel Functions, 2.22) c_n = (-i)^n J_n(z) w(n), z = 2 pi rho r0,
+    w(n) = sum_j w_j e^{-i n phi_j}; orders past N = _jacobi_anger_order(z) carry under 1e-16
+    |mass|.  (-i)^n J_n(z) is one FFT of e^{-i z cos a} on L > 2N points, evaluated on a <=
+    pi/2 (L a multiple of 16), conjugated at pi - a, mirrored at 2 pi - a; w(n) is cached
+    (_angular_moments)."""
+    z = 2 * np.pi * rho * mu._circle_radius()
     N = _jacobi_anger_order(z)
-    if ((2 * N + 1) * (A + _RING_ORDER_ATOMS) > _RING_ROW_COST * rows * A
-            or not np.array_equal(freqs, rho * _sphere_directions(2, rows)[0])):
-        return None
     L = min(m << (2 * N // m).bit_length() for m in (1, 3, 5))   # 2^a, 3 2^a or 5 2^a > 2N
     quarter = _expi(np.multiply(-z, np.cos(np.arange(L // 4 + 1) * (2 * np.pi / L))))
     half = np.concatenate([quarter, quarter[-2::-1].conj()])   # a = 0 ... pi
     bessel = np.fft.fft(np.concatenate([half, half[-2:0:-1]]), norm="forward")
     w = mu._angular_moments(N + 1)
     c = np.concatenate([bessel[-N:], bessel[:N + 1]]) * np.concatenate([w[:0:-1].conj(), w])
-    c = np.pad(c, (-N % rows, -(N + 1) % rows))   # c_n lands in column n mod rows
-    return rows * np.fft.ifft(c.reshape(-1, rows).sum(axis=0))
+    return c, N
+
+
+def _ring_samples(c, N, M):
+    """The ring of _ring_coefficients at the M angles 2 pi k / M: the c_n folded mod M, then
+    one inverse FFT, up to rounding of ~2 pi |z| eps |mass| (z of _ring_coefficients)."""
+    c = np.pad(c, (-N % M, -(N + 1) % M))   # c_n lands in column n mod M
+    return M * np.fft.ifft(c.reshape(-1, M).sum(axis=0))
+
+
+def _circle_ring(mu: AtomicMeasure, freqs):
+    """_expsum on the ring rho * _sphere_directions(2, M)[0] by _ring_samples, or None for
+    other rows or where _ring_pays says the dense kernel is cheaper."""
+    rows = freqs.shape[0]
+    if (not rows or not _ring_pays(mu, freqs[0, 0], rows) or freqs[0, 1] != 0
+            or not np.array_equal(freqs, freqs[0, 0] * _sphere_directions(2, rows)[0])):
+        return None
+    return _ring_samples(*_ring_coefficients(mu, freqs[0, 0]), rows)
 
 
 def ft_measure(mu: AtomicMeasure, xi) -> complex:
@@ -561,16 +577,16 @@ def _direction_grid(dim, n):
 
 
 def _admissible_directions(thetas, delta, spacing, dim):
-    """Uniform direction grid at the given geodesic spacing, at distance >= delta
-    from the symmetrized excluded set thetas U -thetas."""
+    """Uniform direction grid at the given geodesic spacing (_sphere_directions) and the mask
+    of its directions at distance >= delta from the symmetrized excluded set thetas U
+    -thetas."""
     sym = np.vstack([thetas, -thetas])
     if dim not in (2, 3):
         raise BadInputError("direction scans support dimensions 2 and 3")
     n = math.ceil(2 * np.pi / spacing) if dim == 2 else math.ceil(16 * np.pi / spacing ** 2)
     etas, _ = _sphere_directions(dim, max(8 if dim == 2 else 64, int(n)))
     dots = np.clip(etas @ sym.T, -1.0, 1.0)
-    dist = np.min(np.arccos(dots), axis=1)
-    return etas[dist >= delta]
+    return etas, np.min(np.arccos(dots), axis=1) >= delta
 
 
 def _sampled_sup(mu: AtomicMeasure, rho, vals, spacing):
@@ -586,23 +602,30 @@ def decay_scan(mu: AtomicMeasure, thetas, delta: float, t_grid,
     mu is meant to be a surface measure restricted to a boundary piece whose
     normals lie in the theta set; the envelope then decays toward zero.  The
     directions are spaced delta / 4 apart; the certified error per t is that
-    of _sampled_sup.
+    of _sampled_sup.  On a measure on one circle, a t where _ring_pays for the
+    admissible rows reads them off the ring over the whole 2-d grid.
     """
     thetas, _ = _unit_rows(thetas, "decay directions")
     if thetas.shape[1] != mu.dim:
         raise BadInputError("decay directions must have the measure's dimension")
-    if delta <= 0:
-        raise BadInputError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise BadInputError(f"delta must be positive and finite, not {delta}")
+    t_grid = np.asarray(t_grid, dtype=float).ravel()
+    if not np.all(np.isfinite(t_grid)):
+        raise BadInputError("decay radii must be finite")
     spacing = delta / 4.0
-    etas = _admissible_directions(thetas, delta, spacing, mu.dim)
+    grid, keep = _admissible_directions(thetas, delta, spacing, mu.dim)
+    etas = grid[keep]
     if etas.shape[0] == 0:
         raise BadInputError("no admissible directions: delta too large for the sphere grid")
-    t_grid = np.asarray(t_grid, dtype=float).ravel()
     env = np.empty(t_grid.shape[0])
     certs = np.empty(t_grid.shape[0])
     table = np.empty((t_grid.shape[0], etas.shape[0]), dtype=complex) if return_table else None
     for i, t in enumerate(t_grid):
-        vals = ft_many(mu, t * etas)
+        if _ring_pays(mu, t, etas.shape[0]):
+            vals = _ring_samples(*_ring_coefficients(mu, t), grid.shape[0])[keep]
+        else:
+            vals = ft_many(mu, t * etas)
         env[i], certs[i] = _sampled_sup(mu, t, vals, spacing)
         if return_table:
             table[i] = vals

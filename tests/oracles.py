@@ -705,3 +705,21 @@ def scan_facet_pairs(normals, offsets, tol=1e-9):
             seen[i] = seen[j] = True
             reps.append((normals[i], offsets[i]))
     return reps
+
+
+def dense_decay_scan(mu, thetas, delta, t_grid):
+    """decay_scan with every t through ft_many over the admissible rows, each row kept by its
+    own arccos test against thetas U -thetas: the reference for decay_scan's ring path, and
+    its bits on every measure that the ring does not take."""
+    from gaugelab.measures import DecayScanResult, _sphere_directions, ft_many
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    thetas = thetas / np.linalg.norm(thetas, axis=1)[:, None]
+    sym = np.vstack([thetas, -thetas])
+    spacing = delta / 4.0
+    n = math.ceil(2 * np.pi / spacing) if mu.dim == 2 else math.ceil(16 * np.pi / spacing ** 2)
+    grid, _ = _sphere_directions(mu.dim, max(8 if mu.dim == 2 else 64, int(n)))
+    etas = grid[np.min(np.arccos(np.clip(grid @ sym.T, -1.0, 1.0)), axis=1) >= delta]
+    t_grid = np.asarray(t_grid, dtype=float).ravel()
+    table = np.array([ft_many(mu, t * etas) for t in t_grid])
+    return DecayScanResult(t_grid, np.max(np.abs(table), axis=1),
+                           mu.lipschitz_bound * np.abs(t_grid) * spacing, etas, table)

@@ -45,6 +45,13 @@ class TestGoodnessProfile:
         with pytest.raises(BadInputError):
             gl.goodness_profile(circle_measure, 5.0, [4.0])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_radii_that_are_not_finite_rejected(self, circle_measure, value):
+        with pytest.raises(BadInputError, match="finite"):
+            gl.goodness_profile(circle_measure, 5.0, [5.0, value])
+        with pytest.raises(BadInputError, match="finite"):
+            gl.goodness_profile(circle_measure, value, [5.0])
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("n", [0, -5])
     def test_angular_resolution_below_one_rejected(self, dim, n):

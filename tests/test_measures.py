@@ -702,6 +702,84 @@ class TestDecay:
         np.testing.assert_array_equal(scan.cert_errors,
                                       piece.lipschitz_bound * np.abs(t) * (0.3 / 4))
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), atoms=st.integers(16, 4096),
+           radius=st.floats(0.2, 2.0), start=st.floats(-np.pi, np.pi),
+           arc=st.floats(0.05, 2 * np.pi), delta=st.floats(0.05, 1.0),
+           ts=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=3))
+    @example(seed=3, atoms=2048, radius=1.0, start=0.0, arc=np.pi / 2, delta=0.3,
+             ts=[10.0, 40.0, -60.0])
+    @settings(max_examples=30, deadline=None)
+    def test_circle_pieces_match_dense_sum(self, seed, atoms, radius, start, arc, delta, ts):
+        # signed atoms on a random arc; each t takes the ring exactly where _ring_pays says so,
+        # which the wider deltas' few rows and the small pieces at large |t| refuse
+        rng = np.random.default_rng(seed)
+        phi = start + arc * rng.uniform(size=atoms)
+        mu = gl.AtomicMeasure(radius * np.stack([np.cos(phi), np.sin(phi)], axis=1),
+                              rng.uniform(-1.0, 1.0, size=atoms))
+        assert mu._circle_radius() is not None
+        thetas = [[math.cos(start + arc / 2), math.sin(start + arc / 2)]]
+        t_grid = np.array([0.0, *ts])
+        rings = []
+        coefficients = measures._ring_coefficients
+
+        def spy(mu, rho):
+            rings.append(rho)
+            return coefficients(mu, rho)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_ring_coefficients", spy)
+            scan = gl.decay_scan(mu, thetas, delta, t_grid, return_table=True)
+        rows = len(scan.etas)
+        assert rings == [t for t in t_grid if measures._ring_pays(mu, t, rows)]
+        for t, got in zip(t_grid, scan.table):
+            ref = oracles.dense_expsum(mu.positions, mu.weights, t * scan.etas)
+            assert np.max(np.abs(got - ref)) <= kernel_bound(mu, abs(t))
+        np.testing.assert_array_equal(scan.envelope, np.max(np.abs(scan.table), axis=1))
+
+    @pytest.mark.parametrize("piece", ("ellipse", "hexagon", "ball3", "two circle atoms"))
+    def test_dense_pieces_keep_their_bits(self, piece, unit_disk):
+        # measures that are not on one circle, and a circle piece too small for the ring even
+        # at t = 0, where the zero rows of every grid would match ft_many's ring test
+        body = {"ellipse": gl.Ellipsoid([0.9, 0.6]), "hexagon": gl.regular_polygon_body(6),
+                "ball3": gl.ball_body(3), "two circle atoms": unit_disk}[piece]
+        mesh = gl.triangulate_boundary(body, 16 if piece == "two circle atoms" else 600)
+        theta = np.eye(body.dim)[0]
+        mu = gl.from_mesh(mesh.restrict(mesh.normals @ theta > math.cos(0.3)))
+        t = [-7.0, 0.0, 10.0, 40.0]
+        with ring_paths() as seen:
+            got = gl.decay_scan(mu, [theta], 0.3, t, return_table=True)
+        assert not any(seen["circle"])
+        ref = oracles.dense_decay_scan(mu, [theta], 0.3, t)
+        for field in ("t_grid", "envelope", "cert_errors", "etas", "table"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+
+    def test_rings_workload_piece_never_takes_dense_rows(self, unit_disk):
+        # the benchmark's quarter-circle piece reads both t off the ring
+        mesh = gl.triangulate_boundary(unit_disk, 8192)
+        ang = np.arctan2(mesh.normals[:, 1], mesh.normals[:, 0])
+        piece = gl.from_mesh(mesh.restrict((ang > 0) & (ang < math.pi / 2)))
+        grid = np.linspace(0.05, math.pi / 2 - 0.05, 30)
+        thetas = np.stack([np.cos(grid), np.sin(grid)], axis=1)
+        with ring_paths() as seen:
+            scan = gl.decay_scan(piece, thetas, 0.3, [10.0, 40.0], return_table=True)
+        assert seen == {"circle": [], "dense": []}
+        ref = oracles.longdouble_expsum(piece.positions, piece.weights,
+                                        np.vstack([t * scan.etas for t in (10.0, 40.0)]))
+        assert np.max(np.abs(scan.table.ravel() - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_radii_that_are_not_finite(self, t, unit_disk):
+        mesh = gl.triangulate_boundary(unit_disk, 2048)
+        piece = gl.from_mesh(mesh.restrict(mesh.normals[:, 0] > 0.9))
+        with pytest.raises(BadInputError, match="finite"):
+            gl.decay_scan(piece, [[1.0, 0.0]], 0.3, [10.0, t])
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_delta_that_is_not_positive_and_finite(self, delta):
+        seg = gl.segment_measure([0, 0], [0, 1], 1.0, 64, normal=[1.0, 0.0])
+        with pytest.raises(BadInputError, match="delta must be positive"):
+            gl.decay_scan(seg, [[1.0, 0.0]], delta, [1.0])
+
     def test_empty_admissible_set_rejected(self):
         seg = gl.segment_measure([0, 0], [0, 1], 1.0, 64, normal=[1.0, 0.0])
         with pytest.raises(BadInputError):
