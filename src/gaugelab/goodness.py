@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import CapFamily, ConvexBody, HPolytope, geodesic_distance
+from .bodies import CLAMP_TOL, CapFamily, ConvexBody, HPolytope
 from .errors import BadInputError, HypothesisViolationError
-from .measures import AtomicMeasure, ft_many, _sampled_sup, _sphere_directions, wiener_atom_mass
+from .measures import (AtomicMeasure, ft_many, _refuse_overflowing_radii, _sampled_sup,
+                       _sphere_directions, wiener_atom_mass)
 
 AUDIT_BOUNDARY_TOL = 1e-6  # |gauge - 1| allowed at an audited measure's atoms
+AUDIT_NORMAL_TOL = 1e-6    # node normal within this angle of +/- theta counts toward its pair
 AUDIT_TOL = 0.02           # slack of the audit's sqrt(average) >= m / sqrt(2) check
 
 
@@ -66,6 +68,7 @@ def goodness_profile(mu: AtomicMeasure, R: float, shells,
         raise BadInputError("need at least one shell radius")
     if not (0 < R < math.inf and np.all(np.isfinite(shells))) or np.any(shells < R - 1e-12):
         raise BadInputError("shell radii must be finite and >= R > 0")
+    _refuse_overflowing_radii(mu, shells, "shell radii")
     etas, spacing = _sphere_directions(mu.dim, angular_resolution)
     sups = np.empty(shells.size)
     certs = np.empty(shells.size)
@@ -168,14 +171,25 @@ def polytope_bound_audit(body: HPolytope, mu: AtomicMeasure, T: float) -> Polyto
         raise HypothesisViolationError(
             f"measure has mass off the boundary (max |gauge-1| = {off.max():.3g})")
     pairs = body.facet_pairs()
-    masses = np.empty(len(pairs))
-    for k, (theta, h) in enumerate(pairs):
-        if mu.normals is not None:
-            d = geodesic_distance(mu.normals, theta[None, :])
-            sel = np.minimum(d, np.pi - d) < 1e-6
-        else:
-            sel = np.abs(np.abs(mu.positions @ theta) - h) <= AUDIT_BOUNDARY_TOL * max(1.0, h)
-        masses[k] = float(np.sum(mu.weights[sel]))
+    masses = _facet_pair_masses(body, mu)
     best = int(np.argmax(masses))
     w = wiener_atom_mass(mu, pairs[best][0], T)
     return PolytopeAuditResult(len(pairs), float(masses[best]), w, AUDIT_TOL)
+
+
+def _facet_pair_masses(body: HPolytope, mu: AtomicMeasure) -> np.ndarray:
+    """The mass of mu on each pair of body.facet_pairs(): with normals, of the atoms whose
+    normal lies within the angle AUDIT_NORMAL_TOL of +/- theta, that is |<n, theta>| >
+    cos(AUDIT_NORMAL_TOL), all pairs from one product; without, of the atoms with |<x,
+    theta>| = h within AUDIT_BOUNDARY_TOL max(1, h).  Normals that are not unit vectors
+    are refused."""
+    thetas, h = (np.array(col) for col in zip(*body.facet_pairs()))
+    if mu.normals is not None:
+        dots = np.abs(mu.normals @ thetas.T)
+        if not np.all(dots <= 1.0 + CLAMP_TOL):
+            raise BadInputError("measure normals must be unit vectors")
+        sel = dots > math.cos(AUDIT_NORMAL_TOL)
+    else:
+        sel = (np.abs(np.abs(mu.positions @ thetas.T) - h)
+               <= AUDIT_BOUNDARY_TOL * np.maximum(1.0, h))
+    return np.array([np.sum(mu.weights[col]) for col in sel.T])

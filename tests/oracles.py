@@ -723,3 +723,21 @@ def dense_decay_scan(mu, thetas, delta, t_grid):
     table = np.array([ft_many(mu, t * etas) for t in t_grid])
     return DecayScanResult(t_grid, np.max(np.abs(table), axis=1),
                            mu.lipschitz_bound * np.abs(t_grid) * spacing, etas, table)
+
+
+def geodesic_pair_masses(body, mu):
+    """polytope_bound_audit's facet-pair masses as first written, one pair at a time: with
+    normals, the weight of the atoms whose geodesic_distance to theta or -theta is below
+    1e-6; without, of the atoms with |<x, theta>| = h within AUDIT_BOUNDARY_TOL max(1, h)."""
+    from gaugelab.bodies import geodesic_distance
+    from gaugelab.goodness import AUDIT_BOUNDARY_TOL
+    pairs = body.facet_pairs()
+    masses = np.empty(len(pairs))
+    for k, (theta, h) in enumerate(pairs):
+        if mu.normals is not None:
+            d = geodesic_distance(mu.normals, theta[None, :])
+            sel = np.minimum(d, np.pi - d) < 1e-6
+        else:
+            sel = np.abs(np.abs(mu.positions @ theta) - h) <= AUDIT_BOUNDARY_TOL * max(1.0, h)
+        masses[k] = float(np.sum(mu.weights[sel]))
+    return masses

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaugelab as gl
-from gaugelab import measures
+from gaugelab import goodness, measures
 from gaugelab.errors import BadInputError, HypothesisViolationError
 from gaugelab.measures import _sphere_directions
 
@@ -51,6 +53,18 @@ class TestGoodnessProfile:
             gl.goodness_profile(circle_measure, 5.0, [5.0, value])
         with pytest.raises(BadInputError, match="finite"):
             gl.goodness_profile(circle_measure, value, [5.0])
+
+    @pytest.mark.parametrize("rho", [1e308, 3e307])
+    def test_radii_whose_phase_overflows_rejected(self, circle_measure, rho):
+        # 2 pi rho r0 overflows at a finite rho: the ring's order int(z) would raise
+        # OverflowError, the dense kernel's phases would turn to NaN
+        assert circle_measure._circle_radius() is not None
+        with pytest.raises(BadInputError, match="overflows"):
+            gl.goodness_profile(circle_measure, 5.0, [5.0, rho])
+        rng = np.random.default_rng(3)
+        off_circle = gl.AtomicMeasure(rng.uniform(-1, 1, (40, 2)), rng.uniform(0.1, 1.0, 40))
+        with pytest.raises(BadInputError, match="overflows"):
+            gl.goodness_profile(off_circle, 5.0, [rho])
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("n", [0, -5])
@@ -194,6 +208,50 @@ class TestPolytopeAudit:
         assert res.best_pair_mass == pytest.approx(1.0 / 3, abs=1e-9)
         assert res.wiener_sqrt >= 1.0 / (3 * math.sqrt(2)) - 0.01
         assert res.passed
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), dim=st.integers(2, 3), pairs=st.integers(3, 7),
+           resolution=st.sampled_from([64, 256, 1024]), tilts=st.integers(0, 8),
+           normals=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_facet_pair_masses_match_the_geodesic_scan(self, seed, dim, pairs, resolution,
+                                                        tilts, normals):
+        # random polytopes and their meshes, some node normals turned off a facet normal by
+        # 0.99e-6 or 1.01e-6 radians: just inside and just outside the audit's angle
+        body = gl.random_symmetric_polytope(dim, pairs, seed=seed)
+        mesh = gl.triangulate_boundary(body, resolution)
+        rng = np.random.default_rng(seed)
+        nrm = np.array(mesh.normals)
+        thetas = np.array([theta for theta, _ in body.facet_pairs()])
+        for node in rng.choice(len(mesh), size=min(tilts, len(mesh)), replace=False):
+            theta = thetas[rng.integers(len(thetas))] * rng.choice([-1.0, 1.0])
+            side = rng.normal(size=dim)
+            side -= (side @ theta) * theta
+            angle = goodness.AUDIT_NORMAL_TOL * rng.choice([0.99, 1.01])
+            nrm[node] = math.cos(angle) * theta + math.sin(angle) * side / np.linalg.norm(side)
+        mu = gl.AtomicMeasure(mesh.positions, rng.uniform(0.05, 1.0, len(mesh)),
+                              nrm if normals else None)
+        got = goodness._facet_pair_masses(body, mu)
+        np.testing.assert_array_equal(got, oracles.geodesic_pair_masses(body, mu))
+        res = gl.polytope_bound_audit(body, mu, 2.0)
+        assert res.best_pair_mass == np.max(got) and res.n_directions == len(got)
+
+    def test_tilted_normals_count_inside_the_angle_only(self, unit_square, square_mesh):
+        # one node of the right facet turned by 0.99e-6, another by 1.01e-6
+        nrm = np.array(square_mesh.normals)
+        right = np.flatnonzero(np.abs(square_mesh.positions[:, 0] - 1.0) < 1e-12)[:2]
+        for node, angle in zip(right, (0.99e-6, 1.01e-6)):
+            nrm[node] = [math.cos(angle), math.sin(angle)]
+        mu = gl.AtomicMeasure(square_mesh.positions, square_mesh.weights, nrm)
+        got = goodness._facet_pair_masses(unit_square, mu)
+        np.testing.assert_array_equal(got, oracles.geodesic_pair_masses(unit_square, mu))
+        base = goodness._facet_pair_masses(unit_square, square_mesh)
+        assert got[0] == pytest.approx(base[0] - square_mesh.weights[right[1]], abs=1e-15)
+
+    def test_normals_that_are_not_unit_rejected(self, unit_square, square_mesh):
+        mu = gl.AtomicMeasure(square_mesh.positions, square_mesh.weights,
+                              1.01 * square_mesh.normals)
+        with pytest.raises(BadInputError, match="unit vectors"):
+            gl.polytope_bound_audit(unit_square, mu, 10.0)
 
     def test_off_boundary_measure_rejected(self, unit_square):
         mu = gl.AtomicMeasure([[0.2, 0.2]], [1.0])

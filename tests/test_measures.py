@@ -103,6 +103,15 @@ def signed_cloud(seed, dim, atoms, radius):
             eta / np.linalg.norm(eta), rng)
 
 
+def ray_reference(mu, eta, t0, dt, n, rows=512):
+    """ft(mu)(t_k eta), t_k = t0 + k dt in long double, k < n, by oracles.longdouble_expsum
+    in blocks of rows."""
+    ts = np.longdouble(t0) + np.arange(n, dtype=np.longdouble) * np.longdouble(dt)
+    freqs = ts[:, None] * np.asarray(eta, dtype=np.longdouble)[None, :]
+    return np.concatenate([oracles.longdouble_expsum(mu.positions, mu.weights, freqs[k:k + rows])
+                           for k in range(0, n, rows)])
+
+
 def kernel_bound(mu, T):
     """Rounding budget of an exponential sum over |xi| <= T: phases carry 2 pi T r_max."""
     return 16 * EPS * (1 + 2 * math.pi * T * mu.support_radius) * mu.abs_mass
@@ -181,6 +190,35 @@ class TestKernelsAgainstOracle:
         assert gl.wiener_atom_mass(square_measure, eta, 200.0) == pytest.approx(
             oracle_wiener(square_measure, eta, 200.0, samples), rel=1e-12)
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3), atoms=st.integers(1, 300),
+           radius=st.floats(0.01, 3.0), T=st.floats(0.0, 500.0),
+           n=st.sampled_from(SAMPLE_COUNTS + (8001,)), paired=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_gridded_ray_matches_long_double(self, seed, dim, atoms, radius, T, n, paired):
+        # the Gaussian-gridded ray, on the merged pairs of a symmetric cloud or over every
+        # atom of a plain one, against phases reduced in long double
+        mu, eta, rng = signed_cloud(seed, dim, atoms, radius)
+        if paired:
+            mu = oracles.symmetrized(mu)
+        t0 = float(rng.uniform(-T, T))
+        dt = (T - t0) / max(n - 1, 1)
+        got = _ray_transform(mu, eta, t0, dt, n)
+        assert got.shape == (n,) and (mu._pairs_up() is not None) == paired
+        ref = ray_reference(mu, eta, t0, dt, n)
+        assert np.max(np.abs(got - ref)) <= kernel_bound(mu, T)
+
+    def test_gridded_ray_at_the_benchmark_scale(self):
+        # the audit's ray on a 4096-node random hexagon at T = 200: 4001 samples over 1504
+        # merged terms, off by 6.0e-15 against long double (the block-product kernel before
+        # it: 1.5e-14), within kernel_bound (4.9e-12)
+        body = gl.random_symmetric_polytope(2, 6, seed=1)
+        mu = gl.from_mesh(gl.triangulate_boundary(body, 4096), normalize=True)
+        eta, T, n = body.facet_pairs()[0][0], 200.0, 8001
+        half, dt = n // 2, 2 * T / (n - 1)
+        got = _ray_transform(mu, eta, -T + half * dt, dt, n - half)
+        ref = ray_reference(mu, eta, -T + half * dt, dt, n - half)
+        assert np.max(np.abs(got - ref)) <= kernel_bound(mu, T)
+
     @pytest.mark.parametrize("t0, dt, n", [(0.0, 1.0, 8001), (0.0, 1.0, 35609),
                                            (-200.0, 0.05, 8001), (3.0, -0.7, 40000)])
     def test_progression_sum_matches_long_double(self, t0, dt, n):
@@ -211,7 +249,8 @@ class TestKernelsAgainstOracle:
     def test_progression_sums_keep_their_bits_on_one_blas_thread(self):
         # OpenBLAS splits some inner sums longer than 128 terms one way on one thread and
         # another on two, and the manifests' second pass runs BLAS on one thread: the table
-        # products of _progression_sum stay at _PRODUCT_ATOMS atoms
+        # products of _progression_sum stay at _PRODUCT_ATOMS atoms, and the Wiener ray's
+        # gridded sum calls no BLAS (a paired and an unpaired cloud at T = 200)
         code = ("import hashlib, numpy as np\n"
                 "from gaugelab import measures\n"
                 "rng = np.random.default_rng(7)\n"
@@ -219,7 +258,11 @@ class TestKernelsAgainstOracle:
                 "    s, w = rng.uniform(-0.5, 0.5, atoms), rng.uniform(-1.0, 1.0, atoms)\n"
                 "    for t0, dt, n in ((0.0, 1.0, 8192), (16384.0, 1.0, 8192), (-3.0, 0.01, 999)):\n"
                 "        got = measures._progression_sum(s, np.stack([w, w * 1j]), t0, dt, n)\n"
-                "        print(hashlib.sha256(got.tobytes()).hexdigest())")
+                "        print(hashlib.sha256(got.tobytes()).hexdigest())\n"
+                "x, w = rng.uniform(-1.0, 1.0, (1304, 2)), rng.uniform(-1.0, 1.0, 1304)\n"
+                "for mu in (measures.AtomicMeasure(np.vstack([x, -x]), np.concatenate([w, w])),\n"
+                "           measures.AtomicMeasure(x, w)):\n"
+                "    print(measures.wiener_atom_mass(mu, np.array([0.6, 0.8]), 200.0).hex())")
         src = str(Path(gl.__file__).parents[1])
         runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                timeout=120, env=dict(os.environ, PYTHONPATH=src,
@@ -227,7 +270,7 @@ class TestKernelsAgainstOracle:
                                                      OMP_NUM_THREADS=threads))
                 for threads in ("1", "2")]
         assert all(proc.returncode == 0 for proc in runs), [proc.stderr for proc in runs]
-        assert runs[0].stdout == runs[1].stdout and len(runs[0].stdout.split()) == 12
+        assert runs[0].stdout == runs[1].stdout and len(runs[0].stdout.split()) == 14
 
     def test_single_sample_ray_is_its_start(self):
         mu = random_measure(3)
@@ -238,16 +281,17 @@ class TestKernelsAgainstOracle:
 
 
 @contextmanager
-def progression_atoms():
-    """The atom count of every _progression_sum call."""
-    seen, kernel = [], measures._progression_sum
+def kernel_terms(name):
+    """The term count of every call of the progression kernel measures.<name>: _gridded_sum
+    for the Wiener ray, _progression_sum for the angular moments."""
+    seen, kernel = [], getattr(measures, name)
 
     def spy(s, weights, *args):
         seen.append(len(s))
         return kernel(s, weights, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_progression_sum", spy)
+        mp.setattr(measures, name, spy)
         yield seen
 
 
@@ -265,7 +309,7 @@ class TestFoldedWiener:
         if origin:   # an atom that is its own mirror
             even = gl.AtomicMeasure(np.vstack([even.positions, np.zeros(dim)]),
                                     np.append(even.weights, rng.uniform(-1.0, 1.0)))
-        with progression_atoms() as seen:
+        with kernel_terms("_gridded_sum") as seen:
             folded = gl.wiener_atom_mass(even, eta, T, samples)
             plain = gl.wiener_atom_mass(mu, eta, T, samples)
         assert mu._pairs_up() is None
@@ -281,7 +325,7 @@ class TestMergedProjections:
         # whole facets project to +/-h along a facet normal: 2048 and 2049 pairs
         mu = gl.from_mesh(gl.triangulate_boundary(body, 4096), normalize=True)
         eta, T, n = body.facet_pairs()[0][0], 200.0, 401
-        with progression_atoms() as seen:
+        with kernel_terms("_gridded_sum") as seen:
             got = _ray_transform(mu, eta, 0.0, T / (n - 1), n)
         assert seen == [terms]
         ts = np.linspace(0.0, T, n)
@@ -302,7 +346,7 @@ class TestMergedProjections:
         both = gl.AtomicMeasure(np.vstack([mu.positions, flip]),
                                 np.concatenate([mu.weights, mu.weights[::-1]]))
         even = oracles.symmetrized(both)
-        with progression_atoms() as seen:
+        with kernel_terms("_gridded_sum") as seen:
             got = gl.wiener_atom_mass(even, eta, T, samples)
         assert len(even._pairs_up()[0]) == 2 * atoms
         assert seen == [len(np.unique(np.abs(mu.positions[:, axis])))]
@@ -542,7 +586,7 @@ class TestCircleRing:
                      for _ in range(2))
         ladder = [(R, R * (1 + k / 4)) for R in (200.0, 400.0, 800.0, 1600.0, 3200.0)
                   for k in range(4)]
-        with progression_atoms() as seen:
+        with kernel_terms("_progression_sum") as seen:
             first = [gl.goodness_profile(mu, R, [rho], 16384).shell_sups for R, rho in ladder]
             assert seen == [1304] * 5
             again = [gl.goodness_profile(mu, R, [rho], 16384).shell_sups for R, rho in ladder]
@@ -772,6 +816,16 @@ class TestDecay:
         mesh = gl.triangulate_boundary(unit_disk, 2048)
         piece = gl.from_mesh(mesh.restrict(mesh.normals[:, 0] > 0.9))
         with pytest.raises(BadInputError, match="finite"):
+            gl.decay_scan(piece, [[1.0, 0.0]], 0.3, [10.0, t])
+
+    @pytest.mark.parametrize("t", [1e308, -1e308, 3e307])
+    def test_rejects_radii_whose_phase_overflows(self, t, unit_disk):
+        # a circle piece at a finite t where 2 pi |t| r0 overflows: the ring's order would
+        # raise OverflowError, the dense kernel's phases would turn to NaN
+        mesh = gl.triangulate_boundary(unit_disk, 2048)
+        piece = gl.from_mesh(mesh.restrict(mesh.normals[:, 0] > 0.9))
+        assert piece._circle_radius() is not None
+        with pytest.raises(BadInputError, match="overflows"):
             gl.decay_scan(piece, [[1.0, 0.0]], 0.3, [10.0, t])
 
     @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
