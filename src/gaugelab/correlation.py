@@ -13,7 +13,6 @@ t-sequence by pigeonholing.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -21,16 +20,14 @@ from itertools import product
 import numpy as np
 
 from .errors import BadInputError, BudgetExceededError, read_json, write_json
-from .measures import AtomicMeasure, _jacobi_anger_order, _phase_table
+from .measures import (SPECTRUM_BUDGET_BYTES, AtomicMeasure, _jacobi_anger_order,
+                       _phase_table, _scratch)
 
 _PAD = 2  # zero-padding factor for the frequency grid (kills torus wrap-around)
-SPECTRUM_BUDGET_BYTES = 1 << 28  # cap on 16 (_PAD m)^d bytes, the full padded complex spectrum
 _GEMM_BLOCK = 1 << 20  # cap on the table elements of one block of pairs in _sigma_hat_on_grid
 _LACUNARY_RATIO = 0.49  # t_{j+1} / t_j of a geometric plan, under the 1/2 a plan needs
 _PLAN_LENGTH = 48       # terms of a geometric plan, down to ~1e-15 from the default t1
 _MAX_BALLS = 64         # balls random_indicator draws before it gives up on its target
-_SCRATCH = threading.local()  # per-thread work buffers of _sigma_hat_on_grid and _transforms
-_SCRATCH_KEEP = 1 << 21  # elements of the largest buffer _scratch keeps (the m = 512 transforms)
 # a measure on one circle takes the radial path when max_{0<n<=N} |w(n)| <= tau |w(0)|: the
 # disk meshes read 1.8e-14 (512 atoms) and 3.2e-14 (2048 atoms)
 _ISOTROPY_TOL = 1e-12
@@ -80,8 +77,8 @@ class GridIndicator:
         of either (the positivity machine reads both at every scale) from one |F|^2 of the
         cell array zero-padded to (_PAD m)^d, last axis k = 0..m.  The transforms run axis by
         axis as np.fft.rfftn and irfftn do, with the same bits, on the thread's scratch
-        buffers (_scratch), padding zeroed in place: only the cached power and integers are
-        new pages for each indicator.
+        buffers (measures._scratch), padding zeroed in place: only the cached power and
+        integers are new pages for each indicator.
 
         power: |ft(f)|^2 * dxi * weight at the points of _radius_order, with the total spectral
         mass and its part beyond 0.9 of the Nyquist radius 1/(2h).  autocorr: A(k) = sum_i c_i
@@ -383,18 +380,6 @@ def direct_correlation(f: GridIndicator, sigma: AtomicMeasure, t: float) -> floa
         w = np.prod(np.where(np.asarray(corner, dtype=bool), frac, 1.0 - frac), axis=1)
         vals += w * acf[tuple(lag.T)]
     return float(sigma.weights @ vals) * f.h ** f.dim
-
-
-def _scratch(slot, shape, dtype=complex):
-    """An array of this shape on the calling thread's buffer for slot (one dtype per slot),
-    grown as needed and kept between calls up to _SCRATCH_KEEP elements (a fresh array past
-    that): fresh tables of a few MiB are new pages on every call."""
-    bufs, size = _SCRATCH.__dict__.setdefault("bufs", {}), math.prod(shape)
-    if size > _SCRATCH_KEEP:
-        return np.empty(shape, dtype=dtype)
-    if slot not in bufs or bufs[slot].size < size:
-        bufs[slot] = np.empty(size, dtype=dtype)
-    return bufs[slot][:size].reshape(shape)
 
 
 def _power_table(s, out):

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody
-from .correlation import SPECTRUM_BUDGET_BYTES, _grid_rows
+from .correlation import _grid_rows
 from .errors import BadInputError, BudgetExceededError, read_csv, write_csv
+from .measures import SPECTRUM_BUDGET_BYTES
 
 MERGE_TOL = 1e-9        # distances closer than this count as one value
 DUP_TOL = 1e-12         # duplicate-point tolerance inside a PointSet

@@ -12,18 +12,20 @@ an absolutely continuous part.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BadInputError, read_json, write_json
+from .errors import BadInputError, BudgetExceededError, read_json, write_json
 
 ATOM_NORMAL_TOL = 1e-9   # node normal within this of +/- eta counts as flat
 CLUSTER_TOL = 1e-9       # projected positions merged within this
 SYMMETRY_TOL = 1e-9      # mirror atoms match in position and weight within this
 PROBABILITY_TOL = 1e-9   # a probability measure's total mass is 1 within this
 DEFAULT_BINS = 512
+SPECTRUM_BUDGET_BYTES = 1 << 28  # cap on the bytes of one spectrum, grid or Wiener ray
 
 _FT_CHUNK = 1 << 18      # cap on atoms*points per vectorized block
 # _ring_pays takes a ring for M rows around A atoms when (2N + 1)(A + 200) <= 50 M A: the
@@ -35,6 +37,8 @@ _MOMENT_BLOCK = 8192     # orders per block of AtomicMeasure._angular_moments
 _PRODUCT_ATOMS = 128
 # R and M_sp of _gridded_sum: a grid R times the samples, a stencil of 2 M_sp points
 _GRID_OVERSAMPLE, _GRID_SPREAD = 4, 14
+_SCRATCH = threading.local()  # per-thread work buffers of _scratch
+_SCRATCH_KEEP = 1 << 21  # elements of the largest buffer _scratch keeps (the m = 512 transforms)
 
 
 def _unit_rows(arr, what):
@@ -271,6 +275,19 @@ def _block_times(t0: float, dt: float, n: int):
     return t0 + np.arange(-(-n // B)) * (B * dt), np.arange(B) * dt
 
 
+def _scratch(slot, shape, dtype=complex):
+    """An array of this shape on the calling thread's buffer for slot (one dtype per slot),
+    grown as needed and kept between calls up to _SCRATCH_KEEP elements (a fresh array past
+    that): fresh tables of a few MiB are new pages on every call.  The Wiener ray's slots
+    are named "ray_*"; correlation's transforms and sigma-hat tables take the others."""
+    bufs, size = _SCRATCH.__dict__.setdefault("bufs", {}), math.prod(shape)
+    if size > _SCRATCH_KEEP:
+        return np.empty(shape, dtype=dtype)
+    if slot not in bufs or bufs[slot].size < size:
+        bufs[slot] = np.empty(size, dtype=dtype)
+    return bufs[slot][:size].reshape(shape)
+
+
 def _expi(phase) -> np.ndarray:
     """e^{i phase} of a real phase: its cos and sin written into the parts of a complex
     array, the bits of np.exp of the imaginary phase at ~30% less time."""
@@ -331,6 +348,26 @@ def _smooth_size(m: int) -> int:
     return best
 
 
+def _grid_size(n: int) -> tuple[int, int, int]:
+    """(c, N, M) of _gridded_sum for n samples: the centre c = n // 2, the width N = 2 max(n -
+    c, c) and the grid M = _smooth_size(R N)."""
+    c = n // 2
+    N = 2 * max(n - c, c)
+    return c, N, _smooth_size(_GRID_OVERSAMPLE * N)
+
+
+def _bin_count(M: int) -> int:
+    """Cells of _gridded_sum's bins: M + 2 M_sp, padded to whole periods of M."""
+    return -(-(M + 2 * _GRID_SPREAD) // M) * M
+
+
+def _gridded_bytes(terms: int, n: int) -> int:
+    """Bytes of the arrays _gridded_sum takes for `terms` terms and n samples: the stencil,
+    cell indices and spread terms (terms x 2 M_sp each) and the bins, grid and spectrum."""
+    M = _grid_size(n)[2]
+    return 2 * _GRID_SPREAD * (8 + 8 + 16) * terms + 16 * (_bin_count(M) + 2 * M)
+
+
 def _gridded_sum(s, weights, t0: float, dt: float, n: int) -> np.ndarray:
     """sum_j w_j exp(-2 pi i t_k s_j) on t_k = t0 + k dt, k < n, by Gaussian gridding, the
     type-1 NUFFT of Dutt & Rokhlin (SIAM J. Sci. Comput. 14, 1993) in the form of Greengard
@@ -346,10 +383,12 @@ def _gridded_sum(s, weights, t0: float, dt: float, n: int) -> np.ndarray:
     Truncating the stencil leaves e^{-pi M_sp (r - 1/2) / r} <= 2e-17 of each |w_j|, the
     grid aliases e^{-pi M_sp (r - 1) / (r - 1/2)} <= 4e-17, and the factor is at most
     e^{pi M_sp / (4 r (r - 1/2))} <= 2.2 (R = 4, M_sp = 14), so both stay under eps sum |w|.
-    No BLAS call, so the bits do not depend on its thread count; the grid takes 16 M bytes."""
-    c = n // 2
-    N = 2 * max(n - c, c)
-    M = _smooth_size(_GRID_OVERSAMPLE * N)
+    No BLAS call, so the bits do not depend on its thread count.  The stencil, cells,
+    spread terms, bins, grid and spectrum (_gridded_bytes) sit on the thread's "ray_*"
+    scratch slots (_scratch), so a warm call maps no fresh pages.  np.add.at adds each cell's
+    terms in input order from zero, the real and imaginary parts apart: the sums of a
+    weighted bin count of each part, bit for bit.  The result is a fresh array."""
+    c, N, M = _grid_size(n)
     tau = np.pi * _GRID_SPREAD / (M * (M - N / 2))   # N^2 r (r - 1/2) = M (M - N / 2)
     s = np.asarray(s, dtype=np.longdouble)
     pos = s * (np.longdouble(dt) * M)
@@ -358,21 +397,28 @@ def _gridded_sum(s, weights, t0: float, dt: float, n: int) -> np.ndarray:
     centre -= np.rint(centre.astype(float))
     v = weights * _expi(np.multiply(-2 * np.pi, centre.astype(float)))
     near = np.floor(pos.astype(float))
-    gauss = np.square(np.arange(1 - _GRID_SPREAD, _GRID_SPREAD + 1)
-                      - (pos - near).astype(float)[:, None])
+    shape = (len(s), 2 * _GRID_SPREAD)
+    gauss = _scratch("ray_stencil", shape, float)
+    np.subtract(np.arange(1 - _GRID_SPREAD, _GRID_SPREAD + 1),
+                (pos - near).astype(float)[:, None], out=gauss)
+    np.square(gauss, out=gauss)
     gauss *= -np.pi ** 2 / (M * M * tau)   # -(grid step)^2 / (4 tau)
     np.exp(gauss, out=gauss)
-    # the stencil of x_j starts at grid point near - M_sp + 1, taken mod M; the bin count runs
-    # over M + 2 M_sp cells, padded to whole periods, then folds mod M
-    first = (near.astype(np.intp) + (1 - _GRID_SPREAD)) % M
-    cells = first[:, None] + np.arange(2 * _GRID_SPREAD)
-    size = -(-(M + 2 * _GRID_SPREAD) // M) * M
-    grid = np.empty(M, dtype=complex)
-    for part, vp in ((grid.real, v.real), (grid.imag, v.imag)):
-        bins = np.bincount(cells.ravel(), (vp[:, None] * gauss).ravel(), size)
-        np.sum(bins.reshape(-1, M), axis=0, out=part)
+    terms = _scratch("ray_terms", shape)
+    np.multiply(v.real[:, None], gauss, out=terms.real)
+    np.multiply(v.imag[:, None], gauss, out=terms.imag)
+    # the stencil of x_j starts at grid point near - M_sp + 1, taken mod M; the bins run over
+    # M + 2 M_sp cells, padded to whole periods, then fold mod M
+    cells = _scratch("ray_cells", shape, np.intp)
+    np.add(((near.astype(np.intp) + (1 - _GRID_SPREAD)) % M)[:, None],
+           np.arange(2 * _GRID_SPREAD), out=cells)
+    bins = _scratch("ray_bins", (_bin_count(M) // M, M))
+    bins[...] = 0
+    np.add.at(bins.reshape(-1), cells.reshape(-1), terms.reshape(-1))
+    grid = np.sum(bins, axis=0, out=_scratch("ray_grid", (M,)))
+    spec = np.fft.fft(grid, out=_scratch("ray_spectrum", (M,)))
     k = np.arange(-c, n - c)
-    return np.fft.fft(grid)[k % M] * (math.sqrt(np.pi / tau) / M * np.exp(k * k * tau))
+    return spec[k % M] * (math.sqrt(np.pi / tau) / M * np.exp(k * k * tau))
 
 
 def _ray_transform(mu: AtomicMeasure, eta, t0: float, dt: float, n: int) -> np.ndarray:
@@ -572,16 +618,25 @@ def wiener_atom_mass(mu: AtomicMeasure, eta, T: float, samples: int | None = Non
     the fastest oscillation exp(2 pi i t r) at 40 samples per unit of T*r.
     The samples are an arithmetic progression, evaluated by _ray_transform at
     t >= 0 only and mirrored: the weights are real, so |ft(mu)(-t eta)| =
-    |ft(mu)(t eta)|.
+    |ft(mu)(t eta)|.  A T whose 2T or 40 T r overflows is bad input; a ray whose
+    arrays (_gridded_bytes over every atom) would pass SPECTRUM_BUDGET_BYTES is
+    refused before any is allocated.
     """
     if not 0 < T < math.inf:
         raise BadInputError(f"T must be positive and finite, not {T}")
+    reach = 40 * T * max(mu.support_radius, 0.025)
+    if not (math.isfinite(2 * T) and math.isfinite(reach)):
+        raise BadInputError(f"T = {T:g} too large: 2 T or 40 T r overflows at the support "
+                            f"radius r = {mu.support_radius:.6g}")
     eta = _direction(eta, mu.dim, "ray direction")
     if samples is None:
-        samples = int(math.ceil(40 * T * max(mu.support_radius, 0.025))) + 1
+        samples = math.ceil(reach) + 1
     if not (samples >= 1 and float(samples).is_integer()):
         raise BadInputError(f"samples must be a positive integer, not {samples}")
     n = int(samples)
+    if _gridded_bytes(len(mu), n - n // 2) > SPECTRUM_BUDGET_BYTES:
+        raise BudgetExceededError(f"the Wiener ray of {n:.6g} samples over {len(mu)} atoms "
+                                  f"exceeds {SPECTRUM_BUDGET_BYTES >> 20} MiB")
     half, dt = n // 2, 2 * T / max(n - 1, 1)
     vals = np.abs(_ray_transform(mu, eta, -T + half * dt, dt, n - half)) ** 2
     vals = np.concatenate([vals[::-1][:half], vals])

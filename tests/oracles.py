@@ -15,7 +15,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from gaugelab.bodies import Ellipsoid, HPolytope, RadialBody
 from gaugelab.correlation import _half_grid_axes
-from gaugelab.measures import _block_times
+from gaugelab.measures import _GRID_OVERSAMPLE, _GRID_SPREAD, _block_times, _expi, _smooth_size
 
 
 def membership(body, x, t):
@@ -226,6 +226,35 @@ def longdouble_expsum(positions, weights, freqs):
               @ np.asarray(positions, dtype=np.longdouble).T)
     cycles -= np.rint(cycles)
     return np.exp(-2j * np.pi * cycles.astype(float)) @ np.asarray(weights, dtype=float)
+
+
+def bincount_gridded_sum(s, weights, t0, dt, n):
+    """measures._gridded_sum as first written, on fresh arrays: the same phases, stencil and
+    deconvolution, the spread terms accumulated by one np.bincount of their real parts and
+    one of their imaginary parts, each folded mod M into its part of the grid."""
+    c = n // 2
+    N = 2 * max(n - c, c)
+    M = _smooth_size(_GRID_OVERSAMPLE * N)
+    tau = np.pi * _GRID_SPREAD / (M * (M - N / 2))
+    s = np.asarray(s, dtype=np.longdouble)
+    pos = s * (np.longdouble(dt) * M)
+    centre = s * (t0 + c * np.longdouble(dt))
+    centre -= np.rint(centre.astype(float))
+    v = weights * _expi(np.multiply(-2 * np.pi, centre.astype(float)))
+    near = np.floor(pos.astype(float))
+    gauss = np.square(np.arange(1 - _GRID_SPREAD, _GRID_SPREAD + 1)
+                      - (pos - near).astype(float)[:, None])
+    gauss *= -np.pi ** 2 / (M * M * tau)
+    np.exp(gauss, out=gauss)
+    first = (near.astype(np.intp) + (1 - _GRID_SPREAD)) % M
+    cells = first[:, None] + np.arange(2 * _GRID_SPREAD)
+    size = -(-(M + 2 * _GRID_SPREAD) // M) * M
+    grid = np.empty(M, dtype=complex)
+    for part, vp in ((grid.real, v.real), (grid.imag, v.imag)):
+        bins = np.bincount(cells.ravel(), (vp[:, None] * gauss).ravel(), size)
+        np.sum(bins.reshape(-1, M), axis=0, out=part)
+    k = np.arange(-c, n - c)
+    return np.fft.fft(grid)[k % M] * (math.sqrt(np.pi / tau) / M * np.exp(k * k * tau))
 
 
 def dense_ring_sup(positions, weights, freqs, block=512):

@@ -380,6 +380,13 @@ class TestExitCodes:
                           "--out", out)) == 2
         assert not (out / "run.log").exists()
 
+    @pytest.mark.parametrize("T, code", [("1e308", 2), ("1e200", 4)])
+    def test_wiener_T_past_the_ray_is_refused(self, workdir, T, code):
+        # 2 T overflows (bad input), or the ray's arrays would pass the budget (exit 4)
+        out = workdir / f"wiener-T{T}"
+        assert main(_args("wiener", "--body", workdir / "hexagon.json", "--eta", "1,0",
+                          "--T", T, "--resolution", 256, "--out", out)) == code
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("argv", [
         ("gauge", "hexagon.json", "--point", "{},1"),

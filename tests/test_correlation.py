@@ -12,7 +12,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import gaugelab as gl
-from gaugelab import correlation
+from gaugelab import correlation, measures
 from gaugelab.correlation import _PAD, SPECTRUM_BUDGET_BYTES, _power_table, _sigma_hat_on_grid
 from gaugelab.errors import BadInputError, BudgetExceededError
 from gaugelab.measures import _jacobi_anger_order
@@ -490,7 +490,7 @@ class TestFastPathsAgainstOracles:
         # the power spectrum and autocorrelation that _transforms makes on this thread's
         # scratch buffers, set after set across grids (or on fresh arrays, past
         # _SCRATCH_KEEP), against np.fft.rfftn and irfftn and the formulas they replaced
-        with mock.patch.object(correlation, "_SCRATCH_KEEP", correlation._SCRATCH_KEEP * keep):
+        with mock.patch.object(measures, "_SCRATCH_KEEP", measures._SCRATCH_KEEP * keep):
             for f in sets:
                 mp, dim = _PAD * f.m, f.dim
                 abs2 = np.abs(np.fft.rfftn(f.cells, s=(mp,) * dim, axes=range(dim))) ** 2

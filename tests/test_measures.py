@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from scipy import special
 
 import gaugelab as gl
 from gaugelab import bodies, correlation, distances, goodness, measures, spectra
-from gaugelab.errors import BadInputError
+from gaugelab.errors import BadInputError, BudgetExceededError
 from gaugelab.measures import _ray_transform, _sphere_directions
 
 import oracles
@@ -271,6 +272,49 @@ class TestKernelsAgainstOracle:
                 for threads in ("1", "2")]
         assert all(proc.returncode == 0 for proc in runs), [proc.stderr for proc in runs]
         assert runs[0].stdout == runs[1].stdout and len(runs[0].stdout.split()) == 14
+
+    @given(calls=st.lists(st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+                                    st.integers(1, 1500), st.floats(0.0, 500.0),
+                                    st.sampled_from(SAMPLE_COUNTS + (4001,)), st.booleans()),
+                          min_size=2, max_size=4),
+           keep=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_gridded_ray_keeps_the_bincount_bits(self, calls, keep):
+        # the ray on the thread's scratch slots, call after call with other term and sample
+        # counts (a call may reuse a larger buffer), or on fresh arrays (_SCRATCH_KEEP = 0),
+        # against the two-bincount gridding on fresh arrays, bit for bit; the Wiener average
+        # through each ray, likewise
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_SCRATCH_KEEP", measures._SCRATCH_KEEP * keep)
+            for seed, dim, atoms, T, n, paired in calls:
+                mu, eta, rng = signed_cloud(seed, dim, atoms, 1.0)
+                if paired:
+                    mu = oracles.symmetrized(mu)
+                s, w = mu.positions @ eta, mu.weights
+                t0 = float(rng.uniform(-T, T))
+                dt = (T - t0) / max(n - 1, 1)
+                got = measures._gridded_sum(s, w, t0, dt, n)
+                assert got.tobytes() == oracles.bincount_gridded_sum(s, w, t0, dt, n).tobytes()
+                got = gl.wiener_atom_mass(mu, eta, max(T, 0.1), n)
+                with pytest.MonkeyPatch.context() as oracle:
+                    oracle.setattr(measures, "_gridded_sum", oracles.bincount_gridded_sum)
+                    assert got == gl.wiener_atom_mass(mu, eta, max(T, 0.1), n)
+
+    def test_warm_wiener_ray_allocates_little(self):
+        # a warm audit ray (4096-node random hexagon, T = 200, 4001 samples over 1504 merged
+        # terms) keeps its stencil, bins, grid and spectrum on scratch slots: tracemalloc
+        # peaks at 432 KB, where the fresh arrays of the two-bincount gridding took 2038 KB
+        body = gl.random_symmetric_polytope(2, 6, seed=1)
+        mu = gl.from_mesh(gl.triangulate_boundary(body, 4096), normalize=True)
+        eta = body.facet_pairs()[0][0]
+        gl.wiener_atom_mass(mu, eta, 200.0)
+        tracemalloc.start()
+        try:
+            gl.wiener_atom_mass(mu, eta, 200.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600_000
 
     def test_single_sample_ray_is_its_start(self):
         mu = random_measure(3)
@@ -708,6 +752,41 @@ class TestWiener:
     def test_rejects_samples_that_are_not_a_positive_integer(self, circle_measure, samples):
         with pytest.raises(BadInputError, match="positive integer"):
             gl.wiener_atom_mass(circle_measure, [1.0, 0.0], 10.0, samples)
+
+    @pytest.mark.parametrize("T, samples", [(1e308, None), (1e308, 3), (1e307, None)])
+    def test_rejects_T_whose_reach_overflows(self, circle_measure, T, samples):
+        # 2 T or 40 T r past the largest double: at T = 1e308 math.ceil raised OverflowError,
+        # and with 3 samples the linspace step overflowed to a NaN average
+        with pytest.raises(BadInputError, match="too large"):
+            gl.wiener_atom_mass(circle_measure, [1.0, 0.0], T, samples)
+
+    @pytest.mark.parametrize("T, samples", [(1e200, None), (1e12, None), (10.0, 10 ** 15)])
+    def test_rejects_rays_over_budget_before_allocating(self, circle_measure, T, samples):
+        # at T = 1e200 the grid constants overflowed on the way to an unbounded allocation
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="Wiener ray"):
+                gl.wiener_atom_mass(circle_measure, [1.0, 0.0], T, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("terms, n", [(1504, 4001), (4000, 300), (50, 100_000)])
+    def test_budget_counts_the_ray_arrays(self, terms, n):
+        # on fresh arrays (_SCRATCH_KEEP = 0) the ray's tracemalloc peak is _gridded_bytes
+        # plus the per-term phases and the per-sample factor: seen 1.10-1.16 times it
+        rng = np.random.default_rng(terms)
+        s, w = rng.uniform(-1.0, 1.0, terms), rng.uniform(-1.0, 1.0, terms)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_SCRATCH_KEEP", 0)
+            tracemalloc.start()
+            try:
+                measures._gridded_sum(s, w, 0.0, 0.01, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert measures._gridded_bytes(terms, n) <= peak <= 1.5 * measures._gridded_bytes(terms, n)
 
     def test_integral_float_samples_are_that_count(self, square_measure):
         assert (gl.wiener_atom_mass(square_measure, [1.0, 0.0], 10.0, 1001.0)
