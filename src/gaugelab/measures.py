@@ -37,6 +37,7 @@ _MOMENT_BLOCK = 8192     # orders per block of AtomicMeasure._angular_moments
 _PRODUCT_ATOMS = 128
 # R and M_sp of _gridded_sum: a grid R times the samples, a stencil of 2 M_sp points
 _GRID_OVERSAMPLE, _GRID_SPREAD = 4, 14
+_GRID_REACH = 2.0 ** 52  # bound on _gridded_sum's grid positions and phases, in steps and cycles
 _SCRATCH = threading.local()  # per-thread work buffers of _scratch
 _SCRATCH_KEEP = 1 << 21  # elements of the largest buffer _scratch keeps (the m = 512 transforms)
 
@@ -387,8 +388,18 @@ def _gridded_sum(s, weights, t0: float, dt: float, n: int) -> np.ndarray:
     spread terms, bins, grid and spectrum (_gridded_bytes) sit on the thread's "ray_*"
     scratch slots (_scratch), so a warm call maps no fresh pages.  np.add.at adds each cell's
     terms in input order from zero, the real and imaginary parts apart: the sums of a
-    weighted bin count of each part, bit for bit.  The result is a fresh array."""
+    weighted bin count of each part, bit for bit.  The result is a fresh array.  A ray whose
+    arrays would pass SPECTRUM_BUDGET_BYTES is refused before any is allocated, and so is
+    one whose phases max |s| |t_c| or grid positions max |s| |dt| M reach _GRID_REACH: past
+    2^52 a double no longer holds the grid point, and past 2^63 its index overflows."""
     c, N, M = _grid_size(n)
+    if _gridded_bytes(len(s), n) > SPECTRUM_BUDGET_BYTES:
+        raise BudgetExceededError(f"the Wiener ray of {n:.6g} samples over {len(s)} terms "
+                                  f"exceeds {SPECTRUM_BUDGET_BYTES >> 20} MiB")
+    reach = float(np.max(np.abs(s), initial=0.0)) * max(abs(dt) * M, abs(t0 + c * dt))
+    if not reach < _GRID_REACH:
+        raise BadInputError(f"the Wiener ray reaches {reach:.3g} grid steps or cycles, past "
+                            f"2^52: T too large for its sample count")
     tau = np.pi * _GRID_SPREAD / (M * (M - N / 2))   # N^2 r (r - 1/2) = M (M - N / 2)
     s = np.asarray(s, dtype=np.longdouble)
     pos = s * (np.longdouble(dt) * M)
@@ -618,9 +629,9 @@ def wiener_atom_mass(mu: AtomicMeasure, eta, T: float, samples: int | None = Non
     the fastest oscillation exp(2 pi i t r) at 40 samples per unit of T*r.
     The samples are an arithmetic progression, evaluated by _ray_transform at
     t >= 0 only and mirrored: the weights are real, so |ft(mu)(-t eta)| =
-    |ft(mu)(t eta)|.  A T whose 2T or 40 T r overflows is bad input; a ray whose
-    arrays (_gridded_bytes over every atom) would pass SPECTRUM_BUDGET_BYTES is
-    refused before any is allocated.
+    |ft(mu)(t eta)|.  A T whose 2T or 40 T r overflows is bad input, and so is one too
+    large for the sample count (_gridded_sum's reach); a ray whose arrays (_gridded_bytes
+    over its terms) would pass SPECTRUM_BUDGET_BYTES is refused before any is allocated.
     """
     if not 0 < T < math.inf:
         raise BadInputError(f"T must be positive and finite, not {T}")
@@ -634,9 +645,6 @@ def wiener_atom_mass(mu: AtomicMeasure, eta, T: float, samples: int | None = Non
     if not (samples >= 1 and float(samples).is_integer()):
         raise BadInputError(f"samples must be a positive integer, not {samples}")
     n = int(samples)
-    if _gridded_bytes(len(mu), n - n // 2) > SPECTRUM_BUDGET_BYTES:
-        raise BudgetExceededError(f"the Wiener ray of {n:.6g} samples over {len(mu)} atoms "
-                                  f"exceeds {SPECTRUM_BUDGET_BYTES >> 20} MiB")
     half, dt = n // 2, 2 * T / max(n - 1, 1)
     vals = np.abs(_ray_transform(mu, eta, -T + half * dt, dt, n - half)) ** 2
     vals = np.concatenate([vals[::-1][:half], vals])

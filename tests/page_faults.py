@@ -1,13 +1,13 @@
 """Minor page faults per warm op of each benchmark workload, for reading only.
 
-    python tests/page_faults.py [--seconds S] [--warm N] [--seed N] [WORKLOAD ...]
+    python tests/page_faults.py [--seconds S] [WORKLOAD ...]
 
 Builds each named workload of perfbench/pb_workloads.py (all three by default) from the
-checkout's src/, each in a fresh process as the benchmark does (glibc raises its mmap
-threshold after freeing a large block, so one workload's arrays would change the next
-one's faults), runs --warm ops, then runs ops for S seconds of op time and prints the minor
-page faults (getrusage ru_minflt) and the milliseconds per op, both counted around the op
-alone: the workload's gates and bookkeeping run outside the count.  A fresh array the
+checkout's src/ at seed 1, each in a fresh process as the benchmark does (glibc raises its
+mmap threshold after freeing a large block, so one workload's arrays would change the next
+one's faults), runs 30 warm-up ops, then runs ops for S seconds of op time and prints the
+minor page faults (getrusage ru_minflt) and the milliseconds per op, both counted around
+the op alone: the workload's gates and bookkeeping run outside the count.  A fresh array the
 allocator has to map anew costs one fault per 4 KiB page it touches, so a warm op that
 reuses its buffers reads near 0.  Nothing is gated on a figure.
 """
@@ -25,6 +25,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import gaugelab  # noqa: E402
 import pb_workloads  # noqa: E402
 
+SEED, WARM = 1, 30   # the workloads' seed and the ops run before counting
+
 
 def _minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -40,10 +42,10 @@ def _op(workload):
     return faults, elapsed
 
 
-def faults_per_op(name, seed, warm, seconds):
+def faults_per_op(name, seconds):
     """(ops, minor faults per op, ms per op) of the workload's warm ops."""
-    workload = pb_workloads.WORKLOADS[name](gaugelab, seed)
-    for _ in range(warm):
+    workload = pb_workloads.WORKLOADS[name](gaugelab, SEED)
+    for _ in range(WARM):
         _op(workload)
     ops = faults = busy = 0
     while busy < seconds:
@@ -55,20 +57,17 @@ def faults_per_op(name, seed, warm, seconds):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workloads", nargs="*", default=list(pb_workloads.WORKLOADS))
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--warm", type=int, default=30)
     ap.add_argument("--seconds", type=float, default=3.0)
     ap.add_argument("--here", action="store_true", help="measure in this process")
     args = ap.parse_args(argv)
     if args.here:
         for name in args.workloads:
-            ops, faults, ms = faults_per_op(name, args.seed, args.warm, args.seconds)
+            ops, faults, ms = faults_per_op(name, args.seconds)
             print(f"{name}: {ops} warm ops, {faults:.1f} minor faults per op, "
                   f"{ms:.2f} ms per op", flush=True)
         return
     for name in args.workloads:
-        subprocess.run([sys.executable, __file__, "--here", "--seed", str(args.seed),
-                        "--warm", str(args.warm), "--seconds", str(args.seconds), name],
+        subprocess.run([sys.executable, __file__, "--here", "--seconds", str(args.seconds), name],
                        check=True)
 
 

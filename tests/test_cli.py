@@ -380,12 +380,14 @@ class TestExitCodes:
                           "--out", out)) == 2
         assert not (out / "run.log").exists()
 
-    @pytest.mark.parametrize("T, code", [("1e308", 2), ("1e200", 4)])
-    def test_wiener_T_past_the_ray_is_refused(self, workdir, T, code):
-        # 2 T overflows (bad input), or the ray's arrays would pass the budget (exit 4)
+    @pytest.mark.parametrize("T, samples, code", [("1e308", (), 2), ("1e200", (), 4),
+                                                  ("1e19", ("--samples", 3), 2)])
+    def test_wiener_T_past_the_ray_is_refused(self, workdir, T, samples, code):
+        # 2 T overflows or the ray's grid positions pass 2^52 (bad input), or the ray's
+        # arrays would pass the budget (exit 4)
         out = workdir / f"wiener-T{T}"
         assert main(_args("wiener", "--body", workdir / "hexagon.json", "--eta", "1,0",
-                          "--T", T, "--resolution", 256, "--out", out)) == code
+                          "--T", T, *samples, "--resolution", 256, "--out", out)) == code
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("argv", [

@@ -760,6 +760,17 @@ class TestWiener:
         with pytest.raises(BadInputError, match="too large"):
             gl.wiener_atom_mass(circle_measure, [1.0, 0.0], T, samples)
 
+    @pytest.mark.parametrize("T, samples", [(1e19, 3), (1e300, 3), (1e15, 3), (1e15, 1)])
+    def test_rejects_T_past_the_ray_grid(self, circle_measure, T, samples):
+        # grid positions max |s| dt M of 8e15 and more, past 2^52: at 1e19 and up the cell
+        # index overflowed its cast, and the average came out finite and meaningless
+        with pytest.raises(BadInputError, match="past 2\\^52"):
+            gl.wiener_atom_mass(circle_measure, [1.0, 0.0], T, samples)
+
+    def test_samples_under_the_ray_grid_reach_run(self, circle_measure):
+        # 8e14 grid steps, under 2^52: a 3-sample average of |ft|^2 <= 1
+        assert 0.0 <= gl.wiener_atom_mass(circle_measure, [1.0, 0.0], 1e14, 3) <= 1.0
+
     @pytest.mark.parametrize("T, samples", [(1e200, None), (1e12, None), (10.0, 10 ** 15)])
     def test_rejects_rays_over_budget_before_allocating(self, circle_measure, T, samples):
         # at T = 1e200 the grid constants overflowed on the way to an unbounded allocation
@@ -786,7 +797,23 @@ class TestWiener:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert measures._gridded_bytes(terms, n) <= peak <= 1.5 * measures._gridded_bytes(terms, n)
+        need = measures._gridded_bytes(terms, n)
+        assert need <= peak <= 1.5 * need
+
+    def test_budget_counts_the_merged_terms(self, square_measure):
+        # the square's mesh pairs up and grids 513 distinct |s| of its 4096 atoms: a budget
+        # that holds those terms runs the ray, one byte less refuses it
+        eta, T, n = [1.0, 0.0], 10.0, 1001
+        with kernel_terms("_gridded_sum") as seen:
+            want = gl.wiener_atom_mass(square_measure, eta, T, n)
+        assert seen == [513] and len(square_measure) == 4096
+        need = measures._gridded_bytes(513, n - n // 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "SPECTRUM_BUDGET_BYTES", need)
+            assert gl.wiener_atom_mass(square_measure, eta, T, n) == want
+            mp.setattr(measures, "SPECTRUM_BUDGET_BYTES", need - 1)
+            with pytest.raises(BudgetExceededError, match="over 513 terms"):
+                gl.wiener_atom_mass(square_measure, eta, T, n)
 
     def test_integral_float_samples_are_that_count(self, square_measure):
         assert (gl.wiener_atom_mass(square_measure, [1.0, 0.0], 10.0, 1001.0)
