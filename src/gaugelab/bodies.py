@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -140,7 +141,6 @@ class HPolytope(ConvexBody):
         self.offsets = offsets
         self.normals.setflags(write=False)
         self.offsets.setflags(write=False)
-        self._vertices = self._edges = None
 
     @staticmethod
     def _antipodes(normals, offsets):
@@ -190,12 +190,12 @@ class HPolytope(ConvexBody):
     def dual_gauge_many(self, Xi):
         return np.max(self._by_facet(Xi, self.vertices), axis=0)
 
-    @property
+    # vertices and the structures below are cached: the facets are read-only
+    @cached_property
     def vertices(self):
-        if self._vertices is None:
-            self._vertices = self._enumerate_vertices()
-            self._vertices.setflags(write=False)
-        return self._vertices
+        verts = self._enumerate_vertices()
+        verts.setflags(write=False)
+        return verts
 
     def _enumerate_vertices(self):
         """Every vertex once, in lexicographic order.
@@ -254,20 +254,50 @@ class HPolytope(ConvexBody):
             return self._mesh_polygon(resolution)
         return self._mesh_polytope_3d(resolution)
 
+    @cached_property
     def _polygon_edges(self):
-        """Each facet's extreme vertices along it, in lexicographic order, (n_facets, 2, 2);
-        cached.  A redundant facet, on one vertex or none, gets an edge of length 0."""
-        if self._edges is None:
-            self._edges = np.zeros((self.n_facets, 2, 2))
-            for i, (nx, ny) in enumerate(self.normals):
-                fv = self._facet_vertices(i, redundant_ok=True)
-                t = fv @ [-ny, nx]
-                self._edges[i] = fv[np.sort([np.argmin(t), np.argmax(t)])] if len(fv) else 0.0
-            self._edges.setflags(write=False)
-        return self._edges
+        """Each facet's extreme vertices along it, in lexicographic order, (n_facets, 2, 2).
+        A redundant facet, on one vertex or none, gets an edge of length 0."""
+        edges = np.zeros((self.n_facets, 2, 2))
+        for i, (nx, ny) in enumerate(self.normals):
+            fv = self._facet_vertices(i, redundant_ok=True)
+            t = fv @ [-ny, nx]
+            edges[i] = fv[np.sort([np.argmin(t), np.argmax(t)])] if len(fv) else 0.0
+        edges.setflags(write=False)
+        return edges
+
+    @cached_property
+    def _edge_terms(self):
+        """A polygon's edge terms of its indicator transform: (n_facets, 3, 2) rows nu_e,
+        b_e - a_e and m_e for each edge a_e b_e, nu_e the outer normal times the edge length
+        and m_e the midpoint, and the area sum <m_e, nu_e> / 2."""
+        a, b = np.moveaxis(self._polygon_edges, 1, 0)
+        m, d = (a + b) / 2, b - a
+        vecs = np.stack([self.normals * np.sqrt(np.vecdot(d, d))[:, None], d, m], axis=1)
+        vecs.setflags(write=False)
+        return vecs, np.sum(np.vecdot(m, vecs[:, 0])) / 2
+
+    @cached_property
+    def _box_widths(self):
+        """Half-widths when every facet normal is +/- a coordinate axis, else None."""
+        d = self.dim
+        if self.n_facets != 2 * d:
+            return None
+        widths = np.full(d, -1.0)
+        for theta, h in zip(self.normals, self.offsets):
+            ax = int(np.argmax(np.abs(theta)))
+            if abs(abs(theta[ax]) - 1.0) > 1e-12:
+                return None
+            if widths[ax] >= 0 and abs(widths[ax] - h) > 1e-12:
+                return None
+            widths[ax] = h
+        if not np.all(widths > 0):
+            return None
+        widths.setflags(write=False)
+        return widths
 
     def _mesh_polygon(self, resolution):
-        ends = self._polygon_edges()
+        ends = self._polygon_edges
         a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
         lengths = np.sqrt(np.vecdot(d, d))
         if not np.all(lengths > 0):  # a redundant facet: distinct vertices are > VERTEX_TOL apart

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,15 @@ class PointSet:
     def dim(self):
         return self.points.shape[1]
 
+    @cached_property
+    def _lags(self):
+        """_lag_vectors of the points, read-only (None for fewer than 2 points); built once
+        and cached, as the points are read-only."""
+        lags = _lag_vectors(self.points) if len(self) > 1 else None
+        if lags is not None:
+            lags.setflags(write=False)
+        return lags
+
     def __len__(self):
         return self.points.shape[0]
 
@@ -63,6 +73,8 @@ def lattice_points(dim: int, lo: float, hi: float, spacing: float = 1.0) -> Poin
     spacing is positive, over budget when its coordinates would pass SPECTRUM_BUDGET_BYTES."""
     if not spacing > 0:
         raise BadInputError(f"lattice spacing must be positive, not {spacing}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BadInputError(f"lattice bounds must be finite, not [{lo}, {hi}]")
     q_lo, q_hi = lo / spacing, hi / spacing   # floats: a quotient past the range is inf
     if not q_hi - q_lo + 1 <= (SPECTRUM_BUDGET_BYTES / (8 * dim)) ** (1 / dim):
         raise BudgetExceededError(f"a Z{dim} box {q_hi - q_lo + 1:.3g} points wide exceeds "
@@ -95,11 +107,12 @@ class GapReport:
         # An exact repeat never opens a new value, so the merge runs on the distinct values.
         # A value over MERGE_TOL above its predecessor is so above the last merged one too
         # (rounding is monotone) and opens a new value; only the others take the loop.
+        # The loop reads Python floats: the same doubles, without a numpy scalar per step.
         u = np.unique(values[values <= t_max + MERGE_TOL])
-        keep, last = np.ones(u.size, dtype=bool), -math.inf
+        keep, last, ul = np.ones(u.size, dtype=bool), -math.inf, u.tolist()
         for k in (np.flatnonzero(np.diff(u) <= MERGE_TOL) + 1).tolist():
-            last = u[k - 1] if keep[k - 1] else last
-            keep[k] = u[k] - last > MERGE_TOL
+            last = ul[k - 1] if keep[k - 1] else last
+            keep[k] = ul[k] - last > MERGE_TOL
         dists = u[keep]   # consecutive ones more than MERGE_TOL apart: each opens a gap
         gaps = list(zip(dists[:-1].tolist(), np.diff(dists).tolist()))
         if dists.size and t_max - dists[-1] > MERGE_TOL:
@@ -150,8 +163,8 @@ def _lag_vectors(points):
 def distance_set(points: PointSet, body: ConvexBody, t_max: float) -> GapReport:
     """All pairwise gauge distances up to t_max, deduplicated at MERGE_TOL; 0 belongs to
     the set whenever the configuration is nonempty."""
-    if t_max <= 0:
-        raise BadInputError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise BadInputError(f"t_max must be positive and finite, not {t_max}")
     return GapReport.from_values(_distance_values(points, body, dual=False), t_max)
 
 
@@ -162,18 +175,20 @@ def _distance_values(points: PointSet, body: ConvexBody, dual: bool) -> np.ndarr
         raise BadInputError(f"points of dimension {points.dim} for a body of dimension {body.dim}")
     fn = body.dual_gauge_many if dual else body.gauge_many
     return np.concatenate([np.zeros(min(len(points), 1))]
-                          + [fn(block) for block in _differences(points.points)])
+                          + [fn(block) for block in _differences(points)])
 
 
-def _differences(points):
-    """The differences p_i - p_j, i < j, of the rows of points, in blocks: each distinct
-    difference once, _LAG_BLOCK rows a block, where _lag_vectors applies, else every pair,
-    in blocks of _PAIR_BLOCK x _PAIR_BLOCK points (the pairs i < j only on the diagonal)."""
-    lags = _lag_vectors(points) if len(points) > 1 else None
+def _differences(pset: PointSet):
+    """The differences p_i - p_j, i < j, of a PointSet's rows, in blocks: each distinct
+    difference once, _LAG_BLOCK rows a block, where the set's cached lag vectors exist,
+    else every pair, in blocks of _PAIR_BLOCK x _PAIR_BLOCK points (the pairs i < j only
+    on the diagonal)."""
+    lags = pset._lags
     if lags is not None:
         for s in range(0, len(lags), _LAG_BLOCK):
             yield lags[s:s + _LAG_BLOCK]
         return
+    points = pset.points
     for i in range(0, len(points) - 1, _PAIR_BLOCK):  # a last block of one point has no pair
         block = points[i:i + _PAIR_BLOCK]
         upper = np.triu_indices(len(block), 1)

@@ -12,6 +12,7 @@ sparsification into a dual-gauge distance-set report.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,24 +26,6 @@ POLAR_RESOLUTION = 4096  # midpoint angles or icosphere patches of the polar qua
 _TAIL_ZEROS = 10        # zeros in the tail statistics of a ZeroLedger
 _ZERO_TOL = 1e-10       # bracket width at which a zero scan stops; the zero is its midpoint
 _ILLINOIS_STEPS = 3     # false-position steps a zero bracket takes before it must halve
-
-
-def _is_axis_box(body):
-    """Half-widths when every facet normal is +/- a coordinate axis, else None."""
-    if not isinstance(body, HPolytope):
-        return None
-    d = body.dim
-    if body.n_facets != 2 * d:
-        return None
-    widths = np.full(d, -1.0)
-    for theta, h in zip(body.normals, body.offsets):
-        ax = int(np.argmax(np.abs(theta)))
-        if abs(abs(theta[ax]) - 1.0) > 1e-12:
-            return None
-        if widths[ax] >= 0 and abs(widths[ax] - h) > 1e-12:
-            return None
-        widths[ax] = h
-    return widths if np.all(widths > 0) else None
 
 
 def ball_indicator_profile(d: int, r) -> np.ndarray:
@@ -136,12 +119,11 @@ def _chi_hat_polygon(body, Xi):
     """Divergence-theorem edge sum (Lawrence 1991) of a polygon at the rows of Xi, sum_e <xi,
     nu_e> sinc(<b_e - a_e, xi>) sin(2 pi <m_e, xi>) / (2 pi |xi|^2), nu_e the outer normal
     times the length of edge a_e b_e, m_e its midpoint.  Terms stay O(1) as xi -> 0; |xi|^2 <
-    1e-200 takes the area sum <m_e, nu_e> / 2.  Sums are per row, in blocks of rows."""
-    a, b = np.moveaxis(body._polygon_edges(), 1, 0)
-    m, d = (a + b) / 2, b - a
-    vecs = np.stack([body.normals * np.sqrt(np.vecdot(d, d))[:, None], d, m], axis=1)
-    out = np.full(len(Xi), np.sum(np.vecdot(m, vecs[:, 0])) / 2)
-    step = max(1, _POLAR_BLOCK // len(m))
+    1e-200 takes the area sum <m_e, nu_e> / 2.  The edge terms are the body's cached
+    _edge_terms.  Sums are per row, in blocks of rows."""
+    vecs, area = body._edge_terms
+    out = np.full(len(Xi), area)
+    step = max(1, _POLAR_BLOCK // len(vecs))
     for s in range(0, len(Xi), step):
         xi, o = Xi[s:s + step], out[s:s + step]
         q = xi[:, None, None, 0] * vecs[..., 0] + xi[:, None, None, 1] * vecs[..., 1]
@@ -156,7 +138,7 @@ def chi_hat_many(body: ConvexBody, Xi) -> np.ndarray:
     Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
     if Xi.ndim != 2 or Xi.shape[1] != body.dim:
         raise BadInputError(f"frequency rows must have the body's dimension {body.dim}")
-    box = _is_axis_box(body)
+    box = body._box_widths if isinstance(body, HPolytope) else None
     if box is not None:
         return np.prod(2 * box[None, :] * np.sinc(2 * box[None, :] * Xi), axis=1)
     if isinstance(body, Ellipsoid):
@@ -211,11 +193,23 @@ def radial_zero_scan(body: ConvexBody, window, steps: int) -> ZeroLedger:
     the zero the midpoint; one not halved in _ILLINOIS_STEPS = 3 steps takes a midpoint step,
     so a scan ends within 4 ceil(log2(w0 / 1e-10)) steps for a grid step w0 or raises
     BudgetExceededError.  Balls and the 1d box are radial, so their profile is exact; other
-    bodies are flagged approximate.
+    bodies are flagged approximate.  Bad input, before anything is allocated, unless steps
+    is an integer and the window is finite, with a finite step-cap argument (b - a) / 1e-10
+    and a finite square of p = 4 pi b max(1, r1), r1 the outer radius: p bounds the
+    profile's phases and |xi|, whose squares the polygon and 3d slice formulas take.
     """
     a, b = float(window[0]), float(window[1])
+    if not isinstance(steps, numbers.Integral):
+        raise BadInputError(f"steps must be an integer, not {steps!r}")
     if not (0 < a < b) or steps < 2:
         raise BadInputError("need 0 < a < b and steps >= 2")
+    if not math.isfinite(b):
+        raise BadInputError(f"window ends must be finite, not ({a}, {b})")
+    if not (b - a) / _ZERO_TOL < math.inf:
+        raise BadInputError(f"window ({a}, {b}) is too wide: its step cap overflows")
+    phase = 4 * math.pi * b * max(1.0, body.outer_radius())
+    if not phase * phase < math.inf:
+        raise BadInputError(f"window end {b} is too far out: the profile's phases overflow")
     approximate = not (body.dim == 1 or isinstance(body, Ellipsoid) and body.is_ball())
     e1 = np.eye(body.dim)[0]
 
@@ -268,7 +262,7 @@ def orthogonality_residual(points: PointSet, body: ConvexBody) -> float:
     """max over distinct pairs of |chi_hat(body, difference)| (0 for < 2 points): over the
     differences p_j - p_i, i < j, block by block as _differences yields their negatives."""
     return max((float(np.max(np.abs(chi_hat_many(body, -block))))
-                for block in _differences(points.points)), default=0.0)
+                for block in _differences(points)), default=0.0)
 
 
 @dataclass(frozen=True)

@@ -631,6 +631,37 @@ def longdouble_polygon_chi_hat(body, Xi):
     return np.sum(terms, axis=1) / (2 * pi * np.sum(X * X, axis=1))
 
 
+def uncached_polygon_chi_hat(body, Xi):
+    """The polygon edge sum as first written: the edge table (scaled normals, edge vectors,
+    midpoints and the area term) built anew from the body's edges on every call."""
+    from gaugelab.spectra import _POLAR_BLOCK
+    a, b = np.moveaxis(body._polygon_edges, 1, 0)
+    m, d = (a + b) / 2, b - a
+    vecs = np.stack([body.normals * np.sqrt(np.vecdot(d, d))[:, None], d, m], axis=1)
+    out = np.full(len(Xi), np.sum(np.vecdot(m, vecs[:, 0])) / 2)
+    step = max(1, _POLAR_BLOCK // len(m))
+    for s in range(0, len(Xi), step):
+        xi, o = Xi[s:s + step], out[s:s + step]
+        q = xi[:, None, None, 0] * vecs[..., 0] + xi[:, None, None, 1] * vecs[..., 1]
+        xi2 = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        np.divide(np.sum(q[..., 0] * np.sinc(q[..., 1]) * np.sin(2 * np.pi * q[..., 2]), axis=1),
+                  2 * np.pi * xi2, out=o, where=xi2 >= 1e-200)
+    return out
+
+
+def uncached_axis_box(body):
+    """Half-widths when every facet normal is +/- a coordinate axis, else None, found anew."""
+    if body.n_facets != 2 * body.dim:
+        return None
+    widths = np.full(body.dim, -1.0)
+    for theta, h in zip(body.normals, body.offsets):
+        ax = int(np.argmax(np.abs(theta)))
+        if abs(abs(theta[ax]) - 1.0) > 1e-12 or widths[ax] >= 0 and abs(widths[ax] - h) > 1e-12:
+            return None
+        widths[ax] = h
+    return widths if np.all(widths > 0) else None
+
+
 def shoelace_area(body):
     """Polygon area by the shoelace sum over the counterclockwise vertices."""
     v = _polygon_ring(body)

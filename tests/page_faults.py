@@ -6,14 +6,16 @@ Builds each named workload of perfbench/pb_workloads.py (all three by default) f
 checkout's src/ at seed 1, each in a fresh process as the benchmark does (glibc raises its
 mmap threshold after freeing a large block, so one workload's arrays would change the next
 one's faults), runs 30 warm-up ops, then runs ops for S seconds of op time and prints the
-minor page faults (getrusage ru_minflt) and the milliseconds per op, both counted around
-the op alone: the workload's gates and bookkeeping run outside the count.  A fresh array the
-allocator has to map anew costs one fault per 4 KiB page it touches, so a warm op that
-reuses its buffers reads near 0.  Nothing is gated on a figure.
+minor page faults (getrusage ru_minflt) and the mean and median milliseconds per op, all
+counted around the op alone: the workload's gates and bookkeeping run outside the count.
+The median reads against the benchmark's op_s_p50, the mean against its ops_per_s.  A
+fresh array the allocator has to map anew costs one fault per 4 KiB page it touches, so a
+warm op that reuses its buffers reads near 0.  Nothing is gated on a figure.
 """
 
 import argparse
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -43,15 +45,19 @@ def _op(workload):
 
 
 def faults_per_op(name, seconds):
-    """(ops, minor faults per op, ms per op) of the workload's warm ops."""
+    """(ops, minor faults per op, mean ms per op, median ms per op) of the workload's warm
+    ops."""
     workload = pb_workloads.WORKLOADS[name](gaugelab, SEED)
     for _ in range(WARM):
         _op(workload)
-    ops = faults = busy = 0
+    faults = busy = 0
+    times = []
     while busy < seconds:
         f, s = _op(workload)
-        ops, faults, busy = ops + 1, faults + f, busy + s
-    return ops, faults / ops, 1e3 * busy / ops
+        faults, busy = faults + f, busy + s
+        times.append(s)
+    ops = len(times)
+    return ops, faults / ops, 1e3 * busy / ops, 1e3 * statistics.median(times)
 
 
 def main(argv=None):
@@ -62,9 +68,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.here:
         for name in args.workloads:
-            ops, faults, ms = faults_per_op(name, args.seconds)
+            ops, faults, mean, median = faults_per_op(name, args.seconds)
             print(f"{name}: {ops} warm ops, {faults:.1f} minor faults per op, "
-                  f"{ms:.2f} ms per op", flush=True)
+                  f"{mean:.2f} ms per op (median {median:.2f} ms)", flush=True)
         return
     for name in args.workloads:
         subprocess.run([sys.executable, __file__, "--here", "--seconds", str(args.seconds), name],

@@ -205,6 +205,55 @@ class TestLagVectors:
         with pytest.raises(BadInputError, match="spacing must be positive"):
             gl.lattice_points(2, -10, 10, spacing)
 
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 10.0), (-10.0, math.nan), (-math.inf, 10.0),
+                                        (-10.0, math.inf), (math.inf, math.inf)])
+    def test_lattice_bounds_must_be_finite(self, lo, hi):
+        with pytest.raises(BadInputError, match="lattice bounds must be finite"):
+            gl.lattice_points(2, lo, hi)
+
+
+class TestLagCache:
+    """A PointSet computes its lag vectors once; every report keeps its bits."""
+
+    BODIES = [gl.cube_body(2, 0.5), gl.regular_polygon_body(6),
+              gl.random_symmetric_polytope(2, 6, seed=11), gl.ball_body(2)]
+
+    def test_one_lag_computation_per_point_set(self, monkeypatch):
+        calls, lag_vectors = [], distances._lag_vectors
+        monkeypatch.setattr(distances, "_lag_vectors",
+                            lambda points: calls.append(len(points)) or lag_vectors(points))
+        sets = [gl.lattice_points(2, -6, 6), gl.lattice_points(2, -3, 3, 0.5)]
+        for pts in sets:
+            for _ in range(3):
+                for body in self.BODIES:
+                    for dual in (False, True):
+                        gap_report(pts, body, 9.0, dual)
+                    gl.orthogonality_residual(pts, body)
+        assert calls == [len(pts) for pts in sets]
+        assert sets[0]._lags is sets[0]._lags and not sets[0]._lags.flags.writeable
+
+    def test_reports_keep_their_bits(self):
+        lat = gl.lattice_points(2, -6, 6)
+        for body in self.BODIES:
+            for dual in (False, True):
+                for t_max in (4.0, 9.0, 30.0):
+                    got = gap_report(lat, body, t_max, dual)  # the second pass reads the cache
+                    assert_same_report(got, gap_report(gl.PointSet(lat.points), body, t_max, dual))
+                    assert_same_report(got, oracles.sequential_merge_distance_set(
+                        lat, body, t_max, dual=dual))
+
+    def test_sets_off_the_grid_cache_none(self):
+        pts = gl.PointSet(np.random.default_rng(4).uniform(-3, 3, (60, 2)))
+        assert pts._lags is None and gl.PointSet([[1.0, 2.0]])._lags is None
+        body = gl.regular_polygon_body(6)
+        assert_same_report(gl.distance_set(pts, body, 5.0),
+                           oracles.sequential_merge_distance_set(pts, body, 5.0))
+
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_t_max_must_be_positive_and_finite(self, t_max):
+        with pytest.raises(BadInputError, match="t_max must be positive and finite"):
+            gl.distance_set(gl.lattice_points(2, -2, 2), gl.cube_body(2, 0.5), t_max)
+
 
 class TestGapScan:
     def test_lattice_unit_gaps(self, half_cube):

@@ -301,6 +301,47 @@ class TestPolygonEdgeSum:
             assert gl.chi_hat(body, xi) == pytest.approx(area, rel=4e-16)
         assert "_polar_nodes" not in body.__dict__   # the edge sum builds no polar nodes
 
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Swap HPolytope's cached property `name` for one that logs each body it builds for."""
+        from functools import cached_property
+        built, build = [], gl.HPolytope.__dict__[name].func
+        prop = cached_property(lambda body: built.append(body) or build(body))
+        prop.__set_name__(gl.HPolytope, name)
+        monkeypatch.setattr(gl.HPolytope, name, prop)
+        return built
+
+    def test_edge_terms_built_once_per_body(self, monkeypatch):
+        built = self.counted(monkeypatch, "_edge_terms")
+        bodies = [gl.regular_polygon_body(6), gl.random_symmetric_polytope(2, 6, seed=8),
+                  gl.random_symmetric_polytope(2, 40, seed=5)]
+        rng = np.random.default_rng(5)
+        Xi = np.vstack([[0.0, 0.0], [1e-120, 0.0], rng.normal(scale=3.0, size=(3000, 2))])
+        for body in bodies:
+            for rows in (Xi, Xi[:7], Xi[1:2]):
+                np.testing.assert_array_equal(gl.chi_hat_many(body, rows),
+                                              oracles.uncached_polygon_chi_hat(body, rows))
+            gl.radial_zero_scan(body, (0.5, 6.0), 400)
+        assert [id(b) for b in built] == [id(b) for b in bodies]
+        vecs, _ = bodies[0]._edge_terms
+        assert not vecs.flags.writeable
+
+    def test_box_widths_found_once_per_body(self, monkeypatch):
+        built = self.counted(monkeypatch, "_box_widths")
+        bodies = [gl.cube_body(1, 0.7), gl.cube_body(2, 0.5), gl.cube_body(3, 0.5),
+                  rotated_rectangle(0.3, np.array([0.7, 0.4]))[0], gl.regular_polygon_body(4),
+                  gl.regular_polygon_body(6)]
+        Xi = np.random.default_rng(6).normal(scale=3.0, size=(50, 3))
+        for body in bodies:
+            for _ in range(3):
+                gl.chi_hat_many(body, Xi[:, :body.dim])
+            want = oracles.uncached_axis_box(body)
+            got = body._box_widths
+            assert (got is None) == (want is None)
+            if got is not None:
+                np.testing.assert_array_equal(got, want)
+        assert [id(b) for b in built] == [id(b) for b in bodies]
+
     def test_hexagon_dual_lattice_is_a_spectrum(self):
         # The hexagon tiles the plane by the lattice of twice its facet offsets along two
         # adjacent normals, so the dual lattice is a spectrum (Fuglede).
@@ -455,6 +496,31 @@ class TestZeroScan:
             np.testing.assert_array_equal(led.brackets, brackets)
             np.testing.assert_allclose(led.zeros, zeros, rtol=0, atol=1e-10)
         np.testing.assert_allclose(leds[0].zeros, np.arange(1.0, 6.0), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("window, steps, match", [
+        ((0.5, math.inf), 400, "window ends must be finite"),
+        ((0.5, 1e308), 400, "step cap overflows"),
+        ((1e200, 2e200), 400, "phases overflow"),
+        ((0.5, 6.0), 2.5, "steps must be an integer"),
+        ((0.5, 6.0), 400.0, "steps must be an integer")])
+    def test_unscannable_input_refused_before_allocation(self, window, steps, match):
+        import tracemalloc
+        body = gl.regular_polygon_body(6)
+        body.outer_radius()   # the body's vertices, built before the count
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadInputError, match=match):
+                gl.radial_zero_scan(body, window, steps)   # RuntimeWarnings are errors here
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_integer_steps_of_any_integer_type(self):
+        body = gl.regular_polygon_body(6)
+        want = gl.radial_zero_scan(body, (0.5, 6.0), 400)
+        got = gl.radial_zero_scan(body, (0.5, 6.0), np.int64(400))
+        np.testing.assert_array_equal(got.zeros, want.zeros)
 
     def test_window_without_zeros(self, unit_disk):
         led = gl.radial_zero_scan(unit_disk, (0.01, 0.5), 500)
