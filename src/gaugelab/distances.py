@@ -41,8 +41,13 @@ class PointSet:
             srt = points[order]
             if np.any(np.max(np.abs(np.diff(srt, axis=0)), axis=1) <= DUP_TOL):
                 raise BadInputError("duplicate points in the set")
-        self.points = points
-        self.points.setflags(write=False)
+        points.setflags(write=False)
+        self._points = points
+
+    @property
+    def points(self):
+        """The (n, d) rows, read-only and not rebindable: the lag cache is built from them."""
+        return self._points
 
     @property
     def dim(self):

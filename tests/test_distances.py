@@ -242,6 +242,12 @@ class TestLagCache:
                     assert_same_report(got, oracles.sequential_merge_distance_set(
                         lat, body, t_max, dual=dual))
 
+    def test_points_cannot_be_rebound_under_the_cache(self):
+        lat = gl.lattice_points(2, -6, 6)
+        gl.distance_set(lat, gl.cube_body(2, 0.5), 9.0)
+        with pytest.raises(AttributeError):
+            lat.points = gl.lattice_points(2, -3, 3, 0.5).points
+
     def test_sets_off_the_grid_cache_none(self):
         pts = gl.PointSet(np.random.default_rng(4).uniform(-3, 3, (60, 2)))
         assert pts._lags is None and gl.PointSet([[1.0, 2.0]])._lags is None
