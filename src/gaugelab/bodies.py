@@ -21,7 +21,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import BadInputError, BudgetExceededError, read_json, write_json
-from .measures import AtomicMeasure, _sphere_directions, _unit_rows
+from .measures import AtomicMeasure, _Frozen, _sphere_directions, _unit_rows
 
 PAIR_TOL = 1e-9        # +/- facet pairing match tolerance
 CLAMP_TOL = 1e-12      # inner products may overshoot [-1, 1] by at most this
@@ -45,16 +45,17 @@ def geodesic_distance(u, v):
     return np.arccos(np.clip(dot, -1.0, 1.0))
 
 
-class ConvexBody:
+class ConvexBody(_Frozen):
     """Base class for 0-symmetric convex bodies.
 
     Subclasses provide gauge_many / dual_gauge_many, the inner/outer radius
     certificates, and _mesh, the 2d and 3d boundary mesh.  Membership x in t*K is
-    gauge_many(X) <= t.
+    gauge_many(X) <= t.  A body is read-only; its constructor sets `scale`, the factor
+    load_body shrank it by (1 otherwise).
     """
 
     dim: int
-    scale: float = 1.0  # factor applied when a body was shrunk at load time
+    scale: float
 
     # -- functionals ---------------------------------------------------------
 
@@ -69,8 +70,8 @@ class ConvexBody:
 
     def polar_nodes(self, resolution: int):
         """Unit directions u (midpoint angles, or icosphere patch centers in 3d), radii
-        1/gauge(u) and angle steps or patch areas; cached per resolution on the body."""
-        cache = self.__dict__.setdefault("_polar_nodes", {})
+        1/gauge(u) and angle steps or patch areas; cached per resolution (_polar_cache)."""
+        cache = self._polar_cache
         if resolution not in cache:
             if self.dim == 2:
                 phi = (np.arange(resolution) + 0.5) * 2 * np.pi / resolution
@@ -85,6 +86,11 @@ class ConvexBody:
                 a.setflags(write=False)
             cache[resolution] = nodes
         return cache[resolution]
+
+    @cached_property
+    def _polar_cache(self):
+        """One slot, {resolution: nodes}, that polar_nodes fills."""
+        return {}
 
     # -- certificates --------------------------------------------------------
 
@@ -102,29 +108,14 @@ class ConvexBody:
         raise NotImplementedError
 
     def rescaled(self, factor: float) -> "ConvexBody":
-        """A copy scaled by `factor` (factor*K)."""
+        """factor*K, with `scale` = factor."""
         raise NotImplementedError
-
-    def normalized(self) -> tuple["ConvexBody", float]:
-        """Shrink into the unit ball if needed; returns (body, applied factor).
-
-        Bodies already inside the unit ball are returned unchanged with
-        factor 1.  The factor is also recorded on the returned body's
-        `scale` attribute for reporting.
-        """
-        r1 = self.outer_radius()
-        if r1 <= 1.0 + 1e-12:
-            return self, 1.0
-        factor = 1.0 / r1
-        body = self.rescaled(factor)
-        body.scale = factor
-        return body, factor
 
 
 class HPolytope(ConvexBody):
     """Intersection of halfspaces <x, theta_i> <= h_i with unit normals in +/- pairs."""
 
-    def __init__(self, normals, offsets):
+    def __init__(self, normals, offsets, *, scale=1.0):
         normals = np.atleast_2d(np.asarray(normals, dtype=float))
         offsets = np.asarray(offsets, dtype=float).ravel()
         if normals.shape[0] != offsets.shape[0]:
@@ -135,12 +126,11 @@ class HPolytope(ConvexBody):
             raise BadInputError("facet offsets must be positive (0 interior) and finite")
         normals, norms = _unit_rows(normals, "facet normals")
         offsets = offsets / norms
-        self._antipode = self._antipodes(normals, offsets)
-        self.dim = normals.shape[1]
-        self.normals = normals
-        self.offsets = offsets
-        self.normals.setflags(write=False)
-        self.offsets.setflags(write=False)
+        antipode = self._antipodes(normals, offsets)
+        normals.setflags(write=False)
+        offsets.setflags(write=False)
+        vars(self).update(_antipode=antipode, dim=normals.shape[1], normals=normals,
+                          offsets=offsets, scale=scale)
 
     @staticmethod
     def _antipodes(normals, offsets):
@@ -334,19 +324,18 @@ class HPolytope(ConvexBody):
                 "normals": self.normals.tolist(), "offsets": self.offsets.tolist()}
 
     def rescaled(self, factor):
-        return HPolytope(self.normals, self.offsets * factor)
+        return HPolytope(self.normals, self.offsets * factor, scale=factor)
 
 
 class Ellipsoid(ConvexBody):
     """Axis-aligned ellipsoid sum (x_k / a_k)^2 <= 1."""
 
-    def __init__(self, axes):
+    def __init__(self, axes, *, scale=1.0):
         axes = np.array(axes, dtype=float).ravel()
         if not np.all(np.isfinite(axes) & (axes > 0)):
             raise BadInputError("ellipsoid semi-axes must be positive and finite")
-        self.dim = axes.shape[0]
-        self.axes = axes
-        self.axes.setflags(write=False)
+        axes.setflags(write=False)
+        vars(self).update(dim=axes.shape[0], axes=axes, scale=scale)
 
     def gauge_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -376,7 +365,7 @@ class Ellipsoid(ConvexBody):
         return {"dim": self.dim, "type": "ellipsoid", "axes": self.axes.tolist()}
 
     def rescaled(self, factor):
-        return Ellipsoid(self.axes * factor)
+        return Ellipsoid(self.axes * factor, scale=factor)
 
 
 class RadialBody(ConvexBody):
@@ -388,7 +377,7 @@ class RadialBody(ConvexBody):
     samples must satisfy r(u) = r(-u).
     """
 
-    def __init__(self, p=None, axes=None, radial_samples=None):
+    def __init__(self, p=None, axes=None, radial_samples=None, *, scale=1.0):
         if radial_samples is not None:
             samples = np.array(radial_samples, dtype=float).ravel()
             m = samples.shape[0]
@@ -399,12 +388,8 @@ class RadialBody(ConvexBody):
             half = m // 2
             if np.max(np.abs(samples - np.roll(samples, half))) > 1e-12 * np.max(samples):
                 raise BadInputError("radial samples must satisfy r(u) = r(-u)")
-            self.dim = 2
-            self.kind = "tabulated"
-            self.samples = samples
-            self.samples.setflags(write=False)
-            self.p = None
-            self.axes = None
+            samples.setflags(write=False)
+            fields = dict(dim=2, kind="tabulated", samples=samples, p=None, axes=None)
         else:
             if p is None or axes is None:
                 raise BadInputError("superellipsoid needs p and axes")
@@ -414,12 +399,9 @@ class RadialBody(ConvexBody):
             axes = np.array(axes, dtype=float).ravel()
             if not np.all(np.isfinite(axes) & (axes > 0)):
                 raise BadInputError("semi-axes must be positive and finite")
-            self.dim = axes.shape[0]
-            self.kind = "superellipsoid"
-            self.p = p
-            self.axes = axes
-            self.axes.setflags(write=False)
-            self.samples = None
+            axes.setflags(write=False)
+            fields = dict(dim=axes.shape[0], kind="superellipsoid", samples=None, p=p, axes=axes)
+        vars(self).update(fields, scale=scale)
 
     # tabulated interpolation -------------------------------------------------
 
@@ -494,8 +476,8 @@ class RadialBody(ConvexBody):
 
     def rescaled(self, factor):
         if self.kind == "superellipsoid":
-            return RadialBody(p=self.p, axes=self.axes * factor)
-        return RadialBody(radial_samples=self.samples * factor)
+            return RadialBody(p=self.p, axes=self.axes * factor, scale=factor)
+        return RadialBody(radial_samples=self.samples * factor, scale=factor)
 
 
 # -- smooth meshing helpers ----------------------------------------------------
@@ -603,8 +585,8 @@ class CapFamily:
 
     def __post_init__(self):
         dirs, _ = _unit_rows(self.directions, "cap directions")
-        if self.r_cap <= 0:
-            raise BadInputError("cap radius must be positive")
+        if not 0 < self.r_cap < math.inf:
+            raise BadInputError(f"cap radius must be positive and finite, not {self.r_cap}")
         n = dirs.shape[0]
         if n < 1:
             raise BadInputError("need at least one cap")
@@ -722,14 +704,14 @@ def body_from_dict(spec: dict) -> ConvexBody:
 
 
 def load_body(path) -> ConvexBody:
-    """Load a body from its JSON spec file, shrunk into the unit ball if it pokes out;
-    the applied factor is kept on `body.scale`."""
+    """Load a body from its JSON spec file, shrunk into the unit ball if it pokes out by
+    more than 1e-12; the applied factor is kept on `body.scale`."""
     spec = read_json(path, "body file")
     body = body_from_dict(spec)
     if "dim" in spec and int(spec["dim"]) != body.dim:
         raise BadInputError("declared dim does not match body data")
-    body, _ = body.normalized()
-    return body
+    r1 = body.outer_radius()
+    return body if r1 <= 1.0 + 1e-12 else body.rescaled(1.0 / r1)
 
 
 def save_body(body: ConvexBody, path) -> None:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
 
 from .errors import BadInputError, BudgetExceededError, read_json, write_json
-from .measures import (SPECTRUM_BUDGET_BYTES, AtomicMeasure, _jacobi_anger_order,
+from .measures import (SPECTRUM_BUDGET_BYTES, AtomicMeasure, _Frozen, _jacobi_anger_order,
                        _phase_table, _scratch)
 
 _PAD = 2  # zero-padding factor for the frequency grid (kills torus wrap-around)
@@ -37,7 +37,7 @@ _HANKEL_TERMS = 28     # terms of P and Q together; the first one left out is < 
 _TAYLOR_TERMS = 16     # per unit interval below the cut, about its midpoint: rest < 0.5^16/16!
 
 
-class GridIndicator:
+class GridIndicator(_Frozen):
     """Indicator of a subset of the unit ball sampled on a uniform cell grid.
 
     Cells of size h = 2/m tile [-1,1]^d; marked cells must have centers in
@@ -50,15 +50,11 @@ class GridIndicator:
         cells = np.array(cells, dtype=bool)
         if cells.shape != (m,) * dim:
             raise BadInputError("cell array shape must be (m,)*dim")
-        self.dim = dim
-        self.m = int(m)
-        self.h = 2.0 / m
-        self.cells = cells
-        self.cells.setflags(write=False)
+        cells.setflags(write=False)
+        vars(self).update(dim=dim, m=int(m), h=2.0 / m, cells=cells)
         centers = self.marked_centers()
         if centers.shape[0] and np.max(np.linalg.norm(centers, axis=1)) > 1.0 + 1e-12:
             raise BadInputError("marked cells must have centers inside the unit ball")
-        self._cache = {}
 
     @property
     def count(self):
@@ -72,61 +68,51 @@ class GridIndicator:
         idx = np.argwhere(self.cells)
         return -1.0 + (idx + 0.5) * self.h
 
+    @cached_property
     def _transforms(self):
-        """The weighted power spectrum and the cell autocorrelation, made together on first use
-        of either (the positivity machine reads both at every scale) from one |F|^2 of the
-        cell array zero-padded to (_PAD m)^d, last axis k = 0..m.  The transforms run axis by
-        axis as np.fft.rfftn and irfftn do, with the same bits, on the thread's scratch
-        buffers (measures._scratch), padding zeroed in place: only the cached power and
-        integers are new pages for each indicator.
+        """(power, autocorr): the weighted power spectrum and the cell autocorrelation, made
+        together on first use of either (the positivity machine reads both at every scale)
+        from one |F|^2 of the cell array zero-padded to (_PAD m)^d, last axis k = 0..m.  The
+        transforms run axis by axis as np.fft.rfftn and irfftn do, with the same bits, on the
+        thread's scratch buffers (measures._scratch), padding zeroed in place: only the cached
+        power and integers are new pages for each indicator.
 
-        power: |ft(f)|^2 * dxi * weight at the points of _radius_order, with the total spectral
-        mass and its part beyond 0.9 of the Nyquist radius 1/(2h).  autocorr: A(k) = sum_i c_i
-        c_{i+k} at lag k mod _PAD m, |k| <= m - 1, exact integers of the smallest unsigned type
-        that holds A(0) = count."""
-        if "power" not in self._cache:
-            m, lead, mp = self.m, self.dim - 1, _PAD * self.m
-            spec = _scratch("spec", (mp,) * lead + (m + 1,))
-            for axis in range(lead):
-                spec[(slice(m),) * axis + (slice(m, None),)] = 0
-            np.fft.rfft(self.cells, mp, axis=-1, out=spec[(slice(m),) * lead])
-            for axis in range(lead - 1, -1, -1):
-                view = spec[(slice(m),) * axis]
-                np.fft.fft(view, axis=axis, out=view)
-            abs2 = np.abs(spec, out=_scratch("abs2", spec.shape, float))
-            np.square(abs2, out=abs2)
+        power: (|ft(f)|^2 * dxi * weight at the points of _radius_order, their radii, the
+        total spectral mass, its part beyond 0.9 of the Nyquist radius 1/(2h)).  autocorr:
+        A(k) = sum_i c_i c_{i+k} at lag k mod _PAD m, |k| <= m - 1, exact integers of the
+        smallest unsigned type that holds A(0) = count."""
+        m, lead, mp = self.m, self.dim - 1, _PAD * self.m
+        spec = _scratch("spec", (mp,) * lead + (m + 1,))
+        for axis in range(lead):
+            spec[(slice(m),) * axis + (slice(m, None),)] = 0
+        np.fft.rfft(self.cells, mp, axis=-1, out=spec[(slice(m),) * lead])
+        for axis in range(lead - 1, -1, -1):
+            view = spec[(slice(m),) * axis]
+            np.fft.fft(view, axis=axis, out=view)
+        abs2 = np.abs(spec, out=_scratch("abs2", spec.shape, float))
+        np.square(abs2, out=abs2)
 
-            radii, weight = _radius_order(self.dim, m)[1:]
-            power = abs2.ravel()[_spectrum_index(self.dim, m)[0]]
-            power *= self.h ** (2 * self.dim)
-            power *= (1.0 / (mp * self.h)) ** self.dim
-            power *= weight
-            tail = float(np.sum(power[np.searchsorted(radii, 0.9 * (0.5 / self.h), "right"):]))
-            self._cache["power"] = (power, radii, float(np.sum(power)), tail)
+        radii, weight = _radius_order(self.dim, m)[1:]
+        power = abs2.ravel()[_spectrum_index(self.dim, m)[0]]
+        power *= self.h ** (2 * self.dim)
+        power *= (1.0 / (mp * self.h)) ** self.dim
+        power *= weight
+        tail = float(np.sum(power[np.searchsorted(radii, 0.9 * (0.5 / self.h), "right"):]))
 
-            spec[...] = abs2
-            for axis in range(lead):
-                np.fft.ifft(spec, axis=axis, out=spec)
-            acf = np.fft.irfft(spec, mp, axis=-1, out=_scratch("acf", (mp,) * self.dim, float))
-            np.rint(acf, out=acf)
-            self._cache["autocorr"] = acf.astype(np.min_scalar_type(self.count))
-        return self._cache
+        spec[...] = abs2
+        for axis in range(lead):
+            np.fft.ifft(spec, axis=axis, out=spec)
+        acf = np.fft.irfft(spec, mp, axis=-1, out=_scratch("acf", (mp,) * self.dim, float))
+        np.rint(acf, out=acf)
+        return ((power, radii, float(np.sum(power)), tail),
+                acf.astype(np.min_scalar_type(self.count)))
 
-    def _power_spectrum(self):
-        """(weighted |ft(f)|^2 * dxi, |xi| radii, total, tail) of _transforms."""
-        return self._transforms()["power"]
-
+    @cached_property
     def _radial_power(self):
-        """(distinct radii, summed power): the power of _power_spectrum added up over the grid
+        """(distinct radii, summed power): the power of _transforms added up over the grid
         points of each radius, one np.add.reduceat over the radius order."""
-        if "radial" not in self._cache:
-            distinct, starts = _spectrum_index(self.dim, self.m)[1:]
-            self._cache["radial"] = (distinct, np.add.reduceat(self._power_spectrum()[0], starts))
-        return self._cache["radial"]
-
-    def _autocorrelation(self):
-        """A(k) of _transforms."""
-        return self._transforms()["autocorr"]
+        distinct, starts = _spectrum_index(self.dim, self.m)[1:]
+        return distinct, np.add.reduceat(self._transforms[0][0], starts)
 
     def to_dict(self):
         return {"type": "indicator", "dim": self.dim, "grid": self.m,
@@ -366,7 +352,7 @@ def direct_correlation(f: GridIndicator, sigma: AtomicMeasure, t: float) -> floa
         raise BadInputError("t must be positive")
     if sigma.dim != f.dim:
         raise BadInputError("dimension mismatch between set and measure")
-    acf = f._autocorrelation()
+    acf = f._transforms[1]
     mp = _PAD * f.m
     s = np.clip(t * sigma.positions / f.h, -mp, mp)
     near = np.rint(s)
@@ -399,7 +385,7 @@ def _sigma_hat_on_grid(sigma: AtomicMeasure, t: float, mp: int, h: float, dim: i
     """Re ft(sigma)(t xi) of a symmetric sigma on the half grid xi = k / (mp h) of
     _half_grid_axes, and a bound on its distance from the exact real part.
 
-    Each pair (i, j) of sigma._pairs_up() adds (w_i + w_j) cos(2 pi t <x_i, xi>) (w_i alone
+    Each pair (i, j) of sigma._pairs_up adds (w_i + w_j) cos(2 pi t <x_i, xi>) (w_i alone
     if i == j), within |w_j| 2 pi t |x_i + x_j| |xi| of its share of Re ft(sigma).  With the
     power tables E_a[k, p] = z^k of z = exp(-2 pi i t x_{p,a} / (mp h)), phase in long double,
     the cosine is Re prod_a E_a: z^0..z^(mp/2) of _phase_table on the first and last axes,
@@ -407,7 +393,7 @@ def _sigma_hat_on_grid(sigma: AtomicMeasure, t: float, mp: int, h: float, dim: i
     pairs.  Otherwise, with R the Khatri-Rao rows of the tables after the first, it is
     P -+ Q at +-k_0 for P = (w Re E_0) Re R^T and Q = (w Im E_0) Im R^T: two real matrix
     products over k_0 = 0..mp/2, half the rows of the full grid's first axis."""
-    i, j = sigma._pairs_up()
+    i, j = sigma._pairs_up
     x = sigma.positions[i]
     w = sigma.weights[i] + np.where(i == j, 0.0, sigma.weights[j])
     residue = np.sum(np.abs(sigma.weights[j]) * np.linalg.norm(x + sigma.positions[j], axis=1))
@@ -490,7 +476,7 @@ def _isotropic_moments(sigma: AtomicMeasure, t: float, rho_max: float):
     t r0 rho_max; None otherwise.  Then by Jacobi-Anger, as in measures._circle_ring,
     ft(sigma)(t xi) = w(0) J0(2 pi t r0 |xi|) within 2 sum_{0<n<=N} |w(n)| + 1e-16 |sigma| at
     every |xi| <= rho_max."""
-    r0 = sigma._circle_radius()
+    r0 = sigma._circle_radius
     if r0 is None:
         return None
     w = sigma._angular_moments(_jacobi_anger_order(2 * math.pi * t * r0 * rho_max) + 1)
@@ -551,7 +537,7 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float,
     if not sigma.is_symmetric():
         raise BadInputError("measure must be symmetric (real transform) "
                             "for the frequency-side correlation")
-    power, radii, total_power, tail_power = f._power_spectrum()
+    power, radii, total_power, tail_power = f._transforms[0]
     isotropic = _isotropic_moments(sigma, t, radii[-1])
     if isotropic is None:
         shat, residue = _sigma_hat_on_grid(sigma, t, _PAD * f.m, f.h, f.dim)
@@ -559,7 +545,7 @@ def split_integrals(f: GridIndicator, sigma: AtomicMeasure, t: float,
         vals *= power
     else:
         r0, w = isotropic
-        radii, radial_power = f._radial_power()
+        radii, radial_power = f._radial_power
         z = (2 * math.pi * t * r0) * radii
         vals = _j0(z)
         vals *= w[0].real

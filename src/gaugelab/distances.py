@@ -16,7 +16,7 @@ import numpy as np
 from .bodies import ConvexBody
 from .correlation import _grid_rows
 from .errors import BadInputError, BudgetExceededError, read_csv, write_csv
-from .measures import SPECTRUM_BUDGET_BYTES
+from .measures import SPECTRUM_BUDGET_BYTES, _Frozen
 
 MERGE_TOL = 1e-9        # distances closer than this count as one value
 DUP_TOL = 1e-12         # duplicate-point tolerance inside a PointSet
@@ -26,8 +26,8 @@ _PAIR_BLOCK = 512       # points a side of one block of pairs in _differences
 _LAG_BLOCK = 1 << 18    # lags in one block of _differences, as many as a block of pairs
 
 
-class PointSet:
-    """Finite point configuration with no duplicate points."""
+class PointSet(_Frozen):
+    """Finite point configuration with no duplicate points, read-only."""
 
     def __init__(self, points):
         points = np.array(points, dtype=float)
@@ -42,12 +42,7 @@ class PointSet:
             if np.any(np.max(np.abs(np.diff(srt, axis=0)), axis=1) <= DUP_TOL):
                 raise BadInputError("duplicate points in the set")
         points.setflags(write=False)
-        self._points = points
-
-    @property
-    def points(self):
-        """The (n, d) rows, read-only and not rebindable: the lag cache is built from them."""
-        return self._points
+        vars(self).update(points=points)
 
     @property
     def dim(self):
@@ -55,8 +50,7 @@ class PointSet:
 
     @cached_property
     def _lags(self):
-        """_lag_vectors of the points, read-only (None for fewer than 2 points); built once
-        and cached, as the points are read-only."""
+        """_lag_vectors of the points, read-only (None for fewer than 2 points)."""
         lags = _lag_vectors(self.points) if len(self) > 1 else None
         if lags is not None:
             lags.setflags(write=False)

@@ -60,7 +60,20 @@ def _direction(eta, dim, what):
     return eta
 
 
-class AtomicMeasure:
+class _Frozen:
+    """Read-only after construction: a constructor fills vars(self), and assigning or
+    deleting an attribute raises AttributeError.  A cache is a functools.cached_property,
+    which writes vars(self) itself, or one keyed slot, a cached_property holding the
+    container it grows; a cached value cannot be assigned over either."""
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} is read-only: {name!r} cannot be set "
+                             f"or deleted")
+
+    __delattr__ = __setattr__
+
+
+class AtomicMeasure(_Frozen):
     """Finite weighted point cloud, optionally carrying per-atom unit normals."""
 
     def __init__(self, positions, weights, normals=None):
@@ -72,19 +85,16 @@ class AtomicMeasure:
             raise BadInputError("positions and weights must have equal length")
         if not np.all(np.isfinite(positions)) or not np.all(np.isfinite(weights)):
             raise BadInputError("measure data must be finite")
-        self.positions = positions
-        self.weights = weights
-        self.normals = None
         if normals is not None:
             normals = np.atleast_2d(np.array(normals, dtype=float))
             if normals.shape != positions.shape:
                 raise BadInputError("normals must match positions in shape")
             if not np.all(np.isfinite(normals)):
                 raise BadInputError("measure normals must be finite")
-            self.normals = normals
-            self.normals.setflags(write=False)
-        self.positions.setflags(write=False)
-        self.weights.setflags(write=False)
+            normals.setflags(write=False)
+        positions.setflags(write=False)
+        weights.setflags(write=False)
+        vars(self).update(positions=positions, weights=weights, normals=normals)
 
     # -- basic quantities ----------------------------------------------------
 
@@ -99,7 +109,6 @@ class AtomicMeasure:
     def total_mass(self):
         return float(np.sum(self.weights))
 
-    # abs_mass and support_radius are cached: the atoms are read-only
     @cached_property
     def abs_mass(self):
         return float(np.sum(np.abs(self.weights)))
@@ -120,52 +129,55 @@ class AtomicMeasure:
 
     def is_symmetric(self):
         """True when atoms pair up as (x, w) <-> (-x, w) within SYMMETRY_TOL."""
-        return self._pairs_up() is not None
+        return self._pairs_up is not None
 
+    @cached_property
     def _pairs_up(self):
         """Index arrays (i, j), i <= j, matching each atom x_i, w_i with a mirror x_j ~ -x_i
         of weight w_j ~ w_i within SYMMETRY_TOL (i == j at the origin), or None when the
         atoms do not pair up.  Sorted by rounded position, then weight, and by negated
         rounded position, then weight, atom k of one order pairs with atom k of the other:
-        coincident atoms pair by weight.  Cached: the atoms are read-only."""
-        if "_pairs" not in self.__dict__:
-            key = np.round(self.positions / (SYMMETRY_TOL * max(self.support_radius, 1.0)))
-            a, b = (np.lexsort((self.weights, *k.T[::-1])) for k in (key, -key))
-            wtol = SYMMETRY_TOL * max(self.abs_mass, 1.0)
-            self._pairs = None
-            if (np.array_equal(key[a], -key[b])
-                    and np.all(np.abs(self.weights[a] - self.weights[b]) <= wtol)):
-                mirror = b[np.argsort(a)]    # atom a[k] pairs with atom b[k]
-                i = np.flatnonzero(np.arange(len(self)) <= mirror)
-                self._pairs = (i, mirror[i])
-        return self._pairs
+        coincident atoms pair by weight."""
+        key = np.round(self.positions / (SYMMETRY_TOL * max(self.support_radius, 1.0)))
+        a, b = (np.lexsort((self.weights, *k.T[::-1])) for k in (key, -key))
+        wtol = SYMMETRY_TOL * max(self.abs_mass, 1.0)
+        if not (np.array_equal(key[a], -key[b])
+                and np.all(np.abs(self.weights[a] - self.weights[b]) <= wtol)):
+            return None
+        mirror = b[np.argsort(a)]    # atom a[k] pairs with atom b[k]
+        i = np.flatnonzero(np.arange(len(self)) <= mirror)
+        return i, mirror[i]
 
+    @cached_property
     def _circle_radius(self):
         """r0 when the atoms are 2-d and every radius is within 4 ulp of the largest, r0; None
         otherwise.  The one circle test of the ring path and the positivity machine's radial
-        path.  Cached: the atoms are read-only."""
-        if "_circle" not in self.__dict__:
-            self._circle = None
-            if self.dim == 2 and len(self):
-                r = np.hypot(self.positions[:, 0], self.positions[:, 1])
-                r0 = r.max()
-                if not np.any(r < r0 - 4 * np.spacing(r0)):
-                    self._circle = r0
-        return self._circle
+        path."""
+        if self.dim != 2 or not len(self):
+            return None
+        r = np.hypot(self.positions[:, 0], self.positions[:, 1])
+        r0 = r.max()
+        return None if np.any(r < r0 - 4 * np.spacing(r0)) else r0
+
+    @cached_property
+    def _moment_cache(self):
+        """One slot, [w(k) for k < n], that _angular_moments extends."""
+        return [np.empty(0, dtype=complex)]
 
     def _angular_moments(self, n):
         """w(k) = sum_j w_j e^{-i k phi_j}, k < n, phi_j the angles of the 2-d atoms.  Cached
-        and extended in blocks of _MOMENT_BLOCK orders: block b is the progression sum over
-        m < _MOMENT_BLOCK of the weights w_j e^{-i k0 phi_j}, k0 = b _MOMENT_BLOCK, one row
-        of one _progression_sum for all new blocks, so the bits of w(k) depend on k alone."""
-        have = self.__dict__.get("_moments", np.empty(0, dtype=complex))
+        (_moment_cache) and extended in blocks of _MOMENT_BLOCK orders: block b is the
+        progression sum over m < _MOMENT_BLOCK of the weights w_j e^{-i k0 phi_j}, k0 = b
+        _MOMENT_BLOCK, one row of one _progression_sum for all new blocks, so the bits of
+        w(k) depend on k alone."""
+        have = self._moment_cache[0]
         if len(have) < n:
             s = np.arctan2(self.positions[:, 1], self.positions[:, 0]) / (2 * np.pi)
             cycles = np.outer(np.arange(len(have), n, _MOMENT_BLOCK, dtype=float), s)
             cycles -= np.rint(cycles)
             rows = self.weights * _expi(np.multiply(-2 * np.pi, cycles))
             blocks = _progression_sum(s, rows, 0.0, 1.0, _MOMENT_BLOCK)
-            self._moments = have = np.concatenate([have, blocks.ravel()])
+            self._moment_cache[0] = have = np.concatenate([have, blocks.ravel()])
         return have[:n]
 
     # -- derived measures ------------------------------------------------------
@@ -438,7 +450,7 @@ def _ray_transform(mu: AtomicMeasure, eta, t0: float, dt: float, n: int) -> np.n
     pairs, each at x_i with weight w_i + w_j (w_i alone if i == j), which is ft(mu) to within
     |w_j| 2 pi |t_k| |<x_i + x_j, eta>| per pair.  The cosine sum is even in s: pairs of one
     |s| go in as one."""
-    s, w, pairs = mu.positions @ np.asarray(eta, dtype=float), mu.weights, mu._pairs_up()
+    s, w, pairs = mu.positions @ np.asarray(eta, dtype=float), mu.weights, mu._pairs_up
     if pairs is None:
         return _gridded_sum(s, w, t0, dt, n)
     i, j = pairs
@@ -456,7 +468,7 @@ def _jacobi_anger_order(z):
 def _ring_pays(mu: AtomicMeasure, rho, rows):
     """True when mu lies on one circle (mu._circle_radius) and its Jacobi-Anger ring at radius
     rho costs no more than `rows` dense rows: (2N + 1)(A + 200) <= 50 rows A."""
-    r0, A = mu._circle_radius(), len(mu)
+    r0, A = mu._circle_radius, len(mu)
     return r0 is not None and ((2 * _jacobi_anger_order(2 * np.pi * rho * r0) + 1)
                                * (A + _RING_ORDER_ATOMS) <= _RING_ROW_COST * rows * A)
 
@@ -469,7 +481,7 @@ def _ring_coefficients(mu: AtomicMeasure, rho):
     |mass|.  (-i)^n J_n(z) is one FFT of e^{-i z cos a} on L > 2N points, evaluated on a <=
     pi/2 (L a multiple of 16), conjugated at pi - a, mirrored at 2 pi - a; w(n) is cached
     (_angular_moments)."""
-    z = 2 * np.pi * rho * mu._circle_radius()
+    z = 2 * np.pi * rho * mu._circle_radius
     N = _jacobi_anger_order(z)
     L = min(m << (2 * N // m).bit_length() for m in (1, 3, 5))   # 2^a, 3 2^a or 5 2^a > 2N
     quarter = _expi(np.multiply(-z, np.cos(np.arange(L // 4 + 1) * (2 * np.pi / L))))

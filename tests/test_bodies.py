@@ -259,6 +259,13 @@ class TestCapFamily:
         with pytest.raises(BadInputError):
             gl.CapFamily(dirs, 0.1)
 
+    @pytest.mark.parametrize("r_cap", [math.nan, math.inf, 0.0, -1.0])
+    def test_radius_must_be_positive_and_finite(self, r_cap):
+        # NaN passed `r_cap <= 0` and left every cap empty; one cap took r_cap = inf
+        for dirs in ([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]):
+            with pytest.raises(BadInputError, match="cap radius must be positive and finite"):
+                gl.CapFamily(dirs, r_cap)
+
     def test_delta0(self, five_caps):
         assert five_caps.delta0 == pytest.approx(math.pi / 5, abs=1e-12)
         assert five_caps.delta0 > 2 * five_caps.r_cap
@@ -579,7 +586,8 @@ class TestMeshIsMeasure:
         body = gl.ball_body(2)
 
         def mesh_of(*args):
-            monkeypatch.setattr(body, "_mesh", lambda resolution: gl.AtomicMeasure(*args))
+            # a body is read-only, so its class takes the patch
+            monkeypatch.setattr(type(body), "_mesh", lambda _, resolution: gl.AtomicMeasure(*args))
             return gl.triangulate_boundary(body, 2)
 
         assert mesh_of(pos, w, nrm).total_mass == 1.0

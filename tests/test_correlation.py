@@ -32,7 +32,7 @@ def tilted_circle_sigma(circle_sigma):
     """The 512-atom disk measure with one mirror pair's weights moved by 1e-6: still
     symmetric, and no longer isotropic."""
     w = circle_sigma.weights.copy()
-    i, j = circle_sigma._pairs_up()
+    i, j = circle_sigma._pairs_up
     w[[i[0], j[0]]] += 1e-6
     return gl.AtomicMeasure(circle_sigma.positions, w)
 
@@ -40,7 +40,7 @@ def tilted_circle_sigma(circle_sigma):
 def gemm_split(f, sigma, t, delta):
     """split_integrals through _sigma_hat_on_grid at every half-grid point, the path of every
     measure that is not isotropic."""
-    power, radii, total_power, tail_power = f._power_spectrum()
+    power, radii, total_power, tail_power = f._transforms[0]
     shat, residue = _sigma_hat_on_grid(sigma, t, _PAD * f.m, f.h, f.dim)
     vals = shat.ravel()[correlation._radius_order(f.dim, f.m)[0]] * power
     i1, i2, i3 = (float(np.sum(v)) for v in np.split(vals, correlation._band_cuts(radii, t, delta)))
@@ -279,9 +279,9 @@ class TestSplitIntegrals:
         for s in (f, g):
             gl.split_integrals(s, circle_sigma, 0.3, 0.05)
         order, radii, weight = correlation._radius_order(2, 96)
-        assert f._power_spectrum()[1] is g._power_spectrum()[1] is radii
+        assert f._transforms[0][1] is g._transforms[0][1] is radii
         assert not (order.flags.writeable or radii.flags.writeable or weight.flags.writeable)
-        assert np.array_equal(f._power_spectrum()[0], g._power_spectrum()[0])
+        assert np.array_equal(f._transforms[0][0], g._transforms[0][0])
         # the weights count the full grid's (2m)^2 points
         assert int(np.sum(weight)) == (2 * 96) ** 2
 
@@ -477,7 +477,7 @@ class TestFastPathsAgainstOracles:
         band = np.repeat([0, 1, 2], [low, mid - low, len(order) - mid])
         for k, mask in enumerate(ref.bands):
             assert np.array_equal(mask[rows].ravel()[order], band == k)
-        assert np.array_equal(f._autocorrelation(), ref.autocorr)
+        assert np.array_equal(f._transforms[1], ref.autocorr)
         # a few ulp of |sigma| per grid point in either sigma-hat, over a total power of |A|,
         # as in test_phases_stay_exact_at_large_t; seen up to 1.4 EPS |sigma| |A|
         bound = 16 * (1 + f.dim) * EPS * sigma.abs_mass * f.measure
@@ -498,9 +498,9 @@ class TestFastPathsAgainstOracles:
                 rows = np.ix_(*correlation._half_grid_axes(dim, f.m))
                 power = (abs2[rows].ravel()[order] * f.h ** (2 * dim)
                          * (1.0 / (mp * f.h)) ** dim * weight)
-                got = f._power_spectrum()
+                got = f._transforms[0]
                 assert got[0].tobytes() == power.tobytes() and got[2] == float(np.sum(power))
-                acf = f._autocorrelation()
+                acf = f._transforms[1]
                 assert acf.dtype == np.min_scalar_type(f.count)
                 assert np.array_equal(acf, np.rint(np.fft.irfftn(abs2, s=(mp,) * dim,
                                                                  axes=range(dim))))
@@ -577,7 +577,7 @@ class TestPairedSigmaHat:
         assert sigma.is_symmetric()
         mp, h = _PAD * m, 2.0 / m
         fast, residue = _sigma_hat_on_grid(sigma, t, mp, h, dim)
-        i, j = sigma._pairs_up()
+        i, j = sigma._pairs_up
         xi_max = math.sqrt(dim) / (2 * h)
         assert residue == pytest.approx(2 * math.pi * t * xi_max * np.sum(
             np.abs(sigma.weights[j]) * np.linalg.norm(pos[i] + pos[j], axis=1)), rel=1e-12)
@@ -627,12 +627,12 @@ class TestPairedSigmaHat:
     def test_symmetry_check_and_kernel_share_one_pairing(self, blob_set, circle_sigma):
         sigma = gl.AtomicMeasure(circle_sigma.positions, circle_sigma.weights)
         gl.split_integrals(blob_set, sigma, 0.4, 0.05)
-        i, j = pairs = sigma._pairs    # the one cached pairing, made by split_integrals
-        assert sigma._pairs_up() is pairs and sigma.is_symmetric()
+        i, j = pairs = vars(sigma)["_pairs_up"]   # the one pairing, cached by split_integrals
+        assert sigma._pairs_up is pairs and sigma.is_symmetric()
         assert np.array_equal(np.sort(np.concatenate([i, j])), np.arange(len(sigma)))
         assert np.max(np.abs(sigma.positions[i] + sigma.positions[j])) <= 1e-15
         lop = gl.AtomicMeasure([[0.3, 0.1], [-0.3, -0.1]], [0.5, 0.25])
-        assert lop._pairs_up() is None and not lop.is_symmetric()
+        assert lop._pairs_up is None and not lop.is_symmetric()
 
 
 class TestSpectrumBudget:
@@ -698,14 +698,14 @@ class TestRadialPath:
         sigma = gl.from_mesh(gl.triangulate_boundary(unit_disk, atoms), normalize=True)
         radii = correlation._radius_order(2, m)[1]
         r0, w = correlation._isotropic_moments(sigma, 0.49, radii[-1])
-        assert r0 == sigma._circle_radius() and len(w) == _jacobi_anger_order(
+        assert r0 == sigma._circle_radius and len(w) == _jacobi_anger_order(
             2 * math.pi * 0.49 * r0 * radii[-1]) + 1 < atoms
         assert np.max(np.abs(w[1:])) <= 1.05 * moment_max * abs(w[0])
 
     def test_radial_power_sums_each_radius(self):
         f = gl.random_indicator(2, 32, 0.5, seed=3)
-        power, radii, total, _ = f._power_spectrum()
-        rho, summed = f._radial_power()
+        power, radii, total, _ = f._transforms[0]
+        rho, summed = f._radial_power
         assert np.array_equal(rho, np.unique(radii))
         for u in (0, 1, len(rho) // 2, len(rho) - 1):
             assert summed[u] == pytest.approx(np.sum(power[radii == rho[u]]), rel=1e-15)
@@ -716,14 +716,14 @@ class TestRadialPath:
     @settings(max_examples=25, deadline=None)
     def test_uniform_circles_match_full_grid_oracle(self, data, sigma, u, delta):
         f = data.draw(grid_sets(st.just(2), st.integers(2, 64)))
-        r0, rho_max = sigma._circle_radius(), correlation._radius_order(2, f.m)[1][-1]
+        r0, rho_max = sigma._circle_radius, correlation._radius_order(2, f.m)[1][-1]
         t = u * min(8.0, isotropic_limit(len(sigma)) / (2 * math.pi * r0 * rho_max))
         assert correlation._isotropic_moments(sigma, t, rho_max) is not None
         got = gl.split_integrals(f, sigma, t, delta)
         ref = oracles.full_grid_split(f, sigma, t, delta)
         # the radial path's bound without the grid tail, plus the rounding allowance of
         # test_half_grid_split_matches_full_grid_oracle for the oracle's own sums
-        bound = (got.quad_error - f._power_spectrum()[3] * sigma.abs_mass
+        bound = (got.quad_error - f._transforms[0][3] * sigma.abs_mass
                  + 16 * (1 + f.dim) * EPS * sigma.abs_mass * f.measure)
         note(f"t={t}, bound={bound}")
         for name in ("i1", "i2", "i3", "total"):

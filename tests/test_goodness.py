@@ -58,7 +58,7 @@ class TestGoodnessProfile:
     def test_radii_whose_phase_overflows_rejected(self, circle_measure, rho):
         # 2 pi rho r0 overflows at a finite rho: the ring's order int(z) would raise
         # OverflowError, the dense kernel's phases would turn to NaN
-        assert circle_measure._circle_radius() is not None
+        assert circle_measure._circle_radius is not None
         with pytest.raises(BadInputError, match="overflows"):
             gl.goodness_profile(circle_measure, 5.0, [5.0, rho])
         rng = np.random.default_rng(3)

@@ -204,7 +204,7 @@ class TestKernelsAgainstOracle:
         t0 = float(rng.uniform(-T, T))
         dt = (T - t0) / max(n - 1, 1)
         got = _ray_transform(mu, eta, t0, dt, n)
-        assert got.shape == (n,) and (mu._pairs_up() is not None) == paired
+        assert got.shape == (n,) and (mu._pairs_up is not None) == paired
         ref = ray_reference(mu, eta, t0, dt, n)
         assert np.max(np.abs(got - ref)) <= kernel_bound(mu, T)
 
@@ -356,7 +356,7 @@ class TestFoldedWiener:
         with kernel_terms("_gridded_sum") as seen:
             folded = gl.wiener_atom_mass(even, eta, T, samples)
             plain = gl.wiener_atom_mass(mu, eta, T, samples)
-        assert mu._pairs_up() is None
+        assert mu._pairs_up is None
         assert seen == [atoms + origin, atoms]   # one term per pair, every atom of mu
         for m, got in ((even, folded), (mu, plain)):
             assert abs(got - oracle_wiener(m, eta, T, samples)) <= wiener_bound(m, eta, T, samples)
@@ -392,7 +392,7 @@ class TestMergedProjections:
         even = oracles.symmetrized(both)
         with kernel_terms("_gridded_sum") as seen:
             got = gl.wiener_atom_mass(even, eta, T, samples)
-        assert len(even._pairs_up()[0]) == 2 * atoms
+        assert len(even._pairs_up[0]) == 2 * atoms
         assert seen == [len(np.unique(np.abs(mu.positions[:, axis])))]
         assert abs(got - oracle_wiener(even, eta, T, samples)) <= wiener_bound(even, eta, T,
                                                                               samples)
@@ -636,7 +636,7 @@ class TestCircleRing:
             again = [gl.goodness_profile(mu, R, [rho], 16384).shell_sups for R, rho in ladder]
             assert seen == [1304] * 5
             last = gl.goodness_profile(alone, 3200.0, [5600.0], 16384).shell_sups
-        assert seen == [1304] * 6 and len(alone._moments) == 5 * measures._MOMENT_BLOCK
+        assert seen == [1304] * 6 and len(alone._moment_cache[0]) == 5 * measures._MOMENT_BLOCK
         np.testing.assert_array_equal(first, again)
         np.testing.assert_array_equal(last, first[-1])
 
@@ -866,7 +866,7 @@ class TestDecay:
         phi = start + arc * rng.uniform(size=atoms)
         mu = gl.AtomicMeasure(radius * np.stack([np.cos(phi), np.sin(phi)], axis=1),
                               rng.uniform(-1.0, 1.0, size=atoms))
-        assert mu._circle_radius() is not None
+        assert mu._circle_radius is not None
         thetas = [[math.cos(start + arc / 2), math.sin(start + arc / 2)]]
         t_grid = np.array([0.0, *ts])
         rings = []
@@ -930,7 +930,7 @@ class TestDecay:
         # raise OverflowError, the dense kernel's phases would turn to NaN
         mesh = gl.triangulate_boundary(unit_disk, 2048)
         piece = gl.from_mesh(mesh.restrict(mesh.normals[:, 0] > 0.9))
-        assert piece._circle_radius() is not None
+        assert piece._circle_radius is not None
         with pytest.raises(BadInputError, match="overflows"):
             gl.decay_scan(piece, [[1.0, 0.0]], 0.3, [10.0, t])
 
@@ -1049,7 +1049,7 @@ class TestSortedPairing:
 
     @staticmethod
     def check_against_scan(mu):
-        new, old = mu._pairs_up(), oracles.scan_pairs_up(mu)
+        new, old = mu._pairs_up, oracles.scan_pairs_up(mu)
         assert (new is None) == (old is None)
         if new is not None:
             i, j = new

@@ -70,3 +70,62 @@ def test_every_public_method_is_reached_by_a_run():
                  if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
                  and stmt.name not in used]
     assert unreached == []
+
+
+# Inputs are read-only: a constructor fills its object, and nothing rebinds it after.  Caches
+# are functools.cached_propertys or one keyed slot (a cached_property holding the container it
+# grows), so no statement of the package writes an attribute after construction, and none
+# reads or writes an object's __dict__ but _scratch's per-thread buffers.
+CONSTRUCTORS = {"__init__", "__post_init__"}
+WRITERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+DICT_WRITERS = {"update", "setdefault", "pop", "popitem", "clear"}
+
+
+def _is_vars(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "vars")
+
+
+def _bound(target):
+    """The self.<attr> and vars(...)[key] nodes that an assignment or del target binds,
+    tuples unpacked."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [a for elt in target.elts for a in _bound(elt)]
+    if isinstance(target, ast.Starred):
+        return _bound(target.value)
+    is_self = (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+               and target.value.id == "self")
+    is_vars = isinstance(target, ast.Subscript) and _is_vars(target.value)
+    return [target] if is_self or is_vars else []
+
+
+def _writes(node, function):
+    """(line, what, enclosing function) of each attribute write and __dict__ use under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else function
+        targets = (child.targets if isinstance(child, (ast.Assign, ast.Delete))
+                   else [child.target] if isinstance(child, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        for bound in (b for t in targets for b in _bound(t)):
+            yield bound.lineno, f"{ast.unparse(bound)} bound", function
+        if isinstance(child, ast.Call):
+            name = getattr(child.func, "id", getattr(child.func, "attr", None))
+            if name in WRITERS:
+                yield child.lineno, f"{name}() called", function
+        if (isinstance(child, ast.Attribute) and _is_vars(child.value)
+                and child.attr in DICT_WRITERS):
+            yield child.lineno, f"vars().{child.attr} called", function
+        if (isinstance(child, ast.Attribute) and child.attr == "__dict__"
+                or isinstance(child, ast.Constant) and child.value == "__dict__"):
+            yield child.lineno, "__dict__ used", function
+        yield from _writes(child, inner)
+
+
+def test_nothing_rebinds_an_object_after_construction():
+    found = [f"{path.name}:{line} {what} in {function}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, what, function in _writes(ast.parse(path.read_text(), str(path)), None)
+             if not (function in CONSTRUCTORS and what != "__dict__ used"
+                     or path.name == "measures.py" and function == "_scratch"
+                     and what == "__dict__ used")]
+    assert found == []
